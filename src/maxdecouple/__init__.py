@@ -4,7 +4,8 @@ Compares P(max X_i > 0) (Bernoulli case) or E[max X_i] (nonnegative case)
 against the same functional of the independent version of the family:
 mutually independent copies with identical marginals.  Provides the exact
 toolkit (sparse joint pmfs, bound reports, canonical families, an extremal
-LP search, and the finite layer-cake extension to real values).
+search in closed form with an LP cross-check, and the finite layer-cake
+extension to real values).
 """
 
 from .bounds import (
@@ -55,9 +56,9 @@ from .errors import InvalidDistributionError
 from .optimize import (
     ExtremalLp,
     LpSolution,
-    build_exchangeable_lp,
     build_full_lp,
     conjecture_sweep,
+    exchangeable_optimum,
     expand_exchangeable,
     min_ratio,
     solve,
@@ -81,7 +82,6 @@ __all__ = [
     "affine_hash",
     "affine_hash_values",
     "bernoulli_embedding",
-    "build_exchangeable_lp",
     "build_full_lp",
     "comonotone",
     "conjecture_sweep",
@@ -89,6 +89,7 @@ __all__ = [
     "decoupling_check_cont",
     "eta_lower_check",
     "eta_matrix",
+    "exchangeable_optimum",
     "expand_exchangeable",
     "expected_max",
     "expected_max_independent",

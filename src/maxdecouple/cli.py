@@ -14,12 +14,11 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds, continuous, optimize, verification
 from .constructions import FamilySpec
 from .continuous import NonnegJoint
-from .dist import JointBernoulli, MarginalVector, prob_hit_independent, sample
+from .dist import JointBernoulli, sample
 from .errors import InvalidDistributionError
 
 EXIT_OK = 0
@@ -156,39 +155,18 @@ def _cmd_construct(args) -> int:
 def _cmd_search(args) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise UsageError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    mode = MODE_BY_FLAG[args.mode]
-    if args.reduction == "full":
-        if args.n_max > optimize.FULL_VARIABLE_LIMIT:
-            raise UsageError(
-                f"full reduction supports n <= {optimize.FULL_VARIABLE_LIMIT}"
-            )
-        rows = [_full_sweep_row(n, mode) for n in range(args.n_min, args.n_max + 1)]
-    else:
-        # 'auto' takes the exact exchangeable route at every n; 'full' exists
-        # for cross-validation at small n.
-        rows = optimize.conjecture_sweep(args.n_min, args.n_max, mode)
+    # 'auto' takes the exact exchangeable route at every n; 'full' exists
+    # for cross-validation at small n.
+    reduction = "full" if args.reduction == "full" else "exchangeable"
+    if reduction == "full" and args.n_max > optimize.FULL_VARIABLE_LIMIT:
+        raise UsageError(f"full reduction supports n <= {optimize.FULL_VARIABLE_LIMIT}")
+    rows = optimize.conjecture_sweep(
+        args.n_min, args.n_max, MODE_BY_FLAG[args.mode], reduction=reduction
+    )
     buffer = io.StringIO()
     _write_csv(buffer, SWEEP_COLUMNS, rows)
     _emit(args.out, buffer.getvalue())
     return EXIT_OK
-
-
-def _full_sweep_row(n: int, mode: str) -> dict:
-    p = Fraction(1, n - 1)
-    solution = optimize.solve(optimize.build_full_lp(n, p, mode))
-    mtilde = prob_hit_independent(MarginalVector((float(p),) * n))
-    ratio = solution.objective / mtilde
-    construction = (0.5 + 0.5 / (n - 1)) / mtilde
-    return {
-        "n": n,
-        "p": float(p),
-        "mtilde": mtilde,
-        "lp_objective": solution.objective,
-        "lp_ratio": ratio,
-        "construction_ratio": construction,
-        "gap": construction - ratio,
-        "status": solution.status,
-    }
 
 
 def _cmd_sample(args) -> int:
@@ -271,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidDistributionError as exc:
         print(f"maxdecouple: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"maxdecouple: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,6 +18,7 @@ equivalent to checking all t > 0.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -128,8 +129,7 @@ def _support_grid(joint: NonnegJoint) -> list[float]:
     return sorted(values)
 
 
-def _layer_cake_expected_max(joint: NonnegJoint) -> float:
-    grid = _support_grid(joint)
+def _layer_cake_expected_max(joint: NonnegJoint, grid: list[float]) -> float:
     atom_max = [(max(vec), prob) for vec, prob in joint.atoms]
     total = 0.0
     for t, t_next in zip(grid, grid[1:]):
@@ -145,14 +145,18 @@ def expected_max(joint: NonnegJoint) -> float:
     """E[max_i X_i], as the direct atom sum.
 
     Also evaluates the tail-integral form (sum over support thresholds of
-    interval length times P(max > t)) and insists the two agree to 1e-10;
-    a mismatch can only be an internal bug, never a property of the input.
+    interval length times P(max > t)) and insists the two agree; a mismatch
+    can only be an internal bug, never a property of the input.  Each sum
+    rounds once per atom or grid interval, by at most an ulp of the largest
+    value, so the slack is four ulps of that value per atom and grid point.
     """
     direct = 0.0
     for vec, prob in joint.atoms:
         direct += prob * max(vec)
-    layered = _layer_cake_expected_max(joint)
-    if abs(direct - layered) > EXPECTATION_SLACK:
+    grid = _support_grid(joint)
+    layered = _layer_cake_expected_max(joint, grid)
+    slack = 4 * sys.float_info.epsilon * grid[-1] * (len(joint.atoms) + len(grid))
+    if abs(direct - layered) > slack:
         raise RuntimeError(
             f"tail-integral cross-check failed: direct={direct!r} layered={layered!r}"
         )

@@ -1,15 +1,16 @@
 """Search for joints minimizing P(Z > 0) under prescribed equal marginals
 and pairwise moment constraints.
 
-Two formulations of the same search:
+Two routes to the same optimum:
 
-  full          one variable per atom of {0,1}^n (2^n variables), solved in
-                floating point via scipy's HiGHS backend; capped at n <= 16.
-  exchangeable  one variable per Hamming-weight class (n+1 variables), valid
-                because permutation-averaging any feasible joint preserves
-                equal marginals, the pair moments, and P(Z > 0); solved in
-                exact rational arithmetic so the reported optimum carries no
-                solver tolerance.
+  full          a linear program with one variable per atom of {0,1}^n
+                (2^n variables), solved in floating point via scipy's HiGHS
+                backend; capped at n <= 16.
+  exchangeable  the closed-form optimum over laws of Z = sum X_i (the sharp
+                Dawson-Sankoff bound), valid because permutation-averaging
+                any feasible joint preserves equal marginals, the pair
+                moments, and P(Z > 0); computed in exact rationals, so the
+                reported optimum carries no solver tolerance.
 
 The two routes must agree on small n, which is one of the package's
 verification properties.  The scientific payload is the ratio of the
@@ -27,14 +28,11 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from . import simplex
 from .dist import JointBernoulli, MarginalVector, prob_hit_independent
 
 MODES = ("pairwise_equality", "negative_covariance")
-REDUCTIONS = ("full", "exchangeable")
 
 FULL_VARIABLE_LIMIT = 16
-EXCHANGEABLE_LIMIT = 10_000
 
 # Witness atoms below this are dropped as solver dust (HiGHS default
 # feasibility tolerance is far coarser than this).
@@ -52,22 +50,12 @@ class FullLpProblem:
     b_ub: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class ExchangeableLpProblem:
-    """Weight-class formulation in exact rationals: maximize w_0."""
-
-    objective: tuple[Fraction, ...]
-    eq: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    ub: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ExtremalLp:
     n: int
     p: Fraction
     mode: str
-    reduction: str
-    problem: FullLpProblem | ExchangeableLpProblem
+    problem: FullLpProblem
 
 
 @dataclass(frozen=True)
@@ -76,7 +64,8 @@ class LpSolution:
 
     `objective` is the minimum of P(Z > 0).  Exactly one of `witness_atoms`
     (full) / `witness_weights` (exchangeable) is set for optimal solutions;
-    the exchangeable route additionally reports the exact rational optimum.
+    the exchangeable route additionally reports the exact rational optimum
+    and the exact weights P(Z = k), k = 0..n.
     """
 
     status: str  # "optimal" | "infeasible"
@@ -157,67 +146,63 @@ def build_full_lp(
         problem = FullLpProblem(
             c=c, a_eq=a_marg, b_eq=b_marg, a_ub=a_pair, b_ub=b_pair
         )
-    return ExtremalLp(n=n, p=p, mode=mode, reduction="full", problem=problem)
+    return ExtremalLp(n=n, p=p, mode=mode, problem=problem)
 
 
-def build_exchangeable_lp(
+def exchangeable_optimum(
     n: int, p: Fraction | float, mode: str = "pairwise_equality"
-) -> ExtremalLp:
-    """Weight-class LP over w_k = P(Z = k), k = 0..n, in exact rationals.
+) -> LpSolution:
+    """Exact minimum of P(Z > 0) over laws w_k = P(Z = k), k = 0..n, with
+    sum w_k = 1, first falling moment S1 = sum k w_k = n p and second
+    falling moment 2 S2 = sum k(k-1) w_k = n(n-1) p^2 (an upper bound in
+    negative_covariance mode).
 
-    Constraints: total mass one, first falling moment sum k*w_k = n*p, and
-    second falling moment sum k(k-1)*w_k = n(n-1)*p^2 (equality or upper
-    bound by mode).  Objective: maximize w_0, i.e. minimize P(Z > 0).
+    The optimum is the sharp Dawson-Sankoff bound 2 S1/(k+1) - 2 S2/(k(k+1))
+    with k = 1 + floor(2 S2 / S1), attained only on the support {0, k, k+1}.
+    Proof: f(z) = z(2k+1-z)/(k(k+1)) is 0 at z = 0, 1 at z = k and k+1, and
+    at most 1 at every other integer z >= 1, so every feasible law has
+    P(Z > 0) >= E f(Z), which is the bound.  The weights below meet the
+    three rows on {0, k, k+1}; w_k and w_(k+1) are nonnegative by the choice
+    of k, and w_0 is because the bound is at most P(Z > 0) <= 1 under
+    Binomial(n, p).
+
+    Two facts follow:
+    - the program is never infeasible: Binomial(n, p) meets every row;
+    - negative_covariance mode has the same optimum and witness as
+      pairwise_equality: for fixed k the bound decreases as S2 grows, so a
+      law whose second falling moment T is below 2 S2 has
+      P(Z > 0) >= 2 S1/(k+1) - T/(k(k+1)), above the equality optimum,
+      which is itself feasible for the relaxation.
     """
     p = _check_common(n, p, mode)
     if n < 2:
         raise ValueError(f"exchangeable reduction needs n >= 2, got {n}")
-    if n > EXCHANGEABLE_LIMIT:
-        raise ValueError(f"n={n} exceeds exchangeable limit {EXCHANGEABLE_LIMIT}")
-
-    ks = range(n + 1)
-    ones = tuple(Fraction(1) for _ in ks)
-    first = tuple(Fraction(k) for k in ks)
-    second = tuple(Fraction(k * (k - 1)) for k in ks)
-    objective = tuple(Fraction(1 if k == 0 else 0) for k in ks)
-
-    eq = [(ones, Fraction(1)), (first, n * p)]
-    ub = []
-    moment_row = (second, n * (n - 1) * p * p)
-    if mode == "pairwise_equality":
-        eq.append(moment_row)
+    weights = [Fraction(0)] * (n + 1)
+    if p == 0:
+        weights[0] = Fraction(1)
     else:
-        ub.append(moment_row)
-    problem = ExchangeableLpProblem(objective=objective, eq=tuple(eq), ub=tuple(ub))
-    return ExtremalLp(n=n, p=p, mode=mode, reduction="exchangeable", problem=problem)
-
-
-def solve(lp: ExtremalLp) -> LpSolution:
-    """Solve either formulation; see LpSolution for what is populated."""
-    if isinstance(lp.problem, ExchangeableLpProblem):
-        return _solve_exchangeable(lp.problem)
-    return _solve_full(lp.problem)
-
-
-def _solve_exchangeable(problem: ExchangeableLpProblem) -> LpSolution:
-    result = simplex.solve_exact(
-        problem.objective, eq_constraints=problem.eq, ub_constraints=problem.ub
-    )
-    if result.status == "infeasible":
-        return LpSolution(status="infeasible", objective=None)
-    if result.status != "optimal":
-        raise RuntimeError(f"exchangeable LP reported {result.status}; builder bug")
-    objective_exact = 1 - result.value  # min P(Z>0) = 1 - max w_0
+        s1 = n * p
+        s2_twice = n * (n - 1) * p * p
+        k = 1 + s2_twice // s1
+        upper = (s2_twice - (k - 1) * s1) / (k + 1)
+        weights[k] = (s1 - (k + 1) * upper) / k
+        if k < n:  # at p = 1, k = n and the weight on n + 1 is zero
+            weights[k + 1] = upper
+        weights[0] = 1 - weights[k] - upper
+    objective_exact = 1 - weights[0]
     return LpSolution(
         status="optimal",
         objective=float(objective_exact),
-        witness_weights=tuple(float(w) for w in result.x),
+        witness_weights=tuple(float(w) for w in weights),
         objective_exact=objective_exact,
-        weights_exact=result.x,
+        weights_exact=tuple(weights),
     )
 
 
-def _solve_full(problem: FullLpProblem) -> LpSolution:
+def solve(lp: ExtremalLp) -> LpSolution:
+    """Solve the atom-level LP with HiGHS; witness atoms below
+    WITNESS_ATOM_FLOOR are dropped."""
+    problem = lp.problem
     res = linprog(
         problem.c,
         A_ub=problem.a_ub,
@@ -243,7 +228,7 @@ def expand_exchangeable(n: int, weights) -> JointBernoulli:
     """Spread each weight class uniformly over its masks.
 
     Inverse of collapsing a joint to Hamming-weight totals; used to
-    round-trip exchangeable LP witnesses through the atom-level toolkit.
+    round-trip exchangeable witnesses through the atom-level toolkit.
     Each class closes with a residual atom so the class total survives
     float conversion exactly.
     """
@@ -275,18 +260,17 @@ def min_ratio(
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     p = Fraction(1, n - 1)
-    solution = solve(build_exchangeable_lp(n, p, mode))
-    if solution.status != "optimal":
-        raise RuntimeError(f"search at n={n} reported {solution.status}; builder bug")
+    solution = exchangeable_optimum(n, p, mode)
     mtilde = prob_hit_independent(MarginalVector((float(p),) * n))
     return solution.objective / mtilde, solution
 
 
 def conjecture_sweep(
-    n_min: int, n_max: int, mode: str = "pairwise_equality"
+    n_min: int, n_max: int, mode: str = "pairwise_equality", *, reduction: str
 ) -> list[dict]:
     """Tabulate the optimal ratio against the candidate family's ratio.
 
+    `reduction` is "exchangeable" (closed form) or "full" (HiGHS LP, n <= 16).
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  The convergence of
     lp_ratio toward e/(2(e-1)) is evidence about the best possible lower
@@ -294,20 +278,24 @@ def conjecture_sweep(
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
-    if n_max > EXCHANGEABLE_LIMIT:
-        raise ValueError(f"n_max={n_max} exceeds {EXCHANGEABLE_LIMIT}")
+    if reduction not in ("exchangeable", "full"):
+        raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
     rows = []
     running_inf = float("inf")
     for n in range(n_min, n_max + 1):
-        ratio, solution = min_ratio(n, mode)
-        p = 1.0 / (n - 1)
-        mtilde = prob_hit_independent(MarginalVector((p,) * n))
+        p = Fraction(1, n - 1)
+        if reduction == "full":
+            solution = solve(build_full_lp(n, p, mode))
+        else:
+            solution = exchangeable_optimum(n, p, mode)
+        mtilde = prob_hit_independent(MarginalVector((float(p),) * n))
+        ratio = solution.objective / mtilde
         construction_ratio = (0.5 + 0.5 / (n - 1)) / mtilde
         running_inf = min(running_inf, ratio)
         rows.append(
             {
                 "n": n,
-                "p": p,
+                "p": float(p),
                 "mtilde": mtilde,
                 "lp_objective": solution.objective,
                 "lp_ratio": ratio,

@@ -296,7 +296,7 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
                 for i in range(n)
                 for j in range(i + 1, n)
             )
-            solved = optimize.solve(optimize.build_exchangeable_lp(n, p))
+            solved = optimize.exchangeable_optimum(n, p)
             solved_full = optimize.solve(optimize.build_full_lp(n, p))
             tallies["lp-product-feasibility"].record(
                 feasible
@@ -310,7 +310,7 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
             for mode in optimize.MODES:
                 tag = f'{{"lp":{{"n":{n},"p":"{p}","mode":"{mode}"}}}}'
                 full = optimize.solve(optimize.build_full_lp(n, p, mode))
-                exch = optimize.solve(optimize.build_exchangeable_lp(n, p, mode))
+                exch = optimize.exchangeable_optimum(n, p, mode)
                 tallies["lp-reduction-soundness"].record(
                     full.status == "optimal"
                     and exch.status == "optimal"
@@ -334,10 +334,8 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
                         and exch.objective >= half - 1e-9,
                         tag,
                     )
-            eq = optimize.solve(optimize.build_exchangeable_lp(n, p))
-            relaxed = optimize.solve(
-                optimize.build_exchangeable_lp(n, p, "negative_covariance")
-            )
+            eq = optimize.exchangeable_optimum(n, p)
+            relaxed = optimize.exchangeable_optimum(n, p, "negative_covariance")
             tallies["lp-relaxation-never-larger"].record(
                 relaxed.objective_exact <= eq.objective_exact,
                 f'{{"lp":{{"n":{n},"p":"{p}"}}}}',

@@ -1,11 +1,13 @@
-"""Tiny exact linear-program solver over rational arithmetic.
+"""Tiny exact linear-program solver over rational arithmetic, kept as a
+test oracle.
 
 Two-phase tableau simplex with Bland's rule, every entry a
 `fractions.Fraction`.  Intended for small dense programs (a handful of
 constraints, up to a few thousand variables) where the optimum must be free
 of solver tolerance: Bland's rule guarantees termination and the rational
-arithmetic makes the returned optimum exact, so a downstream comparison
-against a closed-form value can use equality instead of a tolerance.
+arithmetic makes the returned optimum exact, so the tests compare it with
+the package's closed-form exchangeable optimum by equality instead of a
+tolerance.
 """
 
 from __future__ import annotations

@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: plain dicts, itertools, no numpy,
 and no imports from the package under test.  The oracles recompute each
-quantity from first principles (full enumeration of outcomes), so a test
-that compares library output against an oracle exercises two independent
-code paths.
+quantity from first principles (full enumeration of outcomes, or the
+general rational simplex of `exact_simplex`), so a test that compares
+library output against an oracle exercises two independent code paths.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from exact_simplex import solve_exact
 
 
 def oracle_marginals(n: int, atoms: dict[int, float]) -> list[float]:
@@ -209,6 +211,38 @@ def oracle_lp_vertex_minimum(
     if best is None:
         raise ValueError("oracle LP infeasible -- generator bug")
     return best
+
+
+def exchangeable_lp_rows(n: int, p: Fraction, equality: bool):
+    """The exchangeable program over w_k = P(Z = k), k = 0..n, as rows for
+    `solve_exact`: (objective, eq rows, ub rows), maximizing w_0.
+
+    Rows: total mass one, first falling moment sum k w_k = n p, and second
+    falling moment sum k(k-1) w_k = n(n-1) p^2 (an upper bound unless
+    `equality`).
+    """
+    ks = range(n + 1)
+    objective = tuple(Fraction(1 if k == 0 else 0) for k in ks)
+    eq = [
+        (tuple(Fraction(1) for _ in ks), Fraction(1)),
+        (tuple(Fraction(k) for k in ks), n * p),
+    ]
+    second = (tuple(Fraction(k * (k - 1)) for k in ks), n * (n - 1) * p * p)
+    ub = []
+    (eq if equality else ub).append(second)
+    return objective, tuple(eq), tuple(ub)
+
+
+def oracle_exchangeable_simplex(
+    n: int, p: Fraction, equality: bool
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact (min P(Z>0), optimal weights) of the exchangeable program,
+    solved by the general rational simplex."""
+    objective, eq, ub = exchangeable_lp_rows(n, p, equality)
+    result = solve_exact(objective, eq_constraints=eq, ub_constraints=ub)
+    if result.status != "optimal":
+        raise ValueError(f"oracle LP reported {result.status} -- generator bug")
+    return 1 - result.value, result.x
 
 
 def _det3(m: list[list[Fraction]]) -> Fraction:

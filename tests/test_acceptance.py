@@ -20,13 +20,13 @@ from maxdecouple import (
     MarginalVector,
     affine_hash,
     bernoulli_embedding,
-    build_exchangeable_lp,
     build_full_lp,
     comonotone,
     conjecture_sweep,
     conjectured_extremal,
     decoupling_check_cont,
     eta_lower_check,
+    exchangeable_optimum,
     expected_max,
     expected_max_independent,
     g_function,
@@ -176,11 +176,11 @@ def test_criterion_07_eta_bound_universality(joint_batch):
 
 
 def test_criterion_08_lp_sandwich_and_sweep():
-    with criterion(8, "full vs exchangeable LP agree; sweep n<=200 sane and timed"):
+    with criterion(8, "full LP and exchangeable optimum agree; sweep n<=200 sane and timed"):
         for n in (3, 4, 5):
             p = Fraction(1, n - 1)
             full = solve(build_full_lp(n, p))
-            exch = solve(build_exchangeable_lp(n, p))
+            exch = exchangeable_optimum(n, p)
             assert full.status == exch.status == "optimal"
             assert abs(full.objective - exch.objective) <= 1e-8
 
@@ -192,7 +192,7 @@ def test_criterion_08_lp_sandwich_and_sweep():
             assert lower - 1e-9 <= exch.objective <= upper + 1e-9
 
         start = time.perf_counter()
-        rows = conjecture_sweep(3, 200)
+        rows = conjecture_sweep(3, 200, reduction="exchangeable")
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
         for row in rows:

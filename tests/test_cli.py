@@ -64,6 +64,12 @@ class TestReport:
         path.write_text("{not json")
         assert main(["report", "--in", str(path)]) == EXIT_INPUT
 
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff")
+        assert main(["report", "--in", str(path)]) == EXIT_INPUT
+        assert "cannot read input" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope.json")]) == EXIT_INPUT
 

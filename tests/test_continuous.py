@@ -216,6 +216,32 @@ class TestLayerCake:
                 layered += (t_next - t) * surv
             assert abs(direct - layered) <= 1e-10
 
+    def test_cross_check_slack_scales_with_values(self):
+        # Values near 1e9 make the two sums differ in their last ulps, far
+        # above any absolute slack; the cross-check must still accept them.
+        rng = np.random.default_rng(57)
+        for _ in range(200):
+            weights = rng.random(int(rng.integers(2, 5))) + 0.1
+            probs = weights / weights.sum()
+            atoms = [
+                (tuple(float(v) for v in rng.uniform(0.5e9, 1.5e9, 3)), float(p))
+                for p in probs
+            ]
+            direct = oracles.oracle_expected_max(atoms)
+            assert expected_max(NonnegJoint(3, atoms)) == pytest.approx(direct, rel=1e-15)
+
+    def test_cross_check_still_rejects_a_real_mismatch(self, monkeypatch):
+        from maxdecouple import continuous
+
+        layer_cake = continuous._layer_cake_expected_max
+        monkeypatch.setattr(
+            continuous,
+            "_layer_cake_expected_max",
+            lambda joint, grid: layer_cake(joint, grid) * (1 + 1e-9),
+        )
+        with pytest.raises(RuntimeError):
+            expected_max(NonnegJoint(2, [((1e9, 2e9), 0.5), ((3e9, 0.0), 0.5)]))
+
 
 class TestEmbeddingVerdictAgreement:
     def test_checks_commute_with_embedding(self):

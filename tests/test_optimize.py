@@ -1,5 +1,5 @@
-"""Extremal LP search: builders, both solve routes, oracle agreement, and
-the sweep table."""
+"""Extremal search: the LP builder, both solve routes, oracle agreement,
+and the sweep table."""
 
 from fractions import Fraction
 
@@ -9,10 +9,10 @@ import oracles
 from maxdecouple import (
     JointBernoulli,
     MarginalVector,
-    build_exchangeable_lp,
     build_full_lp,
     conjecture_sweep,
     conjectured_extremal,
+    exchangeable_optimum,
     expand_exchangeable,
     is_pairwise_independent,
     min_ratio,
@@ -21,7 +21,7 @@ from maxdecouple import (
     product,
     solve,
 )
-from maxdecouple.optimize import EXCHANGEABLE_LIMIT, FULL_VARIABLE_LIMIT, MODES
+from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES
 
 
 class TestBuilders:
@@ -43,22 +43,22 @@ class TestBuilders:
             build_full_lp(FULL_VARIABLE_LIMIT + 1, 0.5)
 
     def test_exchangeable_lp_rows(self):
-        lp = build_exchangeable_lp(4, Fraction(1, 3))
-        prob = lp.problem
-        assert len(prob.objective) == 5
-        assert prob.eq[1][1] == Fraction(4, 3)  # first falling moment
-        assert prob.eq[2][1] == Fraction(4, 3)  # second falling moment at 1/(n-1)
-        assert prob.ub == ()
+        # The simplex oracle's rows for the exchangeable program.
+        objective, eq, ub = oracles.exchangeable_lp_rows(4, Fraction(1, 3), True)
+        assert len(objective) == 5
+        assert eq[1][1] == Fraction(4, 3)  # first falling moment
+        assert eq[2][1] == Fraction(4, 3)  # second falling moment at 1/(n-1)
+        assert ub == ()
+        _, eq, ub = oracles.exchangeable_lp_rows(4, Fraction(1, 3), False)
+        assert len(eq) == 2 and ub[0][1] == Fraction(4, 3)
 
     def test_exchangeable_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            build_exchangeable_lp(1, 0.5)
+            exchangeable_optimum(1, 0.5)
         with pytest.raises(ValueError):
-            build_exchangeable_lp(EXCHANGEABLE_LIMIT + 1, 0.5)
+            exchangeable_optimum(4, 1.5)
         with pytest.raises(ValueError):
-            build_exchangeable_lp(4, 1.5)
-        with pytest.raises(ValueError):
-            build_exchangeable_lp(4, 0.5, "bogus")
+            exchangeable_optimum(4, 0.5, "bogus")
 
 
 class TestSolveKnownInstances:
@@ -75,7 +75,7 @@ class TestSolveKnownInstances:
         assert solution.witness_atoms[3] == pytest.approx(1.0, abs=1e-8)
 
     def test_exchangeable_two_variables_forced_weights(self):
-        solution = solve(build_exchangeable_lp(2, Fraction(1, 2)))
+        solution = exchangeable_optimum(2, Fraction(1, 2))
         assert solution.weights_exact == (
             Fraction(1, 4),
             Fraction(1, 2),
@@ -84,7 +84,7 @@ class TestSolveKnownInstances:
         assert solution.objective_exact == Fraction(3, 4)
 
     def test_exchangeable_three_matches_construction(self):
-        solution = solve(build_exchangeable_lp(3, Fraction(1, 2)))
+        solution = exchangeable_optimum(3, Fraction(1, 2))
         assert solution.status == "optimal"
         assert solution.objective_exact == Fraction(3, 4)
         assert solution.weights_exact == (
@@ -95,7 +95,7 @@ class TestSolveKnownInstances:
         )
 
     def test_zero_marginal_gives_empty_family(self):
-        solution = solve(build_exchangeable_lp(5, 0))
+        solution = exchangeable_optimum(5, 0)
         assert solution.objective_exact == 0
         assert solution.weights_exact[0] == 1
 
@@ -103,7 +103,7 @@ class TestSolveKnownInstances:
         for n in (2, 3, 5):
             for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, n - 1), Fraction(1, 2)):
                 for mode in MODES:
-                    assert solve(build_exchangeable_lp(n, p, mode)).status == "optimal"
+                    assert exchangeable_optimum(n, p, mode).status == "optimal"
                     assert solve(build_full_lp(n, p, mode)).status == "optimal"
 
     def test_product_pmf_satisfies_equality_constraints_up_to_cap(self):
@@ -134,22 +134,37 @@ class TestOracleAgreement:
                     ("negative_covariance", False),
                 ):
                     expected = oracles.oracle_lp_vertex_minimum(n, p, equality)
-                    got = solve(build_exchangeable_lp(n, p, mode)).objective_exact
+                    got = exchangeable_optimum(n, p, mode).objective_exact
                     assert got == expected, (n, p, mode)
+
+    def test_closed_form_matches_exact_simplex(self):
+        # Objective and witness weights, exactly; the optimum is unique, so
+        # the general simplex cannot land on a different vertex.
+        for n in range(2, 17):
+            grid = [Fraction(j, 10) for j in range(11)] + [Fraction(1, n - 1)]
+            for p in dict.fromkeys(grid):
+                for mode, equality in (
+                    ("pairwise_equality", True),
+                    ("negative_covariance", False),
+                ):
+                    expected = oracles.oracle_exchangeable_simplex(n, p, equality)
+                    got = exchangeable_optimum(n, p, mode)
+                    pair = (got.objective_exact, got.weights_exact)
+                    assert pair == expected, (n, p, mode)
 
     def test_reduction_soundness(self):
         for n in (3, 4, 5):
             for p in (Fraction(1, n - 1), Fraction(3, 10)):
                 for mode in MODES:
                     full = solve(build_full_lp(n, p, mode))
-                    exch = solve(build_exchangeable_lp(n, p, mode))
+                    exch = exchangeable_optimum(n, p, mode)
                     assert abs(full.objective - exch.objective) <= 1e-8
 
     def test_negcov_never_above_equality(self):
         for n in (3, 4, 6, 9):
             for p in (Fraction(1, n - 1), Fraction(2, 5)):
-                eq = solve(build_exchangeable_lp(n, p))
-                relaxed = solve(build_exchangeable_lp(n, p, "negative_covariance"))
+                eq = exchangeable_optimum(n, p)
+                relaxed = exchangeable_optimum(n, p, "negative_covariance")
                 assert relaxed.objective_exact <= eq.objective_exact
 
 
@@ -163,7 +178,7 @@ class TestWitnessRoundTrip:
 
     def test_round_trip_objective_and_independence(self):
         for n in (3, 4, 5, 8):
-            solution = solve(build_exchangeable_lp(n, Fraction(1, n - 1)))
+            solution = exchangeable_optimum(n, Fraction(1, n - 1))
             witness = expand_exchangeable(n, solution.weights_exact)
             assert prob_hit(witness) == pytest.approx(solution.objective, abs=1e-9)
             assert is_pairwise_independent(witness, 1e-12)
@@ -204,7 +219,7 @@ class TestMinRatioAndSweep:
             min_ratio(2)
 
     def test_sweep_rows(self):
-        rows = conjecture_sweep(3, 12)
+        rows = conjecture_sweep(3, 12, reduction="exchangeable")
         assert [row["n"] for row in rows] == list(range(3, 13))
         previous_inf = float("inf")
         for row in rows:
@@ -224,20 +239,23 @@ class TestMinRatioAndSweep:
             assert solution.objective_exact == Fraction(n, 2 * (n - 1))
 
     def test_sweep_validates_range(self):
-        with pytest.raises(ValueError):
-            conjecture_sweep(2, 5)
-        with pytest.raises(ValueError):
-            conjecture_sweep(5, 4)
+        for n_min, n_max, reduction in (
+            (2, 5, "exchangeable"),
+            (5, 4, "exchangeable"),
+            (3, 5, "auto"),
+        ):
+            with pytest.raises(ValueError):
+                conjecture_sweep(n_min, n_max, reduction=reduction)
 
 
 class TestNegativeCovarianceMode:
     def test_negcov_optimum_against_oracle_small(self):
-        # Spot value: n=3, p=1/2 relaxed optimum drops below the equality one.
-        eq = solve(build_exchangeable_lp(3, Fraction(1, 2)))
-        relaxed = solve(build_exchangeable_lp(3, Fraction(1, 2), "negative_covariance"))
+        # Spot value: at n=3, p=1/2 both optima are 3/4; the relaxation
+        # cannot go lower (see exchangeable_optimum).
+        eq = exchangeable_optimum(3, Fraction(1, 2))
+        relaxed = exchangeable_optimum(3, Fraction(1, 2), "negative_covariance")
         expected = oracles.oracle_lp_vertex_minimum(3, Fraction(1, 2), False)
-        assert relaxed.objective_exact == expected
-        assert relaxed.objective_exact <= eq.objective_exact
+        assert relaxed.objective_exact == expected == eq.objective_exact == Fraction(3, 4)
 
     def test_full_witness_respects_covariance_cap(self):
         solution = solve(build_full_lp(4, 0.3, "negative_covariance"))

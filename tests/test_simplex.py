@@ -1,12 +1,12 @@
-"""Exact simplex unit tests, including a randomized cross-check against
-scipy's HiGHS solver."""
+"""Unit tests of the exact simplex test oracle, including a randomized
+cross-check against scipy's HiGHS solver."""
 
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
 
-from maxdecouple.simplex import solve_exact
+from exact_simplex import solve_exact
 
 
 class TestKnownPrograms:
