@@ -15,24 +15,18 @@ with the same marginals.  The bounds computed here:
 The lower bound runs through Paley-Zygmund applied to Z, which is why the
 report also carries (E Z)^2 / E[Z^2] and the nonnegative factorization
 certificate G (see `g_function`).
+
+Every check reads the joint's cached `summary` (`dist.JointSummary`), so a
+report scans the atom table once, however many checks it runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .dist import (
-    JointBernoulli,
-    MarginalVector,
-    eta_matrix,
-    marginals,
-    moments_of_z,
-    prob_hit,
-    prob_hit_independent,
-    second_moments,
-)
+from .dist import JointBernoulli, MarginalVector, prob_hit_independent
 
 # Optimal constant in the upper decoupling bound.  Never hard-code a decimal
 # truncation of these; all comparisons derive from math.e at full precision.
@@ -98,22 +92,6 @@ class BoundReport:
     eta_lower: float
     verdicts: dict[str, bool]
 
-    _SCALAR_FIELDS = (
-        "M",
-        "M_tilde",
-        "S",
-        "P_prod",
-        "G",
-        "F",
-        "A",
-        "B",
-        "C",
-        "H",
-        "pz_lower",
-        "pinelis_rhs",
-        "eta_lower",
-    )
-
     # Verdicts that hold for every valid joint, with no dependence assumption.
     _UNIVERSAL_VERDICTS = (
         "pinelis",
@@ -130,9 +108,7 @@ class BoundReport:
         return all(self.verdicts[name] for name in self._UNIVERSAL_VERDICTS)
 
     def to_json_dict(self) -> dict:
-        out: dict = {name: getattr(self, name) for name in self._SCALAR_FIELDS}
-        out["verdicts"] = dict(self.verdicts)
-        return out
+        return asdict(self)
 
 
 def pinelis_upper_check(joint: JointBernoulli) -> UpperCheck:
@@ -141,14 +117,14 @@ def pinelis_upper_check(joint: JointBernoulli) -> UpperCheck:
     Holds for every joint regardless of dependence; a False verdict means
     the input is corrupt or there is a bug.
     """
-    lhs = prob_hit(joint)
-    rhs = PINELIS_CONSTANT * prob_hit_independent(marginals(joint))
+    lhs = joint.summary.prob_hit
+    rhs = PINELIS_CONSTANT * prob_hit_independent(joint.summary.marginals)
     return UpperCheck(lhs, rhs, lhs <= rhs + VERDICT_SLACK)
 
 
 def paley_zygmund_lower(joint: JointBernoulli) -> float:
     """(E Z)^2 / E[Z^2], a lower bound on P(Z > 0) valid for every joint."""
-    ez, ez2 = moments_of_z(joint)
+    ez, ez2 = joint.summary.ez, joint.summary.ez2
     if ez2 <= 0.0:
         return 0.0
     return (ez * ez) / ez2
@@ -160,23 +136,14 @@ def main_lower_check(
     """Check P(Z > 0) >= P(Z~ > 0) / 2 under negative pairwise covariance.
 
     `applicable` reports whether every pair satisfies
-    E[X_i X_j] <= p_i p_j + tol (pairwise independence passes a fortiori).
+    E[X_i X_j] - p_i p_j <= tol (pairwise independence passes a fortiori).
     When applicable is True the bound is guaranteed, so holds must be True;
     when it is False no claim is made and `holds` merely reports the raw
     comparison.
     """
-    p = marginals(joint)
-    m = second_moments(joint).m
-    applicable = True
-    for i in range(joint.n):
-        for j in range(joint.n):
-            if i != j and m[i][j] > p.p[i] * p.p[j] + tol:
-                applicable = False
-                break
-        if not applicable:
-            break
-    lhs = prob_hit(joint)
-    rhs = 0.5 * prob_hit_independent(p)
+    applicable = joint.summary.max_excess <= tol
+    lhs = joint.summary.prob_hit
+    rhs = 0.5 * prob_hit_independent(joint.summary.marginals)
     return MainLowerCheck(lhs, rhs, applicable, lhs >= rhs - VERDICT_SLACK)
 
 
@@ -187,16 +154,15 @@ def eta_lower_check(joint: JointBernoulli) -> EtaLowerCheck:
     B = S + S^2.  When B + H = 0 (all marginals zero) both sides vanish and
     the right-hand side is defined as 0.
     """
-    p = marginals(joint)
-    s = p.total
+    summary = joint.summary
+    s = summary.marginals.total
     b = s + s * s
-    h = eta_matrix(joint).total
-    mtilde = prob_hit_independent(p)
+    h = summary.h
     if b + h == 0.0:
         rhs = 0.0
     else:
-        rhs = 0.5 * (1.0 - h / (b + h)) * mtilde
-    lhs = prob_hit(joint)
+        rhs = 0.5 * (1.0 - h / (b + h)) * prob_hit_independent(summary.marginals)
+    lhs = summary.prob_hit
     return EtaLowerCheck(lhs, rhs, lhs >= rhs - VERDICT_SLACK)
 
 
@@ -210,9 +176,7 @@ def g_function(marginal: MarginalVector) -> GFactorization:
     Paley-Zygmund route beat half of P(Z~ > 0).
     """
     s = marginal.total
-    p_prod = 1.0
-    for p in marginal.p:
-        p_prod *= 1.0 - p
+    p_prod = marginal.prob_none
     g = s + p_prod + s * p_prod - 1.0
     return GFactorization(g, s * g)
 
@@ -221,17 +185,16 @@ def full_report(
     joint: JointBernoulli, tol: float = DEFAULT_COVARIANCE_TOL
 ) -> BoundReport:
     """Evaluate every bound on one joint and collect the scalar evidence."""
-    p = marginals(joint)
+    summary = joint.summary
+    p = summary.marginals
     s = p.total
-    p_prod = 1.0
-    for x in p.p:
-        p_prod *= 1.0 - x
+    p_prod = p.prob_none
 
-    m = prob_hit(joint)
+    m = summary.prob_hit
     mtilde = prob_hit_independent(p)
     g, f = g_function(p)
     pz = paley_zygmund_lower(joint)
-    h = eta_matrix(joint).total
+    h = summary.h
 
     a = s * s
     b = s + s * s

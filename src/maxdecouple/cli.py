@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: report, construct, search, sample, verify.  Exit codes follow
-a fixed contract: 0 success, 1 unreadable or invalid input, 2 a universal
-invariant failed (library bug or corrupt data), 64 usage error.  All output
-is deterministic given the flags and seed; numeric CSV cells use 17
-significant digits so doubles round-trip losslessly.
+a fixed contract: 0 success, 1 unreadable or invalid input or an --out file
+that cannot be written, 2 a universal invariant failed (library bug or
+corrupt data), 64 usage error.  All output is deterministic given the flags
+and seed; numeric CSV cells use 17 significant digits so doubles round-trip
+losslessly.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse's default usage exit code is 2; this contract reserves 2
     for invariant failures, so usage problems leave with 64 instead."""
@@ -100,8 +105,11 @@ def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise OutputError(exc) from exc
 
 
 def _cmd_report(args) -> int:
@@ -111,11 +119,11 @@ def _cmd_report(args) -> int:
         if args.format == "json":
             print(json.dumps(report.to_json_dict(), indent=2))
         else:
-            row = {name: getattr(report, name) for name in report._SCALAR_FIELDS}
+            row = report.to_json_dict()
             row["verdicts"] = ";".join(
                 f"{k}={_fmt_cell(v)}" for k, v in report.verdicts.items()
             )
-            _write_csv(sys.stdout, report._SCALAR_FIELDS + ("verdicts",), [row])
+            _write_csv(sys.stdout, tuple(row), [row])
         return EXIT_OK if report.universal_ok else EXIT_INVARIANT
 
     check = continuous.decoupling_check_cont(joint)
@@ -248,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except InvalidDistributionError as exc:
         print(f"maxdecouple: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OutputError as exc:
+        print(f"maxdecouple: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"maxdecouple: cannot read input: {exc}", file=sys.stderr)

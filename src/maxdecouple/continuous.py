@@ -6,7 +6,10 @@ for t >= 0 the variables 1{X_i > t} form a Bernoulli family, and
 E[max X_i] is the integral of P(max > t) over t.  With finite support that
 integral is an exact finite sum over the sorted distinct support values
 (left endpoints, since the indicators use strict '> t'), so no quadrature
-is involved anywhere.
+is involved anywhere.  Each joint is swept once, on first use: at every
+support threshold the indicator table goes through the Bernoulli one-pass
+summary (`dist._summarize`), and three scalars are kept per threshold,
+P(max > t), its independent counterpart and the largest pair excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
@@ -19,12 +22,15 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .constructions import is_prime
-from .dist import NORMALIZATION_TOL, JointBernoulli
+from .dist import NORMALIZATION_TOL, JointBernoulli, prob_hit_independent
+from .dist import _json_number, _summarize
 from .errors import InvalidDistributionError
 from .bounds import PINELIS_CONSTANT
 
@@ -80,6 +86,20 @@ class NonnegJoint:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "atoms", tuple(rows))
 
+    @cached_property
+    def _thresholds(self) -> "_ThresholdSweep":
+        """One summary of the indicators 1{X_i > t} per support value t."""
+        values = np.array([vec for vec, _ in self.atoms], dtype=np.float64)
+        weights = np.array([prob for _, prob in self.atoms], dtype=np.float64)
+        grid = sorted({0.0}.union(*(vec for vec, _ in self.atoms)))
+        sweep = _ThresholdSweep(grid, [], [], [])
+        for t in sweep.grid:
+            summary = _summarize(values > t, weights)
+            sweep.hit.append(summary.prob_hit)
+            sweep.hit_independent.append(prob_hit_independent(summary.marginals))
+            sweep.max_excess.append(summary.max_excess)
+        return sweep
+
     def to_json_dict(self) -> dict:
         return {
             "kind": "nonneg-joint",
@@ -110,7 +130,11 @@ class NonnegJoint:
             values = entry["values"]
             if not isinstance(values, list):
                 raise InvalidDistributionError(f"atoms[{idx}].values must be a list")
-            rows.append((values, entry["p"]))
+            values = [
+                _json_number(v, f"atoms[{idx}].values[{k}]")
+                for k, v in enumerate(values)
+            ]
+            rows.append((values, _json_number(entry["p"], f"atoms[{idx}].p")))
         return cls(n, rows)
 
 
@@ -122,23 +146,24 @@ class ContinuousCheck(NamedTuple):
     lower_holds: bool
 
 
-def _support_grid(joint: NonnegJoint) -> list[float]:
-    values = {0.0}
-    for vec, _ in joint.atoms:
-        values.update(vec)
-    return sorted(values)
+class _ThresholdSweep(NamedTuple):
+    """Per-threshold scalars of the indicators 1{X_i > t}, t on the grid."""
+
+    grid: list[float]
+    hit: list[float]  # P(max_i X_i > t)
+    hit_independent: list[float]  # P(max_i X~_i > t)
+    max_excess: list[float]  # largest P(X_i>t, X_j>t) - P(X_i>t) P(X_j>t)
+
+
+def _tail_integral(grid: list[float], survival: list[float]) -> float:
+    total = 0.0
+    for t, t_next, s in zip(grid, grid[1:], survival):
+        total += (t_next - t) * s
+    return total
 
 
 def _layer_cake_expected_max(joint: NonnegJoint, grid: list[float]) -> float:
-    atom_max = [(max(vec), prob) for vec, prob in joint.atoms]
-    total = 0.0
-    for t, t_next in zip(grid, grid[1:]):
-        survival = 0.0
-        for m, prob in atom_max:
-            if m > t:
-                survival += prob
-        total += (t_next - t) * survival
-    return total
+    return _tail_integral(grid, joint._thresholds.hit)
 
 
 def expected_max(joint: NonnegJoint) -> float:
@@ -153,7 +178,7 @@ def expected_max(joint: NonnegJoint) -> float:
     direct = 0.0
     for vec, prob in joint.atoms:
         direct += prob * max(vec)
-    grid = _support_grid(joint)
+    grid = joint._thresholds.grid
     layered = _layer_cake_expected_max(joint, grid)
     slack = 4 * sys.float_info.epsilon * grid[-1] * (len(joint.atoms) + len(grid))
     if abs(direct - layered) > slack:
@@ -163,44 +188,13 @@ def expected_max(joint: NonnegJoint) -> float:
     return direct
 
 
-def _marginal_survivals(joint: NonnegJoint, i: int) -> tuple[list[float], list[float]]:
-    """Support values of X_i (ascending) and suffix sums P(X_i > value[j-1]).
-
-    Returns (values, suffix) with suffix[j] = P(X_i >= values[j]) summed
-    from the top down; suffix has one trailing 0 so that indexing by
-    bisect_right never falls off the end.
-    """
-    law: dict[float, float] = {}
-    for vec, prob in joint.atoms:
-        v = vec[i]
-        law[v] = law.get(v, 0.0) + prob
-    values = sorted(law)
-    suffix = [0.0] * (len(values) + 1)
-    for j in range(len(values) - 1, -1, -1):
-        suffix[j] = law[values[j]] + suffix[j + 1]
-    return values, suffix
-
-
-def _survival_at(values: list[float], suffix: list[float], t: float) -> float:
-    """P(X > t) from the precomputed suffix table."""
-    return suffix[bisect_right(values, t)]
-
-
 def expected_max_independent(joint: NonnegJoint) -> float:
     """E[max_i X~_i] for the independent version, computed exactly.
 
-    Extracts each coordinate's marginal law, then integrates
-    1 - prod_i P(X_i <= t) over the finite support grid.
+    Integrates P(max_i X~_i > t) = 1 - prod_i P(X_i <= t) over the finite
+    support grid, from each threshold's marginals.
     """
-    per_coord = [_marginal_survivals(joint, i) for i in range(joint.n)]
-    grid = _support_grid(joint)
-    total = 0.0
-    for t, t_next in zip(grid, grid[1:]):
-        cdf_prod = 1.0
-        for values, suffix in per_coord:
-            cdf_prod *= 1.0 - _survival_at(values, suffix, t)
-        total += (t_next - t) * (1.0 - cdf_prod)
-    return total
+    return _tail_integral(joint._thresholds.grid, joint._thresholds.hit_independent)
 
 
 def pairwise_orthant_ok(joint: NonnegJoint, slack: float = ORTHANT_SLACK) -> bool:
@@ -210,20 +204,7 @@ def pairwise_orthant_ok(joint: NonnegJoint, slack: float = ORTHANT_SLACK) -> boo
     pair i != j and every support threshold t (support thresholds suffice:
     both sides are constant between consecutive support values).
     """
-    per_coord = [_marginal_survivals(joint, i) for i in range(joint.n)]
-    grid = _support_grid(joint)
-    for i in range(joint.n):
-        for j in range(i + 1, joint.n):
-            for t in grid:
-                joint_surv = 0.0
-                for vec, prob in joint.atoms:
-                    if vec[i] > t and vec[j] > t:
-                        joint_surv += prob
-                si = _survival_at(*per_coord[i], t)
-                sj = _survival_at(*per_coord[j], t)
-                if joint_surv > si * sj + slack:
-                    return False
-    return True
+    return all(excess <= slack for excess in joint._thresholds.max_excess)
 
 
 def decoupling_check_cont(joint: NonnegJoint) -> ContinuousCheck:

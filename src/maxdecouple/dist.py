@@ -9,12 +9,18 @@ measures true mass rather than producing a result.)
 
 The hit count Z = sum_i X_i of an atom is the popcount of its mask; it is
 never stored, always derived.
+
+Every operation reads one `JointSummary`, built by a single scan of the
+atom table on first use and cached on the joint.  Pair data is kept per
+column class (variables that fire on the same atoms), so a wide joint with
+few distinct columns costs no n x n memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +35,16 @@ NORMALIZATION_TOL = 1e-12
 DENSE_VARIABLE_LIMIT = 24
 
 AtomTable = Iterable[tuple[int, float]] | Mapping[int, float]
+
+
+def _json_number(value: object, what: str) -> float:
+    """A JSON int or float (not bool) as a float, inf past the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidDistributionError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _normalize_atoms(n: int, atoms: AtomTable) -> tuple[tuple[int, float], ...]:
@@ -69,8 +85,8 @@ def _normalize_atoms(n: int, atoms: AtomTable) -> tuple[tuple[int, float], ...]:
 class JointBernoulli:
     """Joint law of (X_1, ..., X_n) on {0,1}^n as a sparse atom table.
 
-    Immutable after construction; all operations on it are pure functions,
-    so instances can be shared freely across threads.
+    Immutable after construction (the cached `summary` is derived from the
+    atoms alone), so instances can be shared freely across threads.
     """
 
     n: int
@@ -81,6 +97,16 @@ class JointBernoulli:
             raise InvalidDistributionError(f"need at least one variable, got n={n}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "atoms", _normalize_atoms(int(n), atoms))
+
+    @cached_property
+    def summary(self) -> "JointSummary":
+        """The one-scan summary every operation reads, built on first use.
+        The bit table comes from each mask's bytes, so any n works."""
+        width = (self.n + 7) // 8
+        raw = b"".join(mask.to_bytes(width, "little") for mask, _ in self.atoms)
+        table = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.atoms), width)
+        bits = np.unpackbits(table, axis=1, count=self.n, bitorder="little")
+        return _summarize(bits.view(bool), np.array(self.probs, dtype=np.float64))
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -122,10 +148,7 @@ class JointBernoulli:
             mask = entry["mask"]
             if not isinstance(mask, int) or isinstance(mask, bool):
                 raise InvalidDistributionError(f"atoms[{idx}].mask must be an integer")
-            prob = entry["p"]
-            if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-                raise InvalidDistributionError(f"atoms[{idx}].p must be a number")
-            pairs.append((mask, float(prob)))
+            pairs.append((mask, _json_number(entry["p"], f"atoms[{idx}].p")))
         return cls(n, pairs)
 
 
@@ -160,6 +183,11 @@ class MarginalVector:
     def total(self) -> float:
         """Sum of the marginals, accumulated left to right."""
         return sum(self.p)
+
+    @property
+    def prob_none(self) -> float:
+        """P(Z~ = 0) = prod_i (1 - p_i), multiplied left to right."""
+        return math.prod(1.0 - p for p in self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,74 +239,102 @@ class EtaMatrix:
         object.__setattr__(self, "total", float(total))
 
 
-def marginals(joint: JointBernoulli) -> MarginalVector:
-    """Extract P(X_i = 1) for each variable by scanning the atom table."""
-    totals = [0.0] * joint.n
-    for mask, prob in joint.atoms:
-        i = 0
-        while mask:
-            if mask & 1:
-                totals[i] += prob
-            mask >>= 1
-            i += 1
-    return MarginalVector(totals)
+@dataclass(frozen=True, eq=False)
+class JointSummary:
+    """Everything the Bernoulli bounds read from a joint, from one scan.
+
+    `classes[i]` is the column class of variable i (variables that fire on
+    the same atoms share one) and `pair_moments` the d x d class matrix of
+    P(X_i = 1, X_j = 1).  Over ordered pairs i != j, `h` totals
+    max(0, E[X_i X_j] - p_i p_j); `max_excess` and `max_abs_excess` are the
+    largest signed and absolute excess (-inf and 0 when n = 1).
+    """
+
+    marginals: MarginalVector
+    prob_hit: float
+    ez: float
+    ez2: float
+    classes: np.ndarray
+    pair_moments: np.ndarray
+    h: float
+    max_excess: float
+    max_abs_excess: float
 
 
-def _bit_matrix(joint: JointBernoulli) -> np.ndarray:
-    return np.array(
-        [[(mask >> i) & 1 for i in range(joint.n)] for mask, _ in joint.atoms],
-        dtype=np.float64,
+def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
+    """One scan of an atoms x n boolean table weighted by atom probability.
+
+    The atom-level sums (marginals, P(Z > 0), E Z, E Z^2) run left to right
+    in atom order through np.cumsum, so each equals the plain loop over the
+    table.  Pair data is per column class, numbered by first appearance so
+    that distinct columns keep their order; the k_a variables of class a
+    make k_a (k_a - 1) ordered pairs, each with moment p_a.
+    """
+    keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
+    rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
+    classes = np.array([rank[key] for key in keys])
+    _, first, k = np.unique(classes, return_index=True, return_counts=True)
+    table = bits[:, first].astype(np.float64)
+
+    z = table @ k.astype(np.float64)  # hit count of each atom
+    weighted = np.column_stack([table, z > 0, z, z * z]) * weights[:, None]
+    sums = np.cumsum(weighted, axis=0)[-1]
+    d = len(k)
+    p, (prob_hit, ez, ez2) = sums[:d], sums[d:]
+
+    # Mirror the upper triangle and pin the diagonal to the marginals so the
+    # matrix is exactly symmetric with m[a][a] = p_a by definition.
+    m = weighted[:, :d].T @ table
+    m = np.where(np.arange(d)[:, None] <= np.arange(d), m, m.T)
+    np.fill_diagonal(m, p)
+    m.setflags(write=False)
+    excess = m - np.outer(p, p)
+    pairs = np.outer(k, k) - np.diag(k)  # ordered pairs per class pair
+    paired = excess[pairs > 0]
+    return JointSummary(
+        marginals=MarginalVector(p[classes].tolist()),
+        prob_hit=float(prob_hit),
+        ez=float(ez),
+        ez2=float(ez2),
+        classes=classes,
+        pair_moments=m,
+        h=float((pairs * np.maximum(excess, 0.0)).sum()),
+        max_excess=float(paired.max()) if paired.size else -math.inf,
+        max_abs_excess=float(np.abs(paired).max()) if paired.size else 0.0,
     )
 
 
+def marginals(joint: JointBernoulli) -> MarginalVector:
+    """P(X_i = 1) for each variable."""
+    return joint.summary.marginals
+
+
 def second_moments(joint: JointBernoulli) -> SecondMomentMatrix:
-    """Compute E[X_i X_j] = P(both set) for all pairs in one pass."""
-    bits = _bit_matrix(joint)
-    weights = np.array(joint.probs, dtype=np.float64)
-    m = (bits * weights[:, None]).T @ bits
-    # Mirror the upper triangle and pin the diagonal to the marginals so the
-    # matrix is exactly symmetric with m[i][i] = p_i by definition.
-    m = np.triu(m) + np.triu(m, 1).T
-    np.fill_diagonal(m, marginals(joint).p)
-    return SecondMomentMatrix(m)
+    """E[X_i X_j] = P(both set) for all pairs, as a dense n x n matrix."""
+    classes = joint.summary.classes
+    return SecondMomentMatrix(joint.summary.pair_moments[np.ix_(classes, classes)])
 
 
 def prob_hit(joint: JointBernoulli) -> float:
     """P(Z > 0): total mass off the zero mask, i.e. E[max_i X_i]."""
-    total = 0.0
-    for mask, prob in joint.atoms:
-        if mask:
-            total += prob
-    return total
+    return joint.summary.prob_hit
 
 
 def prob_hit_independent(marginal: MarginalVector) -> float:
     """P(Z~ > 0) = 1 - prod_i (1 - p_i) for the independent version."""
-    survive = 1.0
-    for p in marginal.p:
-        survive *= 1.0 - p
-    return 1.0 - survive
+    return 1.0 - marginal.prob_none
 
 
 def moments_of_z(joint: JointBernoulli) -> tuple[float, float]:
     """(E[Z], E[Z^2]) where Z is the number of variables that fire."""
-    ez = 0.0
-    ez2 = 0.0
-    for mask, prob in joint.atoms:
-        k = mask.bit_count()
-        ez += k * prob
-        ez2 += k * k * prob
-    return ez, ez2
+    return joint.summary.ez, joint.summary.ez2
 
 
 def is_pairwise_independent(joint: JointBernoulli, tol: float) -> bool:
     """True iff |P(X_i=1, X_j=1) - p_i p_j| <= tol for every pair i != j."""
     if tol < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    p = np.array(marginals(joint).p)
-    gap = np.abs(second_moments(joint).m - np.outer(p, p))
-    np.fill_diagonal(gap, 0.0)
-    return bool(gap.max() <= tol)
+    return joint.summary.max_abs_excess <= tol
 
 
 def eta_matrix(joint: JointBernoulli) -> EtaMatrix:
@@ -286,8 +342,7 @@ def eta_matrix(joint: JointBernoulli) -> EtaMatrix:
     p = np.array(marginals(joint).p)
     excess = second_moments(joint).m - np.outer(p, p)
     np.fill_diagonal(excess, 0.0)
-    eta = np.maximum(excess, 0.0)
-    return EtaMatrix(eta, float(eta.sum()))
+    return EtaMatrix(np.maximum(excess, 0.0), joint.summary.h)
 
 
 def sample(joint: JointBernoulli, seed: int, count: int) -> list[int]:

@@ -9,6 +9,7 @@ library output against an oracle exercises two independent code paths.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -118,6 +119,43 @@ def oracle_expected_max_independent(
             prob *= marginals[i][v]
         total += prob * max(combo)
     return total
+
+
+def oracle_pairwise_orthant_ok(
+    atoms: list[tuple[tuple[float, ...], float]], slack: float
+) -> bool:
+    """Thresholded negative dependence by brute force: for every pair
+    i < j and every support threshold t (zero included),
+    P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) + slack.
+
+    Each marginal survival comes from a suffix sum over that coordinate's
+    sorted support, and each joint survival from a full atom scan at every
+    (i, j, t), so the cost is n^2 x grid x atoms.
+    """
+    n = len(atoms[0][0])
+    survivals = []
+    for i in range(n):
+        law: dict[float, float] = {}
+        for values, prob in atoms:
+            law[values[i]] = law.get(values[i], 0.0) + prob
+        support = sorted(law)
+        suffix = [0.0] * (len(support) + 1)
+        for k in range(len(support) - 1, -1, -1):
+            suffix[k] = law[support[k]] + suffix[k + 1]
+        survivals.append((support, suffix))
+    grid = sorted({0.0}.union(*(values for values, _ in atoms)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for t in grid:
+                both = 0.0
+                for values, prob in atoms:
+                    if values[i] > t and values[j] > t:
+                        both += prob
+                si = survivals[i][1][bisect.bisect_right(survivals[i][0], t)]
+                sj = survivals[j][1][bisect.bisect_right(survivals[j][0], t)]
+                if both > si * sj + slack:
+                    return False
+    return True
 
 
 def oracle_exchangeable_weights(n: int, atoms: dict[int, float]) -> list[float]:

@@ -2,6 +2,7 @@
 randomized universality sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from maxdecouple import (
     prob_hit_independent,
     product,
 )
-from test_dist import random_sparse_joint
+from maxdecouple import dist
+from test_dist import duplicate_variables, random_sparse_joint
 
 
 class TestConstants:
@@ -244,3 +246,43 @@ class TestFullReport:
         for _ in range(300):
             report = full_report(random_sparse_joint(rng))
             assert report.verdicts["moment_implication"]
+
+    def test_one_summary_per_joint(self, monkeypatch):
+        calls = []
+        summarize = dist._summarize
+
+        def counting(bits, weights):
+            calls.append(bits.shape)
+            return summarize(bits, weights)
+
+        monkeypatch.setattr(dist, "_summarize", counting)
+        rng = np.random.default_rng(109)
+        joints = [product(MarginalVector([0.3, 0.7, 0.5])), comonotone(4, 0.2)]
+        joints += [random_sparse_joint(rng) for _ in range(20)]
+        joints += [duplicate_variables(rng, random_sparse_joint(rng)) for _ in range(20)]
+        for j in joints:
+            full_report(j)
+            main_lower_check(j, 1e-6)
+            eta_lower_check(j)
+        assert calls == [(len(j.atoms), j.n) for j in joints]
+
+    def test_wide_two_atom_joint(self):
+        # One pair matrix over n = 50,000 variables would take 20 GB; the
+        # summary keeps two column classes (fired and idle), so it is 2 x 2.
+        n, q = 50_000, 0.3
+        rng = np.random.default_rng(110)
+        fired = {0, n - 1} | {int(i) for i in rng.choice(n, size=38, replace=False)}
+        c = len(fired)
+        j = JointBernoulli(n, {0: 1.0 - q, sum(1 << i for i in fired): q})
+        tracemalloc.start()
+        try:
+            report = full_report(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j.summary.pair_moments.shape == (2, 2)
+        assert report.M == q
+        assert report.H == pytest.approx(c * (c - 1) * q * (1 - q), rel=1e-12)
+        assert report.verdicts["main_lower_applicable"] is False
+        assert report.universal_ok
+        assert peak < 64 * 2**20

@@ -104,6 +104,35 @@ class TestReport:
         assert payload["pairwise_ok"] is False
         assert payload["upper_holds"] is True
 
+    @pytest.mark.parametrize(
+        "atom, field",
+        [
+            ({"values": [[1]], "p": 1.0}, "atoms[0].values[0]"),
+            ({"values": [0.5, "1"], "p": 1.0}, "atoms[0].values[1]"),
+            ({"values": [True], "p": 1.0}, "atoms[0].values[0]"),
+            ({"values": [1.0], "p": "1"}, "atoms[0].p"),
+            ({"values": [1.0], "p": None}, "atoms[0].p"),
+        ],
+        ids=["nested-list", "string-value", "bool-value", "string-p", "null-p"],
+    )
+    def test_non_numeric_nonneg_field_exits_one(self, tmp_path, capsys, atom, field):
+        n = len(atom["values"])
+        path = write_json(
+            tmp_path / "bad.json", {"kind": "nonneg-joint", "n": n, "atoms": [atom]}
+        )
+        assert main(["report", "--in", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "invalid input" in err and field in err
+        assert "Traceback" not in err
+
+    def test_integer_past_float_range_exits_one(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "huge.json",
+            {"kind": "bernoulli-joint", "n": 1, "atoms": [{"mask": 1, "p": 10**400}]},
+        )
+        assert main(["report", "--in", path]) == EXIT_INPUT
+        assert "invalid probability inf" in capsys.readouterr().err
+
 
 class TestConstruct:
     def test_round_trip_every_family(self, tmp_path, capsys):
@@ -177,6 +206,13 @@ class TestSearch:
         row = out.read_text().splitlines()[1].split(",")
         # p = 1/3 must round-trip exactly through the printed form
         assert float(row[1]) == 1.0 / 3.0
+
+    def test_unwritable_out_is_a_write_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        code = main(["search", "--n-min", "3", "--n-max", "4", "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "cannot read input" not in err
 
 
 class TestSample:

@@ -29,6 +29,8 @@ from maxdecouple import (
     product,
     MarginalVector,
 )
+from maxdecouple import continuous
+from maxdecouple.continuous import ORTHANT_SLACK
 from test_dist import random_sparse_joint
 
 
@@ -260,6 +262,52 @@ class TestEmbeddingVerdictAgreement:
             assert check.emax_ind == prob_hit_independent(marginals(joint))
             assert check.upper_holds == pinelis_upper_check(joint).holds
             assert check.pairwise_ok == main_lower_check(joint).applicable
+
+
+def lattice_nonneg(rng):
+    """Values on {0, 1, 2, 3}, so thresholds and values tie everywhere."""
+    n = int(rng.integers(2, 6))
+    support = int(rng.integers(1, 11))
+    rows = {tuple(float(v) for v in rng.integers(0, 4, size=n)) for _ in range(support)}
+    weights = rng.random(len(rows)) + 1e-3
+    probs = weights / weights.sum()
+    return NonnegJoint(n, [(v, float(p)) for v, p in zip(sorted(rows), probs)])
+
+
+class TestOrthantAgainstOracle:
+    def test_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(61)
+        verdicts = []
+        for k in range(360):
+            if k % 3 == 0:
+                joint = random_nonneg(rng)
+            elif k % 3 == 1:
+                joint = lattice_nonneg(rng)
+            else:
+                # Pairwise independent: every excess sits at rounding level.
+                q = int(rng.choice([3, 5, 7]))
+                n = int(rng.integers(2, q + 1))
+                tables = [[float(v) for v in rng.integers(0, 3, size=q)] for _ in range(n)]
+                joint = affine_hash_values(n, q, tables)
+            got = pairwise_orthant_ok(joint)
+            assert got == oracles.oracle_pairwise_orthant_ok(list(joint.atoms), ORTHANT_SLACK)
+            verdicts.append(got)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    def test_one_summary_per_threshold(self, monkeypatch):
+        calls = []
+        summarize = continuous._summarize
+
+        def counting(bits, weights):
+            calls.append(bits.shape)
+            return summarize(bits, weights)
+
+        monkeypatch.setattr(continuous, "_summarize", counting)
+        joint = lattice_nonneg(np.random.default_rng(62))
+        decoupling_check_cont(joint)
+        expected_max(joint)
+        grid = {0.0}.union(*(values for values, _ in joint.atoms))
+        assert calls == [(len(joint.atoms), joint.n)] * len(grid)
 
 
 class TestMonotoneTransformInvariance:

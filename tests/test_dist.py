@@ -18,6 +18,7 @@ from maxdecouple import (
     conjectured_extremal,
     eta_matrix,
     is_pairwise_independent,
+    main_lower_check,
     marginals,
     moments_of_z,
     one_hot_uniform,
@@ -38,6 +39,19 @@ def random_sparse_joint(rng, max_n=10, max_support=16):
     weights = rng.random(support) + 1e-3
     probs = weights / weights.sum()
     return JointBernoulli(n, {int(m): float(p) for m, p in zip(masks, probs)})
+
+
+def duplicate_variables(rng, joint):
+    """Copy the bits of some variables into new ones, so that several
+    variables fire on exactly the same atoms (column classes of size > 1)."""
+    extra = [int(s) for s in rng.integers(0, joint.n, size=int(rng.integers(1, 6)))]
+    source = list(range(joint.n)) + extra
+    rng.shuffle(source)
+    table = {
+        sum(((mask >> s) & 1) << i for i, s in enumerate(source)): prob
+        for mask, prob in joint.atoms
+    }
+    return JointBernoulli(len(source), table)
 
 
 class TestJointBernoulliType:
@@ -263,6 +277,37 @@ class TestEtaMatrix:
             j = random_sparse_joint(rng, max_n=6)
             _, oracle_total = oracles.oracle_eta(j.n, dict(j.atoms))
             assert eta_matrix(j).total == pytest.approx(oracle_total, abs=1e-12)
+
+
+class TestColumnClasses:
+    def test_duplicated_variables_match_oracles(self):
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            j = duplicate_variables(rng, random_sparse_joint(rng, max_n=5))
+            assert len(set(j.summary.classes.tolist())) < j.n
+            atoms = dict(j.atoms)
+            p = oracles.oracle_marginals(j.n, atoms)
+            m = oracles.oracle_second_moments(j.n, atoms)
+            np.testing.assert_allclose(second_moments(j).m, m, rtol=0, atol=1e-12)
+            _, oracle_total = oracles.oracle_eta(j.n, atoms)
+            assert eta_matrix(j).total == pytest.approx(oracle_total, abs=1e-12)
+            gaps = [
+                m[a][b] - p[a] * p[b]
+                for a in range(j.n)
+                for b in range(j.n)
+                if a != b
+            ]
+            for tol in (1e-12, 1e-6):
+                expect = all(abs(g) <= tol for g in gaps)
+                assert is_pairwise_independent(j, tol) == expect
+            assert main_lower_check(j).applicable == all(g <= 1e-12 for g in gaps)
+
+    def test_classes_follow_first_appearance(self):
+        j = JointBernoulli(5, {0b00000: 0.5, 0b10110: 0.25, 0b01001: 0.25})
+        assert j.summary.classes.tolist() == [0, 1, 1, 0, 1]
+        assert j.summary.pair_moments.shape == (2, 2)
+        assert second_moments(j).m[1][4] == 0.25
+        assert second_moments(j).m[0][1] == 0.0
 
 
 class TestSample:
