@@ -16,10 +16,12 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import bounds, continuous, optimize, verification
 from .constructions import FamilySpec
 from .continuous import NonnegJoint
-from .dist import JointBernoulli, sample
+from .dist import JointBernoulli, _sample_indices
 from .errors import InvalidDistributionError
 
 EXIT_OK = 0
@@ -183,9 +185,13 @@ def _cmd_sample(args) -> int:
     joint = _load_joint_file(args.input)
     if not isinstance(joint, JointBernoulli):
         raise InvalidDistributionError("sample requires a bernoulli-joint file")
-    draws = sample(joint, seed=args.seed, count=args.count)
-    sys.stdout.write("\n".join(map(str, draws)))
-    sys.stdout.write("\n")
+    # One NUL-padded b"<mask>\n" row per atom; a chunk of draws gathers its
+    # rows and drops the padding, so memory stays O(atoms + chunk).
+    lines = np.array([b"%d\n" % mask for mask in joint.masks])
+    table = lines.view(np.uint8).reshape(len(lines), -1)
+    for idx in _sample_indices(joint, args.seed, args.count):
+        rows = table[idx]
+        sys.stdout.write(rows[rows != 0].tobytes().decode("ascii"))
     return EXIT_OK
 
 

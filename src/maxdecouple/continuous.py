@@ -88,12 +88,14 @@ class NonnegJoint:
 
     @cached_property
     def _thresholds(self) -> "_ThresholdSweep":
-        """One summary of the indicators 1{X_i > t} per support value t."""
+        """One summary of the indicators 1{X_i > t} per support value t
+        below the largest; nothing exceeds the largest, so its survival is
+        never integrated and it has no pair excess to check."""
         values = np.array([vec for vec, _ in self.atoms], dtype=np.float64)
         weights = np.array([prob for _, prob in self.atoms], dtype=np.float64)
         grid = sorted({0.0}.union(*(vec for vec, _ in self.atoms)))
         sweep = _ThresholdSweep(grid, [], [], [])
-        for t in sweep.grid:
+        for t in grid[:-1]:
             summary = _summarize(values > t, weights)
             sweep.hit.append(summary.prob_hit)
             sweep.hit_independent.append(prob_hit_independent(summary.marginals))
@@ -147,7 +149,8 @@ class ContinuousCheck(NamedTuple):
 
 
 class _ThresholdSweep(NamedTuple):
-    """Per-threshold scalars of the indicators 1{X_i > t}, t on the grid."""
+    """Per-threshold scalars of the indicators 1{X_i > t}, for every t on
+    the grid but the last (the largest support value)."""
 
     grid: list[float]
     hit: list[float]  # P(max_i X_i > t)

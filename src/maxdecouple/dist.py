@@ -13,7 +13,9 @@ never stored, always derived.
 Every operation reads one `JointSummary`, built by a single scan of the
 atom table on first use and cached on the joint.  Pair data is kept per
 column class (variables that fire on the same atoms), so a wide joint with
-few distinct columns costs no n x n memory.
+few distinct columns costs no n x n memory.  The summary's arrays are
+sized before they are allocated: a joint whose summary would need more
+than `SUMMARY_BUDGET` bytes is rejected with its size in the message.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +35,17 @@ NORMALIZATION_TOL = 1e-12
 # Largest n for which full-support (2^n atom) scans are permitted.  Sparse
 # atom tables may use larger n as long as their support stays small.
 DENSE_VARIABLE_LIMIT = 24
+
+# Bytes one joint's summary may allocate: the atoms x n bit table, then the
+# atom x class float tables and the d x d pair matrices of `_summarize`.
+SUMMARY_BUDGET = 1 << 30
+
+# Draws per chunk of the sampling kernel: large enough that numpy's per-call
+# cost is negligible, small enough that a chunk's arrays stay a few MB.
+SAMPLE_CHUNK = 1 << 16
+
+# Forward steps of a guide-table draw before it falls back to bisection.
+GUIDE_SCAN_STEPS = 4
 
 AtomTable = Iterable[tuple[int, float]] | Mapping[int, float]
 
@@ -102,6 +115,9 @@ class JointBernoulli:
     def summary(self) -> "JointSummary":
         """The one-scan summary every operation reads, built on first use.
         The bit table comes from each mask's bytes, so any n works."""
+        _check_budget(
+            f"the {len(self.atoms)} x {self.n} bit table", len(self.atoms) * self.n
+        )
         width = (self.n + 7) // 8
         raw = b"".join(mask.to_bytes(width, "little") for mask, _ in self.atoms)
         table = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.atoms), width)
@@ -261,6 +277,14 @@ class JointSummary:
     max_abs_excess: float
 
 
+def _check_budget(what: str, nbytes: int) -> None:
+    if nbytes > SUMMARY_BUDGET:
+        raise InvalidDistributionError(
+            f"joint too large to summarize: {what} needs {nbytes} bytes, "
+            f"over the budget of {SUMMARY_BUDGET} bytes"
+        )
+
+
 def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     """One scan of an atoms x n boolean table weighted by atom probability.
 
@@ -273,13 +297,18 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
     rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
     classes = np.array([rank[key] for key in keys])
+    atoms, d = len(weights), len(rank)
+    # At the peak: three atoms x (d + 3) float tables and six d x d matrices.
+    _check_budget(
+        f"the tables of {d} column classes over {atoms} atoms",
+        8 * (3 * atoms * (d + 3) + 6 * d * d),
+    )
     _, first, k = np.unique(classes, return_index=True, return_counts=True)
     table = bits[:, first].astype(np.float64)
 
     z = table @ k.astype(np.float64)  # hit count of each atom
     weighted = np.column_stack([table, z > 0, z, z * z]) * weights[:, None]
     sums = np.cumsum(weighted, axis=0)[-1]
-    d = len(k)
     p, (prob_hit, ez, ez2) = sums[:d], sums[d:]
 
     # Mirror the upper triangle and pin the diagonal to the marginals so the
@@ -345,22 +374,67 @@ def eta_matrix(joint: JointBernoulli) -> EtaMatrix:
     return EtaMatrix(np.maximum(excess, 0.0), joint.summary.h)
 
 
-def sample(joint: JointBernoulli, seed: int, count: int) -> list[int]:
-    """Draw atom masks by inverse CDF over the ascending-mask table.
+class _GuideTable:
+    """Inverse CDF over a cumulative mass table, by guide table (Chen and
+    Asau 1974; Devroye 1986, section III.2.4).
 
-    Deterministic given the seed (PCG64 stream); disjoint seeds give
-    independent streams, which is how parallel sampling should split work.
+    `indices(u)` equals min(searchsorted(cum, u, "right"), len(cum) - 1)
+    index for index, for every u in [0, 1): the first atom whose cumulative
+    mass exceeds u, or the last atom if rounding leaves u above the total.
+    With m a power of two at least the atom count, u m is exact, so bucket
+    b = floor(u m) can start at the answer for u = b/m; a short vectorised
+    forward scan finishes.  Draws still moving after GUIDE_SCAN_STEPS
+    steps, in buckets crowded with tiny atoms, finish by bisection.
+    """
+
+    def __init__(self, cum: np.ndarray):
+        self.cum = cum
+        self.last = len(cum) - 1
+        self.buckets = 1 << self.last.bit_length()
+        starts = np.arange(self.buckets) / self.buckets
+        self.guide = np.minimum(np.searchsorted(cum, starts, "right"), self.last)
+
+    def indices(self, u: np.ndarray) -> np.ndarray:
+        cum, last = self.cum, self.last
+        idx = self.guide[(u * self.buckets).astype(np.intp)]
+        moving = np.flatnonzero((idx < last) & (cum[idx] <= u))
+        for _ in range(GUIDE_SCAN_STEPS):
+            idx[moving] += 1
+            moving = moving[(idx[moving] < last) & (cum[idx[moving]] <= u[moving])]
+        idx[moving] = np.minimum(np.searchsorted(cum, u[moving], "right"), last)
+        return idx
+
+
+def _sample_indices(joint: JointBernoulli, seed: int, count: int) -> Iterator[np.ndarray]:
+    """Atom indices of `count` inverse-CDF draws, SAMPLE_CHUNK at a time.
+
+    u comes from PCG64, which gives the same stream in chunks as in one
+    call, so the chunk size changes no draw; the cumulative masses are
+    summed left to right in table order.
+    """
+    table = _GuideTable(np.cumsum(np.array(joint.probs, dtype=np.float64)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, SAMPLE_CHUNK):
+        yield table.indices(rng.random(min(SAMPLE_CHUNK, count - start)))
+
+
+def sample(joint: JointBernoulli, seed: int, count: int) -> list[int]:
+    """Draw `count` atom masks by inverse CDF over the ascending-mask table.
+
+    The inverse CDF is a guide-table search (`_GuideTable`), and u is drawn
+    SAMPLE_CHUNK at a time by `_sample_indices`, the kernel the `sample`
+    command streams from; only the returned list grows with `count`.  The
+    draws equal one bisection over one PCG64 stream, draw for draw, so they
+    are deterministic given the seed; disjoint seeds give independent
+    streams, which is how parallel sampling should split work.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    cum = np.cumsum(np.array(joint.probs, dtype=np.float64))
-    u = np.random.default_rng(seed).random(count)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(joint.atoms) - 1)
-    mask_arr = np.empty(len(joint.atoms), dtype=object)
-    for pos, (mask, _) in enumerate(joint.atoms):
-        mask_arr[pos] = mask
-    return mask_arr[idx].tolist()
+    masks = np.array(joint.masks, dtype=object)
+    draws: list[int] = []
+    for idx in _sample_indices(joint, seed, count):
+        draws += masks[idx].tolist()
+    return draws
 
 
 def permute_variables(joint: JointBernoulli, perm: Sequence[int]) -> JointBernoulli:

@@ -20,15 +20,16 @@ the halved lower bound's constant can be improved to e/(2(e-1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .dist import JointBernoulli, MarginalVector, prob_hit_independent
+from .dist import JointBernoulli
 
 MODES = ("pairwise_equality", "negative_covariance")
 
@@ -177,23 +178,26 @@ def exchangeable_optimum(
     p = _check_common(n, p, mode)
     if n < 2:
         raise ValueError(f"exchangeable reduction needs n >= 2, got {n}")
-    weights = [Fraction(0)] * (n + 1)
-    if p == 0:
-        weights[0] = Fraction(1)
-    else:
+    support = {0: Fraction(1)}
+    if p != 0:
         s1 = n * p
         s2_twice = n * (n - 1) * p * p
         k = 1 + s2_twice // s1
         upper = (s2_twice - (k - 1) * s1) / (k + 1)
-        weights[k] = (s1 - (k + 1) * upper) / k
+        support[k] = (s1 - (k + 1) * upper) / k
         if k < n:  # at p = 1, k = n and the weight on n + 1 is zero
-            weights[k + 1] = upper
-        weights[0] = 1 - weights[k] - upper
+            support[k + 1] = upper
+        support[0] = 1 - support[k] - upper
+    # Only the support is converted; the other n - 2 or so weights are zero.
+    weights = [Fraction(0)] * (n + 1)
+    witness = [0.0] * (n + 1)
+    for z, w in support.items():
+        weights[z], witness[z] = w, float(w)
     objective_exact = 1 - weights[0]
     return LpSolution(
         status="optimal",
         objective=float(objective_exact),
-        witness_weights=tuple(float(w) for w in weights),
+        witness_weights=tuple(witness),
         objective_exact=objective_exact,
         weights_exact=tuple(weights),
     )
@@ -259,10 +263,15 @@ def min_ratio(
     """Minimal P(Z>0) / P(Z~>0) at the calibration marginal p = 1/(n-1)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    p = Fraction(1, n - 1)
-    solution = exchangeable_optimum(n, p, mode)
-    mtilde = prob_hit_independent(MarginalVector((float(p),) * n))
-    return solution.objective / mtilde, solution
+    solution = exchangeable_optimum(n, Fraction(1, n - 1), mode)
+    return solution.objective / _calibration_mtilde(n), solution
+
+
+def _calibration_mtilde(n: int) -> float:
+    """P(Z~ > 0) for n independent variables with p = 1/(n-1): the same
+    left-to-right product as `prob_hit_independent`, without an n-long
+    marginal vector."""
+    return 1.0 - math.prod(repeat(1.0 - 1.0 / (n - 1), n))
 
 
 def conjecture_sweep(
@@ -288,7 +297,7 @@ def conjecture_sweep(
             solution = solve(build_full_lp(n, p, mode))
         else:
             solution = exchangeable_optimum(n, p, mode)
-        mtilde = prob_hit_independent(MarginalVector((float(p),) * n))
+        mtilde = _calibration_mtilde(n)
         ratio = solution.objective / mtilde
         construction_ratio = (0.5 + 0.5 / (n - 1)) / mtilde
         running_inf = min(running_inf, ratio)

@@ -13,6 +13,7 @@ import oracles
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
     PINELIS_CONSTANT,
+    InvalidDistributionError,
     JointBernoulli,
     MarginalVector,
     comonotone,
@@ -286,3 +287,40 @@ class TestFullReport:
         assert report.verdicts["main_lower_applicable"] is False
         assert report.universal_ok
         assert peak < 64 * 2**20
+
+
+def distinct_columns_joint(atoms, n):
+    """`atoms` equal atoms over n variables whose columns all differ:
+    variable i fires on the atoms given by the bits of i + 1."""
+    bits = ((np.arange(1, n + 1)[None, :] >> np.arange(atoms)[:, None]) & 1).astype(np.uint8)
+    masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in bits]
+    return JointBernoulli(n, {mask: 1.0 / atoms for mask in masks})
+
+
+class TestMemoryBudget:
+    def traced_peak_of_rejection(self, joint, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDistributionError, match=match):
+                full_report(joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_many_distinct_columns_rejected_before_pair_data(self):
+        # 100,000 column classes would need 480 GB of d x d matrices; the
+        # 17 x 100,000 bit table (1.7 MB) is the largest array built.
+        joint = distinct_columns_joint(17, 100_000)
+        peak = self.traced_peak_of_rejection(
+            joint, "tables of 100000 column classes over 17 atoms needs 4800"
+        )
+        assert peak < 64 * 2**20
+
+    def test_one_hot_rejected_before_bit_table(self):
+        # One-hot over n variables needs an n x n bit table: 1.1 GB here.
+        n = 33_000
+        assert n * n > dist.SUMMARY_BUDGET
+        joint = one_hot_uniform(n)
+        peak = self.traced_peak_of_rejection(joint, f"the {n} x {n} bit table needs {n * n} bytes")
+        assert peak < 2**20

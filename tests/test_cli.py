@@ -1,13 +1,19 @@
 """Command-line behaviour: output formats, exit-code contract, round trips."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from maxdecouple import cli
+from maxdecouple import JointBernoulli, cli, conjectured_extremal
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from maxdecouple.dist import SAMPLE_CHUNK
+from test_bounds import distinct_columns_joint
 
 
 def write_json(path, payload):
@@ -58,6 +64,13 @@ class TestReport:
         assert main(["report", "--in", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "deviation" in err and "0.09999" in err
+
+    def test_joint_too_large_to_summarize_exits_one_naming_size(self, tmp_path, capsys):
+        joint = distinct_columns_joint(14, 12_000)
+        path = write_json(tmp_path / "wide.json", joint.to_json_dict())
+        assert main(["report", "--in", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "too large" in err and "12000 column classes over 14 atoms" in err
 
     def test_unparseable_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -237,6 +250,59 @@ class TestSample:
             },
         )
         assert main(["sample", "--in", path, "--count", "3"]) == EXIT_INPUT
+
+    # SHA-256 of the stdout of `sample` before it streamed through the
+    # guide-table kernel (one searchsorted over all draws, one join).
+    # Both joints have masks past 2^64; the second has zero-mass atoms and
+    # a total mass just under 1.
+    GOLDEN = {
+        ("extremal70", 1, 0): "7a293ab9bb4e2e52a8bfc7cb6e8cd7c705cbe4ec47c316d8c25119343f93a3f3",
+        ("extremal70", 65535, 1): "3e81c874814c5c366c4d2324e372f35660a1ffae67b6815fce362231bd1d6c40",
+        ("extremal70", 65537, 2): "e3b5cd1f74d15da6a382fe181db84dadd0435ffc7a81e336d2987e3c45f399a3",
+        ("extremal70", 196615, 3): "0d7b64a18bec054ec103131a7c38729369bb3fb9f1d41b7325d8711dfbac8311",
+        ("clamp80", 1, 0): "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+        ("clamp80", 65535, 1): "a7d98ee5117be996371e8d0e9a96167c593b4d0f8a4dbb4b5d6a9248df5f000a",
+        ("clamp80", 65537, 2): "75024107da2cf4db2e3d0db807076f4c78c082178d8c65264795f5dde5338035",
+        ("clamp80", 196615, 3): "a3118ab1785e89207b6605bc642d2b31c7b5fcbe791a1cb1a5eae61a252b4502",
+    }
+
+    @pytest.mark.parametrize("name,count,seed", sorted(GOLDEN))
+    def test_stdout_matches_golden_digest(self, tmp_path, name, count, seed):
+        assert count in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 7)
+        if name == "extremal70":
+            joint = conjectured_extremal(70)
+        else:
+            joint = JointBernoulli(80, {0: 0.5, 1 << 79: 0.0, (1 << 79) | 1: 0.25,
+                                        3: 0.25 - 5e-13, 1 << 70: 0.0})
+        path = write_json(tmp_path / f"{name}.json", joint.to_json_dict())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["sample", "--in", path, "--seed", str(seed), "--count", str(count)]) == EXIT_OK
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.GOLDEN[name, count, seed]
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        class Discard(io.TextIOBase):
+            lines = 0
+
+            def writable(self):
+                return True
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                return len(text)
+
+        path = write_json(tmp_path / "extremal70.json", conjectured_extremal(70).to_json_dict())
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["sample", "--in", path, "--count", str(10**7)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and sink.lines == 10**7
+        # A list of 10^7 masks alone would take over 80 MB.
+        assert peak < 16 * 2**20
 
 
 class TestVerify:

@@ -29,6 +29,7 @@ from maxdecouple import (
     sample,
     second_moments,
 )
+from maxdecouple import dist
 
 
 def random_sparse_joint(rng, max_n=10, max_support=16):
@@ -336,6 +337,56 @@ class TestSample:
         for mask, prob in j.atoms:
             freq = draws.count(mask) / len(draws)
             assert abs(freq - prob) < 5e-3
+
+
+def random_cumulative_masses(rng):
+    """Cumulative masses of a random table as `_sample_indices` builds them:
+    equal masses (cumulative masses on or next to k/atoms), zero-mass
+    atoms, one atom, totals a little under or over 1, and runs of tiny
+    atoms packed into one guide bucket."""
+    atoms = int(rng.choice([1, 2, 3, int(rng.integers(4, 64)), int(rng.integers(64, 3000))]))
+    weights = rng.random(atoms) ** rng.choice([0, 1, 4, 40])
+    weights[rng.random(atoms) < rng.choice([0.0, 0.3])] = 0.0
+    if not weights.any():
+        weights[int(rng.integers(atoms))] = 1.0
+    if atoms > 8 and rng.random() < 0.3:
+        weights[: atoms // 2] = 1e-12  # a crowded bucket
+    probs = weights / weights.sum()
+    return np.cumsum(probs * (1.0 + rng.choice([0.0, -5e-13, 5e-13])))
+
+
+def boundary_draws(rng, cum, buckets):
+    """u in [0, 1) on and next to every cumulative mass and bucket start."""
+    edges = np.concatenate([cum, np.arange(buckets) / buckets, [0.0, 1.0]])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = np.concatenate([near, rng.random(2000)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideTable:
+    def test_matches_clamped_searchsorted(self):
+        rng = np.random.default_rng(120)
+        for _ in range(3000):
+            cum = random_cumulative_masses(rng)
+            table = dist._GuideTable(cum)
+            u = boundary_draws(rng, cum, table.buckets)
+            expect = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+            assert np.array_equal(table.indices(u), expect)
+
+    def test_clamps_draws_above_a_short_total(self):
+        cum = np.cumsum([0.25, 0.0, 0.75 - 1e-12, 0.0])
+        u = np.array([cum[-1], np.nextafter(1.0, 0.0), 0.25, 0.0])
+        assert dist._GuideTable(cum).indices(u).tolist() == [3, 3, 2, 0]
+
+    def test_chunked_stream_equals_one_call(self):
+        # PCG64 gives the same u in chunks as in one call, so the draws
+        # are those of a single searchsorted over the whole stream.
+        j = random_sparse_joint(np.random.default_rng(121), max_n=12, max_support=300)
+        count = 3 * dist.SAMPLE_CHUNK + 7
+        u = np.random.default_rng(17).random(count)
+        cum = np.cumsum(np.array(j.probs))
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        assert sample(j, seed=17, count=count) == [j.masks[i] for i in idx]
 
 
 class TestPermuteVariables:

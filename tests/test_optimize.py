@@ -151,6 +151,7 @@ class TestOracleAgreement:
                     got = exchangeable_optimum(n, p, mode)
                     pair = (got.objective_exact, got.weights_exact)
                     assert pair == expected, (n, p, mode)
+                    assert got.witness_weights == tuple(map(float, got.weights_exact))
 
     def test_reduction_soundness(self):
         for n in (3, 4, 5):
@@ -229,6 +230,13 @@ class TestMinRatioAndSweep:
             assert row["running_inf"] <= previous_inf
             previous_inf = row["running_inf"]
         assert rows[0]["construction_ratio"] == pytest.approx(6 / 7, abs=1e-12)
+
+    def test_sweep_mtilde_is_the_marginal_product(self):
+        # The sweep multiplies 1 - p n times without building the marginal
+        # vector; the product is the same, bit for bit.
+        for row in conjecture_sweep(3, 600, reduction="exchangeable"):
+            marginal = MarginalVector((row["p"],) * row["n"])
+            assert row["mtilde"] == prob_hit_independent(marginal), row["n"]
 
     def test_sweep_objective_equals_paley_zygmund_floor(self):
         # At p = 1/(n-1) the moment constraints pin E[Z] = E[Z(Z-1)], so the
