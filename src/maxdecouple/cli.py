@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,9 +82,29 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
+def _digit_limit_message(what: str) -> str:
+    limit = sys.get_int_max_str_digits()
+    return (
+        f"{what} is past Python's limit of {limit} decimal digits for int/str "
+        f"conversion; a JSON joint holds masks of at most "
+        f"{int(limit * math.log2(10))} variables"
+    )
+
+
 def _load_joint_file(path: str) -> JointBernoulli | NonnegJoint:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        text = handle.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # The scanner has checked the syntax, so the one other ValueError is
+        # Python refusing an integer literal past its digit limit (decimal
+        # conversion takes quadratic time).
+        raise InvalidDistributionError(
+            _digit_limit_message("an integer in the file")
+        ) from exc
     if not isinstance(obj, dict):
         raise InvalidDistributionError("joint document must be a JSON object")
     kind = obj.get("kind")
@@ -158,6 +179,11 @@ def _cmd_construct(args) -> int:
         joint = spec.build()
     except (ValueError, InvalidDistributionError) as exc:
         raise UsageError(str(exc))
+    limit = sys.get_int_max_str_digits()
+    if limit and joint.masks[-1] >= 10**limit:
+        raise OutputError(
+            _digit_limit_message(f"a mask of {joint.masks[-1].bit_length()} bits")
+        )
     _emit(args.out, json.dumps(joint.to_json_dict(), indent=2) + "\n")
     return EXIT_OK
 

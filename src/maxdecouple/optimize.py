@@ -4,8 +4,9 @@ and pairwise moment constraints.
 Two routes to the same optimum:
 
   full          a linear program with one variable per atom of {0,1}^n
-                (2^n variables), solved in floating point via scipy's HiGHS
-                backend; capped at n <= 16.
+                (2^n variables), solved in floating point by HiGHS's
+                interior point method with crossover and presolve off (see
+                `solve`); capped at n <= 16.
   exchangeable  the closed-form optimum over laws of Z = sum X_i (the sharp
                 Dawson-Sankoff bound), valid because permutation-averaging
                 any feasible joint preserves equal marginals, the pair
@@ -35,8 +36,9 @@ MODES = ("pairwise_equality", "negative_covariance")
 
 FULL_VARIABLE_LIMIT = 16
 
-# Witness atoms below this are dropped as solver dust (HiGHS default
-# feasibility tolerance is far coarser than this).
+# Witness atoms below this are dropped as solver dust.  Crossover returns a
+# basic solution, so every atom off the basis is zero up to rounding; the
+# solver's primal feasibility tolerance (1e-7) is far coarser than this.
 WITNESS_ATOM_FLOOR = 1e-15
 
 
@@ -106,46 +108,23 @@ def build_full_lp(
     pf = float(p)
     p2f = float(p * p)
 
-    pairs = list(combinations(range(n), 2))
-    pair_row = {pair: r for r, pair in enumerate(pairs)}
-
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    pair_rows: list[int] = []
-    pair_cols: list[int] = []
-    for mask in range(size):
-        eq_rows.append(0)
-        eq_cols.append(mask)
-        bits = [i for i in range(n) if (mask >> i) & 1]
-        for i in bits:
-            eq_rows.append(1 + i)
-            eq_cols.append(mask)
-        for pair in combinations(bits, 2):
-            pair_rows.append(pair_row[pair])
-            pair_cols.append(mask)
-
-    a_marg = sparse.csr_matrix(
-        (np.ones(len(eq_rows)), (eq_rows, eq_cols)), shape=(1 + n, size)
+    # One bit table, atoms x variables; row r of the constraint matrix is
+    # the indicator of the atoms that constraint r sums over.
+    bits = (np.arange(size)[:, None] >> np.arange(n)) & 1 == 1
+    first, second = np.triu_indices(n, 1)
+    rows = np.vstack(
+        [np.ones((1, size), dtype=bool), bits.T, (bits[:, first] & bits[:, second]).T]
     )
-    b_marg = np.array([1.0] + [pf] * n)
-    a_pair = sparse.csr_matrix(
-        (np.ones(len(pair_rows)), (pair_rows, pair_cols)), shape=(len(pairs), size)
-    )
-    b_pair = np.full(len(pairs), p2f)
+    b = np.concatenate([[1.0], np.full(n, pf), np.full(len(first), p2f)])
 
     c = np.ones(size)
     c[0] = 0.0
+    a = sparse.csr_matrix(rows).astype(np.float64)
     if mode == "pairwise_equality":
-        problem = FullLpProblem(
-            c=c,
-            a_eq=sparse.vstack([a_marg, a_pair], format="csr"),
-            b_eq=np.concatenate([b_marg, b_pair]),
-            a_ub=None,
-            b_ub=None,
-        )
+        problem = FullLpProblem(c=c, a_eq=a, b_eq=b, a_ub=None, b_ub=None)
     else:
         problem = FullLpProblem(
-            c=c, a_eq=a_marg, b_eq=b_marg, a_ub=a_pair, b_ub=b_pair
+            c=c, a_eq=a[: 1 + n], b_eq=b[: 1 + n], a_ub=a[1 + n :], b_ub=b[1 + n :]
         )
     return ExtremalLp(n=n, p=p, mode=mode, problem=problem)
 
@@ -205,7 +184,17 @@ def exchangeable_optimum(
 
 def solve(lp: ExtremalLp) -> LpSolution:
     """Solve the atom-level LP with HiGHS; witness atoms below
-    WITNESS_ATOM_FLOOR are dropped."""
+    WITNESS_ATOM_FLOOR are dropped.
+
+    Interior point with crossover, presolve off.  The program has 2^n
+    columns but only 1 + n + n(n-1)/2 rows, so an interior-point iteration
+    is cheap and few are needed (8 at n = 12, 9 at n = 14), where HiGHS's
+    default dual simplex pivots hundreds to thousands of times (789 and
+    1,647); the solve is 3-6 times faster at n = 12..16.  Presolve removes
+    nothing that pays for itself here: it doubles the interior-point time
+    at n = 12 and 14.  Crossover turns the interior point into a basic
+    solution, so the witness keeps at most one atom per row.
+    """
     problem = lp.problem
     res = linprog(
         problem.c,
@@ -214,7 +203,8 @@ def solve(lp: ExtremalLp) -> LpSolution:
         A_eq=problem.a_eq,
         b_eq=problem.b_eq,
         bounds=(0, None),
-        method="highs",
+        method="highs-ipm",
+        options={"presolve": False},
     )
     if res.status == 2:
         return LpSolution(status="infeasible", objective=None)

@@ -251,6 +251,32 @@ def oracle_lp_vertex_minimum(
     return best
 
 
+def oracle_full_lp_rows(n: int, p: Fraction):
+    """The atom-level program of `build_full_lp`, by a per-mask loop.
+
+    Returns (c, marginal_rows, b_marginal, pair_rows, b_pair).  Each row is
+    the ascending list of atoms (masks) it sums with coefficient 1:
+    marginal row 0 is total mass, row 1 + i is P(X_i = 1); pair row r is
+    E[X_i X_j] for the r-th pair (i, j), i < j, in lexicographic order.
+    """
+    size = 1 << n
+    pairs = list(itertools.combinations(range(n), 2))
+    pair_row = {pair: r for r, pair in enumerate(pairs)}
+    marginal_rows: list[list[int]] = [[] for _ in range(1 + n)]
+    pair_rows: list[list[int]] = [[] for _ in pairs]
+    for mask in range(size):
+        marginal_rows[0].append(mask)
+        bits = [i for i in range(n) if (mask >> i) & 1]
+        for i in bits:
+            marginal_rows[1 + i].append(mask)
+        for pair in itertools.combinations(bits, 2):
+            pair_rows[pair_row[pair]].append(mask)
+    c = [0.0] + [1.0] * (size - 1)
+    b_marginal = [1.0] + [float(p)] * n
+    b_pair = [float(p * p)] * len(pairs)
+    return c, marginal_rows, b_marginal, pair_rows, b_pair
+
+
 def exchangeable_lp_rows(n: int, p: Fraction, equality: bool):
     """The exchangeable program over w_k = P(Z = k), k = 0..n, as rows for
     `solve_exact`: (objective, eq rows, ub rows), maximizing w_0.

@@ -38,6 +38,24 @@ def extremal3_file(tmp_path):
     )
 
 
+@pytest.fixture()
+def long_mask_file(tmp_path):
+    # A two-atom joint over 15,000 variables whose second mask, 10^4300,
+    # has one decimal digit more than Python converts by default.  The
+    # text is written directly: json.dumps would itself hit the limit.
+    path = tmp_path / "long_mask.json"
+    path.write_text(
+        '{"kind": "bernoulli-joint", "n": 15000, "atoms": '
+        '[{"mask": 0, "p": 0.5}, {"mask": 1' + "0" * 4300 + ', "p": 0.5}]}'
+    )
+    return str(path)
+
+
+def assert_names_digit_limit(err: str, what: str) -> None:
+    assert what in err and "limit of 4300 decimal digits" in err, err
+    assert "at most 14284 variables" in err and "Traceback" not in err
+
+
 class TestReport:
     def test_extremal_json_report(self, extremal3_file, capsys):
         assert main(["report", "--in", extremal3_file]) == EXIT_OK
@@ -146,6 +164,12 @@ class TestReport:
         assert main(["report", "--in", path]) == EXIT_INPUT
         assert "invalid probability inf" in capsys.readouterr().err
 
+    def test_mask_past_decimal_digit_limit_exits_one(self, long_mask_file, capsys):
+        assert main(["report", "--in", long_mask_file]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "invalid input" in err
+        assert_names_digit_limit(err, "an integer in the file")
+
 
 class TestConstruct:
     def test_round_trip_every_family(self, tmp_path, capsys):
@@ -175,6 +199,20 @@ class TestConstruct:
 
     def test_missing_parameter_is_usage_error(self, capsys):
         assert main(["construct", "--family", "comonotone", "--n", "3"]) == EXIT_USAGE
+
+    def test_mask_past_decimal_digit_limit_is_a_write_error(self, tmp_path, capsys):
+        # 2^14284 - 1 has 4300 decimal digits and is written; the all-ones
+        # mask over one more variable has 4301 and is refused unwritten.
+        fits = tmp_path / "fits.json"
+        flags = ["construct", "--family", "comonotone", "--eps", "0.5", "--out"]
+        assert main([*flags, str(fits), "--n", "14284"]) == EXIT_OK
+        assert main(["report", "--in", str(fits)]) == EXIT_OK
+        capsys.readouterr()
+        past = tmp_path / "past.json"
+        assert main([*flags, str(past), "--n", "14285"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and not past.exists()
+        assert_names_digit_limit(err, "a mask of 14285 bits")
 
 
 class TestSearch:
@@ -250,6 +288,12 @@ class TestSample:
             },
         )
         assert main(["sample", "--in", path, "--count", "3"]) == EXIT_INPUT
+
+    def test_mask_past_decimal_digit_limit_exits_one(self, long_mask_file, capsys):
+        assert main(["sample", "--in", long_mask_file, "--count", "3"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_names_digit_limit(err, "an integer in the file")
 
     # SHA-256 of the stdout of `sample` before it streamed through the
     # guide-table kernel (one searchsorted over all draws, one join).

@@ -1,6 +1,7 @@
 """Extremal search: the LP builder, both solve routes, oracle agreement,
 and the sweep table."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,12 @@ from maxdecouple import (
     exchangeable_optimum,
     expand_exchangeable,
     is_pairwise_independent,
+    marginals,
     min_ratio,
     prob_hit,
     prob_hit_independent,
     product,
+    second_moments,
     solve,
 )
 from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES
@@ -37,6 +40,33 @@ class TestBuilders:
         lp = build_full_lp(3, 0.5, "negative_covariance")
         assert lp.problem.a_eq.shape == (4, 8)
         assert lp.problem.a_ub.shape == (3, 8)
+
+    def test_full_lp_matches_loop_oracle(self):
+        # Entry for entry, in both modes: the bit-table kernel builds the
+        # same CSR matrices as the per-mask loop.
+        for n in range(1, 13):
+            for p in dict.fromkeys((Fraction(3, 10), Fraction(1, max(n - 1, 1)))):
+                c, marg, b_marg, pair, b_pair = oracles.oracle_full_lp_rows(n, p)
+                for mode in MODES:
+                    prob = build_full_lp(n, p, mode).problem
+                    assert prob.c.tolist() == c
+                    if mode == "pairwise_equality":
+                        assert prob.a_ub is None and prob.b_ub is None
+                        blocks = [(prob.a_eq, prob.b_eq, marg + pair, b_marg + b_pair)]
+                    else:
+                        blocks = [
+                            (prob.a_eq, prob.b_eq, marg, b_marg),
+                            (prob.a_ub, prob.b_ub, pair, b_pair),
+                        ]
+                    for matrix, b, rows, expected_b in blocks:
+                        assert matrix.format == "csr", (n, mode)
+                        assert matrix.shape == (len(rows), 1 << n), (n, mode)
+                        assert matrix.nnz == sum(map(len, rows)), (n, mode)
+                        assert matrix.data.dtype == float and (matrix.data == 1.0).all()
+                        for r, row in enumerate(rows):
+                            lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
+                            assert matrix.indices[lo:hi].tolist() == row, (n, mode, r)
+                        assert b.tolist() == expected_b, (n, mode)
 
     def test_full_lp_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -154,12 +184,28 @@ class TestOracleAgreement:
                     assert got.witness_weights == tuple(map(float, got.weights_exact))
 
     def test_reduction_soundness(self):
-        for n in (3, 4, 5):
-            for p in (Fraction(1, n - 1), Fraction(3, 10)):
+        # The full LP reaches the closed form, and its witness is a basic
+        # feasible joint (at most one atom per row).
+        for n in range(2, 11):
+            grid = [Fraction(j, 10) for j in range(11)] + [Fraction(1, n - 1)]
+            for p in dict.fromkeys(grid):
+                pf, p2f = float(p), float(p * p)
                 for mode in MODES:
                     full = solve(build_full_lp(n, p, mode))
                     exch = exchangeable_optimum(n, p, mode)
-                    assert abs(full.objective - exch.objective) <= 1e-8
+                    case = (n, p, mode)
+                    assert full.status == "optimal", case
+                    assert abs(full.objective - exch.objective) <= 1e-9, case
+                    assert len(full.witness_atoms) <= 1 + n + math.comb(n, 2), case
+                    joint = JointBernoulli(n, full.witness_atoms)
+                    assert max(abs(x - pf) for x in marginals(joint).p) <= 1e-9, case
+                    m = second_moments(joint).m
+                    excess = [m[i][j] - p2f for i in range(n) for j in range(i + 1, n)]
+                    if mode == "pairwise_equality":
+                        assert max(map(abs, excess)) <= 1e-9, case
+                    else:
+                        assert max(excess) <= 1e-9, case
+                    assert abs(prob_hit(joint) - full.objective) <= 1e-9, case
 
     def test_negcov_never_above_equality(self):
         for n in (3, 4, 6, 9):
