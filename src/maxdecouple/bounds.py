@@ -32,18 +32,27 @@ from .dist import JointBernoulli, MarginalVector, prob_hit_independent
 # truncation of these; all comparisons derive from math.e at full precision.
 PINELIS_CONSTANT = math.e / (math.e - 1.0)
 
-# Conjectured optimal constant for the lower bound: half the upper constant.
+# Half the upper constant, the ratio limit of `conjectured_extremal`.  Not
+# the best lower constant: pairwise independent three-hot laws at
+# p = 2/(n-1) go below it from n = 17 on (0.789941 at n = 17).
 CONJECTURED_LOWER_CONSTANT = math.e / (2.0 * (math.e - 1.0))
 
-# Absolute slack for inequality verdicts.  Every compared quantity lives in
-# [0, n] with n <= 24 in dense use, so accumulated float error sits far below.
+# Slack of every inequality verdict, relative to the larger compared term
+# (floored at 1) and read only by `holds`: rounding moves a term by a few
+# ulps of its magnitude, and F = S*G reaches 1.1e6 on comonotone(1500, 0.7).
 VERDICT_SLACK = 1e-12
 
 # Default tolerance for the negative-covariance applicability test.
 DEFAULT_COVARIANCE_TOL = 1e-12
 
 
-class UpperCheck(NamedTuple):
+def holds(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to VERDICT_SLACK * max(1, |lhs|, |rhs|): the one
+    verdict rule of the package."""
+    return lhs <= rhs + VERDICT_SLACK * max(1.0, abs(lhs), abs(rhs))
+
+
+class InequalityCheck(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
@@ -53,12 +62,6 @@ class MainLowerCheck(NamedTuple):
     lhs: float
     rhs: float
     applicable: bool
-    holds: bool
-
-
-class EtaLowerCheck(NamedTuple):
-    lhs: float
-    rhs: float
     holds: bool
 
 
@@ -111,7 +114,7 @@ class BoundReport:
         return asdict(self)
 
 
-def pinelis_upper_check(joint: JointBernoulli) -> UpperCheck:
+def pinelis_upper_check(joint: JointBernoulli) -> InequalityCheck:
     """Check P(Z > 0) <= c * P(Z~ > 0) with c = e/(e-1).
 
     Holds for every joint regardless of dependence; a False verdict means
@@ -119,7 +122,7 @@ def pinelis_upper_check(joint: JointBernoulli) -> UpperCheck:
     """
     lhs = joint.summary.prob_hit
     rhs = PINELIS_CONSTANT * prob_hit_independent(joint.summary.marginals)
-    return UpperCheck(lhs, rhs, lhs <= rhs + VERDICT_SLACK)
+    return InequalityCheck(lhs, rhs, holds(lhs, rhs))
 
 
 def paley_zygmund_lower(joint: JointBernoulli) -> float:
@@ -144,10 +147,10 @@ def main_lower_check(
     applicable = joint.summary.max_excess <= tol
     lhs = joint.summary.prob_hit
     rhs = 0.5 * prob_hit_independent(joint.summary.marginals)
-    return MainLowerCheck(lhs, rhs, applicable, lhs >= rhs - VERDICT_SLACK)
+    return MainLowerCheck(lhs, rhs, applicable, holds(rhs, lhs))
 
 
-def eta_lower_check(joint: JointBernoulli) -> EtaLowerCheck:
+def eta_lower_check(joint: JointBernoulli) -> InequalityCheck:
     """Check P(Z > 0) >= (1 - H/(B+H)) * P(Z~ > 0) / 2 for any joint.
 
     H totals the clipped excess correlations over ordered pairs and
@@ -163,7 +166,7 @@ def eta_lower_check(joint: JointBernoulli) -> EtaLowerCheck:
     else:
         rhs = 0.5 * (1.0 - h / (b + h)) * prob_hit_independent(summary.marginals)
     lhs = summary.prob_hit
-    return EtaLowerCheck(lhs, rhs, lhs >= rhs - VERDICT_SLACK)
+    return InequalityCheck(lhs, rhs, holds(rhs, lhs))
 
 
 def g_function(marginal: MarginalVector) -> GFactorization:
@@ -210,19 +213,19 @@ def full_report(
 
     # The arithmetic implication behind the eta correction: A/B >= C forces
     # A/(B+H) >= C * (1 - H/(B+H)).  Checked on the computed scalars.
-    if b > 0.0 and a / b >= c - VERDICT_SLACK:
-        implication_ok = a / (b + h) >= c * (1.0 - h / (b + h)) - VERDICT_SLACK
+    if b > 0.0 and holds(c, a / b):
+        implication_ok = holds(c * (1.0 - h / (b + h)), a / (b + h))
     else:
         implication_ok = True
 
     verdicts = {
         "pinelis": upper.holds,
-        "paley_zygmund": pz <= m + VERDICT_SLACK,
+        "paley_zygmund": holds(pz, m),
         "main_lower_applicable": lower.applicable,
         "main_lower": lower.holds if lower.applicable else True,
         "eta_lower": eta.holds,
-        "g_nonnegative": g >= -VERDICT_SLACK,
-        "factorization": abs(f_direct - f) <= 1e-10,
+        "g_nonnegative": holds(0.0, g),
+        "factorization": holds(f_direct, f) and holds(f, f_direct),
         "moment_implication": implication_ok,
     }
     return BoundReport(

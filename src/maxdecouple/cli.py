@@ -54,8 +54,6 @@ SWEEP_COLUMNS = (
     "status",
 )
 
-CONTINUOUS_COLUMNS = ("emax", "emax_ind", "upper_holds", "pairwise_ok", "lower_holds")
-
 
 class UsageError(Exception):
     pass
@@ -138,25 +136,20 @@ def _emit(path: str | None, text: str) -> None:
 def _cmd_report(args) -> int:
     joint = _load_joint_file(args.input)
     if isinstance(joint, JointBernoulli):
-        report = bounds.full_report(joint)
-        if args.format == "json":
-            print(json.dumps(report.to_json_dict(), indent=2))
-        else:
-            row = report.to_json_dict()
-            row["verdicts"] = ";".join(
-                f"{k}={_fmt_cell(v)}" for k, v in report.verdicts.items()
-            )
-            _write_csv(sys.stdout, tuple(row), [row])
-        return EXIT_OK if report.universal_ok else EXIT_INVARIANT
-
-    check = continuous.decoupling_check_cont(joint)
-    row = dict(zip(CONTINUOUS_COLUMNS, check))
+        result = bounds.full_report(joint)
+        row = result.to_json_dict()
+    else:
+        result = continuous.decoupling_check_cont(joint)
+        row = result._asdict()
     if args.format == "json":
         print(json.dumps(row, indent=2))
     else:
-        _write_csv(sys.stdout, CONTINUOUS_COLUMNS, [row])
-    universal_ok = check.upper_holds and (check.lower_holds or not check.pairwise_ok)
-    return EXIT_OK if universal_ok else EXIT_INVARIANT
+        if "verdicts" in row:
+            row["verdicts"] = ";".join(
+                f"{k}={_fmt_cell(v)}" for k, v in row["verdicts"].items()
+            )
+        _write_csv(sys.stdout, tuple(row), [row])
+    return EXIT_OK if result.universal_ok else EXIT_INVARIANT
 
 
 def _cmd_construct(args) -> int:

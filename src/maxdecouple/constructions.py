@@ -60,13 +60,14 @@ def one_hot_uniform(n: int) -> JointBernoulli:
 
 
 def conjectured_extremal(n: int) -> JointBernoulli:
-    """Pairwise-independent family believed to minimize P(Z>0)/P(Z~>0).
+    """The pairwise-independent law of least P(Z>0) with marginals 1/(n-1).
 
     Marginals are all 1/(n-1); the hit count Z is supported on {0, 2} with
     P(Z=0) = 1/2 - 1/(2(n-1)), and P(Z=2) spread uniformly over all two-hot
     masks.  The exchangeable spreading makes every pair moment equal
     P(Z=2)/C(n,2) = 1/(n-1)^2 = p_i p_j, i.e. exact pairwise independence.
-    As n grows, P(Z>0)/P(Z~>0) -> e/(2(e-1)).
+    As n grows, P(Z>0)/P(Z~>0) -> e/(2(e-1)); the three-hot law at
+    p = 2/(n-1) goes below that from n = 17, so this is no global minimum.
 
     n = 2 is permitted but degenerate (P(Z=0) = 0, a point mass on {1,1}).
     """

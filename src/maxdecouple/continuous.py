@@ -20,7 +20,6 @@ equivalent to checking all t > 0.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,15 +27,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .bounds import PINELIS_CONSTANT, holds
 from .constructions import is_prime
-from .dist import NORMALIZATION_TOL, JointBernoulli, prob_hit_independent
-from .dist import _json_number, _summarize
+from .dist import JointBernoulli, prob_hit_independent
+from .dist import _check_unit_mass, _check_variable_count, _json_number
+from .dist import _read_document, _summarize
 from .errors import InvalidDistributionError
-from .bounds import PINELIS_CONSTANT
-
-# Slack for the expectation-level inequality verdicts; wider than the
-# Bernoulli slack because values (hence sums) can be arbitrary magnitudes.
-EXPECTATION_SLACK = 1e-10
 
 # Slack for the per-threshold orthant comparison, a probability-scale check.
 ORTHANT_SLACK = 1e-12
@@ -61,8 +57,7 @@ class NonnegJoint:
     atoms: tuple[tuple[tuple[float, ...], float], ...]
 
     def __init__(self, n: int, atoms: Sequence[tuple[Sequence[float], float]]):
-        if n < 1:
-            raise InvalidDistributionError(f"need at least one variable, got n={n}")
+        _check_variable_count(n)
         rows = []
         for idx, (values, prob) in enumerate(atoms):
             vec = tuple(
@@ -77,12 +72,7 @@ class NonnegJoint:
             rows.append((vec, prob))
         if not rows:
             raise InvalidDistributionError("atom list must be nonempty")
-        total = math.fsum(prob for _, prob in rows)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise InvalidDistributionError(
-                f"probabilities sum to {total!r}, deviation {total - 1.0!r} "
-                f"exceeds tolerance {NORMALIZATION_TOL}"
-            )
+        _check_unit_mass(prob for _, prob in rows)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "atoms", tuple(rows))
 
@@ -111,18 +101,7 @@ class NonnegJoint:
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "NonnegJoint":
-        if not isinstance(obj, dict):
-            raise InvalidDistributionError("joint document must be a JSON object")
-        if obj.get("kind") != "nonneg-joint":
-            raise InvalidDistributionError(
-                f"field 'kind' must be 'nonneg-joint', got {obj.get('kind')!r}"
-            )
-        n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InvalidDistributionError("field 'n' must be an integer")
-        raw = obj.get("atoms")
-        if not isinstance(raw, list):
-            raise InvalidDistributionError("field 'atoms' must be a list")
+        n, raw = _read_document(obj, "nonneg-joint")
         rows = []
         for idx, entry in enumerate(raw):
             if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
@@ -146,6 +125,12 @@ class ContinuousCheck(NamedTuple):
     upper_holds: bool
     pairwise_ok: bool
     lower_holds: bool
+
+    @property
+    def universal_ok(self) -> bool:
+        """The upper bound, and the lower one wherever the orthant condition
+        guarantees it; False means corrupt input or a library bug."""
+        return self.upper_holds and (self.lower_holds or not self.pairwise_ok)
 
 
 class _ThresholdSweep(NamedTuple):
@@ -219,10 +204,9 @@ def decoupling_check_cont(joint: NonnegJoint) -> ContinuousCheck:
     """
     emax = expected_max(joint)
     emax_ind = expected_max_independent(joint)
-    upper = emax <= PINELIS_CONSTANT * emax_ind + EXPECTATION_SLACK
-    ok = pairwise_orthant_ok(joint)
-    lower = emax >= 0.5 * emax_ind - EXPECTATION_SLACK
-    return ContinuousCheck(emax, emax_ind, upper, ok, lower)
+    upper = holds(emax, PINELIS_CONSTANT * emax_ind)
+    lower = holds(0.5 * emax_ind, emax)
+    return ContinuousCheck(emax, emax_ind, upper, pairwise_orthant_ok(joint), lower)
 
 
 def affine_hash_values(

@@ -60,6 +60,39 @@ def _json_number(value: object, what: str) -> float:
         return math.inf
 
 
+def _check_variable_count(n: int) -> None:
+    if n < 1:
+        raise InvalidDistributionError(f"need at least one variable, got n={n}")
+
+
+def _check_unit_mass(probs: Iterable[float]) -> None:
+    # Exactly-rounded total: the invariant concerns the true mass, not
+    # artifacts of accumulation order over large supports.
+    total = math.fsum(probs)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise InvalidDistributionError(
+            f"probabilities sum to {total!r}, deviation {total - 1.0!r} "
+            f"exceeds tolerance {NORMALIZATION_TOL}"
+        )
+
+
+def _read_document(obj: object, kind: str) -> tuple[int, list]:
+    """The checked `n` and raw `atoms` list of a joint document of `kind`."""
+    if not isinstance(obj, dict):
+        raise InvalidDistributionError("joint document must be a JSON object")
+    if obj.get("kind") != kind:
+        raise InvalidDistributionError(
+            f"field 'kind' must be '{kind}', got {obj.get('kind')!r}"
+        )
+    n = obj.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidDistributionError("field 'n' must be an integer")
+    raw = obj.get("atoms")
+    if not isinstance(raw, list):
+        raise InvalidDistributionError("field 'atoms' must be a list")
+    return n, raw
+
+
 def _normalize_atoms(n: int, atoms: AtomTable) -> tuple[tuple[int, float], ...]:
     if isinstance(atoms, Mapping):
         pairs = list(atoms.items())
@@ -83,14 +116,7 @@ def _normalize_atoms(n: int, atoms: AtomTable) -> tuple[tuple[int, float], ...]:
             )
         out.append((mask, prob))
         last_mask = mask
-    # Exactly-rounded total: the invariant concerns the true mass, not
-    # artifacts of accumulation order over large supports.
-    total = math.fsum(prob for _, prob in out)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise InvalidDistributionError(
-            f"probabilities sum to {total!r}, deviation {total - 1.0!r} "
-            f"exceeds tolerance {NORMALIZATION_TOL}"
-        )
+    _check_unit_mass(prob for _, prob in out)
     return tuple(out)
 
 
@@ -106,8 +132,7 @@ class JointBernoulli:
     atoms: tuple[tuple[int, float], ...]
 
     def __init__(self, n: int, atoms: AtomTable):
-        if n < 1:
-            raise InvalidDistributionError(f"need at least one variable, got n={n}")
+        _check_variable_count(n)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "atoms", _normalize_atoms(int(n), atoms))
 
@@ -141,18 +166,7 @@ class JointBernoulli:
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "JointBernoulli":
-        if not isinstance(obj, dict):
-            raise InvalidDistributionError("joint document must be a JSON object")
-        if obj.get("kind") != "bernoulli-joint":
-            raise InvalidDistributionError(
-                f"field 'kind' must be 'bernoulli-joint', got {obj.get('kind')!r}"
-            )
-        n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InvalidDistributionError("field 'n' must be an integer")
-        raw = obj.get("atoms")
-        if not isinstance(raw, list):
-            raise InvalidDistributionError("field 'atoms' must be a list")
+        n, raw = _read_document(obj, "bernoulli-joint")
         pairs = []
         for idx, entry in enumerate(raw):
             if not isinstance(entry, dict):

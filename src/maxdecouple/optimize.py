@@ -14,9 +14,10 @@ Two routes to the same optimum:
                 reported optimum carries no solver tolerance.
 
 The two routes must agree on small n, which is one of the package's
-verification properties.  The scientific payload is the ratio of the
-optimum to P(Z~ > 0) at p = 1/(n-1), whose large-n behaviour probes whether
-the halved lower bound's constant can be improved to e/(2(e-1)).
+verification properties.  The sweep's ratio of the optimum to P(Z~ > 0)
+at p = 1/(n-1) tends to e/(2(e-1)), which is not the best lower constant:
+at p = 2/(n-1) the optimum, also pairwise independent, has Z in {0, 3} and
+a ratio below e/(2(e-1)) from n = 17 on.
 """
 
 from __future__ import annotations
@@ -224,17 +225,19 @@ def expand_exchangeable(n: int, weights) -> JointBernoulli:
     Inverse of collapsing a joint to Hamming-weight totals; used to
     round-trip exchangeable witnesses through the atom-level toolkit.
     Each class closes with a residual atom so the class total survives
-    float conversion exactly.
+    float conversion exactly.  The C(n, k) atoms of each nonzero class k
+    are capped at 2^FULL_VARIABLE_LIMIT in all, before any is enumerated.
     """
-    if n > FULL_VARIABLE_LIMIT:
-        raise ValueError(f"expansion is dense in 2^n; n={n} exceeds {FULL_VARIABLE_LIMIT}")
     if len(weights) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} weights, got {len(weights)}")
+    classes = [(k, float(w)) for k, w in enumerate(weights) if float(w) != 0.0]
+    size = sum(math.comb(n, k) for k, _ in classes)
+    if size > 1 << FULL_VARIABLE_LIMIT:
+        raise ValueError(
+            f"expansion writes {size} atoms, over the cap of 2^{FULL_VARIABLE_LIMIT}"
+        )
     atoms: dict[int, float] = {}
-    for k, weight in enumerate(weights):
-        target = float(weight)
-        if target == 0.0:
-            continue
+    for k, target in classes:
         masks = [
             sum(1 << i for i in bits) for bits in combinations(range(n), k)
         ]
@@ -271,9 +274,10 @@ def conjecture_sweep(
 
     `reduction` is "exchangeable" (closed form) or "full" (HiGHS LP, n <= 16).
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
-    construction_ratio, gap, status, running_inf.  The convergence of
-    lp_ratio toward e/(2(e-1)) is evidence about the best possible lower
-    constant, reported as data and never asserted.
+    construction_ratio, gap, status, running_inf.  lp_ratio tends to
+    e/(2(e-1)) along this one marginal only; other marginals go lower (see
+    the module docstring), so it bounds the best lower constant from above
+    and is reported as data, never asserted.
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")

@@ -106,11 +106,7 @@ def random_marginals(rng: np.random.Generator, max_n: int = 20) -> MarginalVecto
     return MarginalVector([float(x) for x in rng.random(n)])
 
 
-def _joint_json(joint: JointBernoulli) -> str:
-    return json.dumps(joint.to_json_dict(), separators=(",", ":"))
-
-
-def _nonneg_json(joint: NonnegJoint) -> str:
+def _joint_json(joint: JointBernoulli | NonnegJoint) -> str:
     return json.dumps(joint.to_json_dict(), separators=(",", ":"))
 
 
@@ -153,7 +149,7 @@ def _check_joint_properties(
     ez, ez2 = moments_of_z(joint)
 
     tallies["prob-hit-range-and-union-bound"].record(
-        0.0 <= m <= 1.0 + bounds.VERDICT_SLACK and m <= ez + bounds.VERDICT_SLACK, doc
+        0.0 <= m and bounds.holds(m, 1.0) and bounds.holds(m, ez), doc
     )
 
     # E[Z^2] recomputed from the pair moments must match the atom scan.
@@ -162,7 +158,9 @@ def _check_joint_properties(
     recomposed = sum(p) + 2.0 * sum(
         sm[i][j] for i in range(joint.n) for j in range(i + 1, joint.n)
     )
-    tallies["second-moment-identity"].record(abs(ez2 - recomposed) <= 1e-10, doc)
+    tallies["second-moment-identity"].record(
+        bounds.holds(ez2, recomposed) and bounds.holds(recomposed, ez2), doc
+    )
 
     tallies["pinelis-universal"].record(report.verdicts["pinelis"], doc)
     tallies["paley-zygmund-universal"].record(report.verdicts["paley_zygmund"], doc)
@@ -170,9 +168,7 @@ def _check_joint_properties(
     tallies["main-bound-under-negative-covariance"].record(
         report.verdicts["main_lower"], doc
     )
-    tallies["ratio-cap"].record(
-        report.M_tilde <= joint.n * m + bounds.VERDICT_SLACK, doc
-    )
+    tallies["ratio-cap"].record(bounds.holds(report.M_tilde, joint.n * m), doc)
 
     perm = [int(x) for x in rng.permutation(joint.n)]
     relabeled = permute_variables(joint, perm)
@@ -190,7 +186,7 @@ def _check_joint_properties(
         main = bounds.main_lower_check(joint)
         eta = bounds.eta_lower_check(joint)
         tallies["eta-reduces-to-main-when-h-zero"].record(
-            abs(eta.rhs - main.rhs) <= 1e-12, doc
+            bounds.holds(eta.rhs, main.rhs) and bounds.holds(main.rhs, eta.rhs), doc
         )
     else:
         tallies["eta-reduces-to-main-when-h-zero"].record(True, doc)
@@ -222,7 +218,7 @@ def _strictly_increasing_map(rng: np.random.Generator):
 def _check_nonneg_properties(
     joint: NonnegJoint, rng: np.random.Generator, tallies: dict[str, PropertyResult]
 ) -> None:
-    doc = _nonneg_json(joint)
+    doc = _joint_json(joint)
     try:
         check = continuous.decoupling_check_cont(joint)
     except RuntimeError:
@@ -402,7 +398,7 @@ def run_battery(seed: int, trials: int) -> list[PropertyResult]:
         marg = random_marginals(marg_rng)
         g, _ = bounds.g_function(marg)
         tallies["g-nonnegative"].record(
-            g >= -1e-12, json.dumps({"kind": "marginals", "p": list(marg.p)})
+            bounds.holds(0.0, g), json.dumps({"kind": "marginals", "p": list(marg.p)})
         )
 
     _check_family_properties(tallies)

@@ -2,6 +2,7 @@
 randomized universality sweeps."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from maxdecouple import (
     prob_hit_independent,
     product,
 )
-from maxdecouple import dist
+from maxdecouple import bounds, dist
 from test_dist import duplicate_variables, random_sparse_joint
 
 
@@ -287,6 +288,53 @@ class TestFullReport:
         assert report.verdicts["main_lower_applicable"] is False
         assert report.universal_ok
         assert peak < 64 * 2**20
+
+
+def wide_random_joints(count, seed=1):
+    """Valid joints of 2-5 random atoms over 500 to 14,000 variables: S
+    reaches the thousands, so F = S*G reaches 10^7."""
+    rng = random.Random(seed)
+    joints = []
+    for _ in range(count):
+        n = rng.choice((500, 2000, 8000, 14000))
+        size = rng.randint(2, 5)
+        masks = set()
+        while len(masks) < size:
+            masks.add(rng.getrandbits(n))
+        weights = [rng.random() + 1e-3 for _ in masks]
+        total = sum(weights)
+        joints.append(JointBernoulli(n, {m: w / total for m, w in zip(sorted(masks), weights)}))
+    return joints
+
+
+def inflate_f(monkeypatch, factor):
+    """Make `full_report` see F = S*G off by `factor`."""
+    real = bounds.g_function
+    monkeypatch.setattr(
+        bounds, "g_function", lambda p: real(p)._replace(f=real(p).f * factor)
+    )
+
+
+class TestScaleAwareVerdicts:
+    def test_holds_is_relative_to_the_larger_term(self):
+        assert bounds.holds(1.0 + 0.5e-12, 1.0) and not bounds.holds(1.0 + 2e-12, 1.0)
+        assert bounds.holds(1e6 + 0.5e-6, 1e6) and not bounds.holds(1e6 + 2e-6, 1e6)
+        # Below 1 the slack stays absolute: G = -0.5e-12 is rounding.
+        assert bounds.holds(0.0, -0.5e-12) and not bounds.holds(0.0, -2e-12)
+
+    def test_wide_joints_are_universal_ok(self):
+        # F is about 1.1e6 for the first joint; rounding alone moves it
+        # past a fixed slack of 1e-10.
+        joints = [comonotone(1500, 0.7), comonotone(2500, 0.3)]
+        for j in joints + wide_random_joints(60):
+            report = full_report(j)
+            assert report.universal_ok, (j.n, report.F, report.verdicts)
+
+    def test_relative_error_in_f_is_still_a_violation(self, monkeypatch):
+        inflate_f(monkeypatch, 1 + 1e-9)
+        for j in (conjectured_extremal(3), comonotone(1500, 0.7)):
+            report = full_report(j)
+            assert not report.verdicts["factorization"] and not report.universal_ok
 
 
 def distinct_columns_joint(atoms, n):

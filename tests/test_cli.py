@@ -13,7 +13,7 @@ import pytest
 from maxdecouple import JointBernoulli, cli, conjectured_extremal
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
-from test_bounds import distinct_columns_joint
+from test_bounds import distinct_columns_joint, inflate_f
 
 
 def write_json(path, payload):
@@ -116,6 +116,16 @@ class TestReport:
         assert main(["report", "--in", path]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdicts"]["main_lower_applicable"] is False
+
+    def test_wide_comonotone_exits_zero(self, tmp_path, capsys):
+        # F = S*G is about 1.1e6 here, where a fixed slack of 1e-10 on the
+        # factorization identity reported this valid joint as a bug.
+        path = str(tmp_path / "como.json")
+        flags = ["--family", "comonotone", "--n", "1500", "--eps", "0.7"]
+        assert main(["construct", *flags, "--out", path]) == EXIT_OK
+        for fmt in ("json", "csv"):
+            assert main(["report", "--in", path, "--format", fmt]) == EXIT_OK
+        assert "factorization=true" in capsys.readouterr().out
 
     def test_nonneg_joint_report(self, tmp_path, capsys):
         path = write_json(
@@ -423,3 +433,12 @@ class TestInvariantExitCode:
 
         monkeypatch.setattr(cli.bounds, "full_report", poisoned)
         assert main(["report", "--in", extremal3_file]) == EXIT_INVARIANT
+
+    def test_relative_error_in_f_exits_two(self, monkeypatch, tmp_path, capsys):
+        path = str(tmp_path / "como.json")
+        flags = ["--family", "comonotone", "--n", "1500", "--eps", "0.7"]
+        assert main(["construct", *flags, "--out", path]) == EXIT_OK
+        inflate_f(monkeypatch, 1 + 1e-9)
+        for fmt in ("json", "csv"):
+            assert main(["report", "--in", path, "--format", fmt]) == EXIT_INVARIANT
+        assert "factorization=false" in capsys.readouterr().out

@@ -30,7 +30,7 @@ from maxdecouple import (
     MarginalVector,
 )
 from maxdecouple import continuous
-from maxdecouple.continuous import ORTHANT_SLACK
+from maxdecouple.continuous import ORTHANT_SLACK, ContinuousCheck
 from test_dist import random_sparse_joint
 
 
@@ -243,6 +243,15 @@ class TestLayerCake:
         )
         with pytest.raises(RuntimeError):
             expected_max(NonnegJoint(2, [((1e9, 2e9), 0.5), ((3e9, 0.0), 0.5)]))
+
+
+class TestUniversalOk:
+    def test_lower_bound_counts_only_under_the_orthant_condition(self):
+        # Fields: emax, emax_ind, upper_holds, pairwise_ok, lower_holds.
+        assert ContinuousCheck(1.0, 1.0, True, True, True).universal_ok
+        assert ContinuousCheck(1.0, 3.0, True, False, False).universal_ok
+        assert not ContinuousCheck(1.0, 3.0, True, True, False).universal_ok
+        assert not ContinuousCheck(2.0, 1.0, False, False, True).universal_ok
 
 
 class TestEmbeddingVerdictAgreement:

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from maxdecouple import (
+    CONJECTURED_LOWER_CONSTANT,
     JointBernoulli,
     MarginalVector,
     build_full_lp,
@@ -15,6 +16,7 @@ from maxdecouple import (
     conjectured_extremal,
     exchangeable_optimum,
     expand_exchangeable,
+    full_report,
     is_pairwise_independent,
     marginals,
     min_ratio,
@@ -24,6 +26,7 @@ from maxdecouple import (
     second_moments,
     solve,
 )
+from maxdecouple import optimize
 from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES
 
 
@@ -236,6 +239,30 @@ class TestWitnessRoundTrip:
         totals = oracles.oracle_exchangeable_weights(3, dict(j.atoms))
         for got, want in zip(totals, weights):
             assert got == pytest.approx(float(want), abs=1e-15)
+
+    def test_three_hot_witness_at_n17_falls_below_the_constant(self):
+        # p = 2/(n-1): Z is 0 or 3, and the 3-subsets spread exchangeably
+        # make the law exactly pairwise independent.
+        solution = exchangeable_optimum(17, Fraction(1, 8))
+        support = {k: w for k, w in enumerate(solution.weights_exact) if w}
+        assert support == {0: Fraction(7, 24), 3: Fraction(17, 24)}
+        witness = expand_exchangeable(17, solution.weights_exact)
+        assert len(witness.atoms) == 1 + math.comb(17, 3) == 681
+        report = full_report(witness)
+        assert report.universal_ok
+        assert is_pairwise_independent(witness, 1e-12)
+        ratio = report.M / report.M_tilde
+        assert round(ratio, 6) == 0.789941 and ratio < CONJECTURED_LOWER_CONSTANT
+
+    def test_atom_cap_is_checked_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated masks past the cap")
+
+        monkeypatch.setattr(optimize, "combinations", refuse)
+        weights = [Fraction(0)] * 41
+        weights[20] = Fraction(1)
+        with pytest.raises(ValueError, match=f"{math.comb(40, 20)} atoms"):
+            expand_exchangeable(40, weights)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
