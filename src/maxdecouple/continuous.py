@@ -6,10 +6,10 @@ for t >= 0 the variables 1{X_i > t} form a Bernoulli family, and
 E[max X_i] is the integral of P(max > t) over t.  With finite support that
 integral is an exact finite sum over the sorted distinct support values
 (left endpoints, since the indicators use strict '> t'), so no quadrature
-is involved anywhere.  Each joint is swept once, on first use: at every
-support threshold the indicator table goes through the Bernoulli one-pass
-summary (`dist._summarize`), and three scalars are kept per threshold,
-P(max > t), its independent counterpart and the largest pair excess.
+is involved anywhere.  Each joint is swept once, on first use: the
+indicator tables of a block of support thresholds go through the Bernoulli
+summary kernel (`dist._summarize`) as one stack, keeping three scalars per
+threshold: P(max > t), its independent counterpart and the largest excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
@@ -29,13 +29,18 @@ import numpy as np
 
 from .bounds import PINELIS_CONSTANT, holds
 from .constructions import is_prime
-from .dist import JointBernoulli, prob_hit_independent
+from .dist import JointBernoulli
 from .dist import _check_unit_mass, _check_variable_count, _json_number
 from .dist import _read_document, _summarize
 from .errors import InvalidDistributionError
 
 # Slack for the per-threshold orthant comparison, a probability-scale check.
 ORTHANT_SLACK = 1e-12
+
+# Cells per `_summarize` call of the threshold sweep, counting each
+# threshold's atoms x n indicators and n x n pair cells, so that a wide joint
+# with few atoms, whose classes a block would multiply, gets one per call.
+SWEEP_BLOCK = 1 << 17
 
 
 def _check_finite_nonneg(x: float, what: str) -> float:
@@ -78,19 +83,23 @@ class NonnegJoint:
 
     @cached_property
     def _thresholds(self) -> "_ThresholdSweep":
-        """One summary of the indicators 1{X_i > t} per support value t
-        below the largest; nothing exceeds the largest, so its survival is
-        never integrated and it has no pair excess to check."""
+        """Summaries of 1{X_i > t} at each support value t below the largest
+        (never exceeded: no survival to integrate, no excess to check), a
+        block of thresholds per call; P(max X~ > t) = 1 - prod P(X_i <= t),
+        multiplied left to right."""
         values = np.array([vec for vec, _ in self.atoms], dtype=np.float64)
         weights = np.array([prob for _, prob in self.atoms], dtype=np.float64)
         grid = sorted({0.0}.union(*(vec for vec, _ in self.atoms)))
-        sweep = _ThresholdSweep(grid, [], [], [])
-        for t in grid[:-1]:
-            summary = _summarize(values > t, weights)
-            sweep.hit.append(summary.prob_hit)
-            sweep.hit_independent.append(prob_hit_independent(summary.marginals))
-            sweep.max_excess.append(summary.max_excess)
-        return sweep
+        cuts = np.array(grid[:-1])
+        block = max(1, SWEEP_BLOCK // (values.size + self.n * self.n))
+        hit, none, excess = np.empty((3, len(cuts)))
+        for start in range(0, len(cuts), block):
+            part = slice(start, start + block)
+            summary = _summarize(values > cuts[part, None, None], weights)
+            hit[part] = summary.prob_hit
+            none[part] = np.cumprod(1.0 - summary.marginals, axis=1)[:, -1]
+            excess[part] = summary.max_excess
+        return _ThresholdSweep(grid, hit.tolist(), (1.0 - none).tolist(), excess.tolist())
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,11 +11,13 @@ The hit count Z = sum_i X_i of an atom is the popcount of its mask; it is
 never stored, always derived.
 
 Every operation reads one `JointSummary`, built by a single scan of the
-atom table on first use and cached on the joint.  Pair data is kept per
-column class (variables that fire on the same atoms), so a wide joint with
-few distinct columns costs no n x n memory.  The summary's arrays are
-sized before they are allocated: a joint whose summary would need more
-than `SUMMARY_BUDGET` bytes is rejected with its size in the message.
+atom table on first use and cached on the joint.  The scan is the kernel
+`_summarize` over a stack of g tables: a joint is one, and the continuous
+module stacks the indicators of g thresholds.  Pair data is kept per column
+class (variables that fire on the same atoms in every table), so a wide
+joint with few distinct columns costs no n x n memory.  The kernel sizes
+its arrays before it allocates them: a summary that would need more than
+`SUMMARY_BUDGET` bytes is rejected with its size in the message.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +38,8 @@ NORMALIZATION_TOL = 1e-12
 # atom tables may use larger n as long as their support stays small.
 DENSE_VARIABLE_LIMIT = 24
 
-# Bytes one joint's summary may allocate: the atoms x n bit table, then the
-# atom x class float tables and the d x d pair matrices of `_summarize`.
+# Bytes one summary may allocate: the atoms x n bit table, then the atom x
+# class float tables and the d x d pair matrices of each `_summarize` table.
 SUMMARY_BUDGET = 1 << 30
 
 # Draws per chunk of the sampling kernel: large enough that numpy's per-call
@@ -147,7 +149,9 @@ class JointBernoulli:
         raw = b"".join(mask.to_bytes(width, "little") for mask, _ in self.atoms)
         table = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.atoms), width)
         bits = np.unpackbits(table, axis=1, count=self.n, bitorder="little")
-        return _summarize(bits.view(bool), np.array(self.probs, dtype=np.float64))
+        s = _summarize(bits.view(bool), np.array(self.probs, dtype=np.float64))
+        p = MarginalVector(s.marginals[0].tolist(), _summed_slack(len(self.atoms)))
+        return JointSummary(p, s.classes, s.pair_moments[0], *(x[0].item() for x in s[3:]))
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -192,17 +196,12 @@ class MarginalVector:
 
     p: tuple[float, ...]
 
-    def __init__(self, p: Sequence[float]):
+    def __init__(self, p: Sequence[float], slack: float = NORMALIZATION_TOL):
+        """A value may pass 1 by `slack`, `_summed_slack` if summed."""
         vec = tuple(float(x) for x in p)
         if not vec:
             raise InvalidDistributionError("marginal vector must be nonempty")
-        lo, hi = min(vec), max(vec)
-        # Upper slack matches the atom-table normalization tolerance: masked
-        # sums of a valid table can exceed 1 by at most that much.
-        if lo < 0.0 or hi > 1.0 + NORMALIZATION_TOL:
-            raise InvalidDistributionError(
-                f"marginals must lie in [0, 1]; found value {lo if lo < 0 else hi!r}"
-            )
+        _check_marginal_range(min(vec), max(vec), slack)
         object.__setattr__(self, "p", vec)
 
     @property
@@ -269,26 +268,40 @@ class EtaMatrix:
         object.__setattr__(self, "total", float(total))
 
 
-@dataclass(frozen=True, eq=False)
-class JointSummary:
+class JointSummary(NamedTuple):
     """Everything the Bernoulli bounds read from a joint, from one scan.
 
     `classes[i]` is the column class of variable i (variables that fire on
     the same atoms share one) and `pair_moments` the d x d class matrix of
     P(X_i = 1, X_j = 1).  Over ordered pairs i != j, `h` totals
     max(0, E[X_i X_j] - p_i p_j); `max_excess` and `max_abs_excess` are the
-    largest signed and absolute excess (-inf and 0 when n = 1).
+    largest signed and absolute excess (-inf and 0 when n = 1).  For a
+    stack of g tables, `_summarize` gives every field but `classes` a
+    leading axis of length g, with the marginals a g x n array.
     """
 
     marginals: MarginalVector
+    classes: np.ndarray
+    pair_moments: np.ndarray
     prob_hit: float
     ez: float
     ez2: float
-    classes: np.ndarray
-    pair_moments: np.ndarray
     h: float
     max_excess: float
     max_abs_excess: float
+
+
+def _check_marginal_range(lo: float, hi: float, slack: float) -> None:
+    if lo < 0.0 or hi > 1.0 + slack:
+        raise InvalidDistributionError(
+            f"marginals must lie in [0, 1]; found value {lo if lo < 0 else hi!r}"
+        )
+
+
+def _summed_slack(atoms: int) -> float:
+    """How far a left-to-right sum of a valid table's `atoms` weights can
+    pass 1: NORMALIZATION_TOL of mass, plus an ulp (2^-52) per addition."""
+    return NORMALIZATION_TOL + atoms * 2.0**-52
 
 
 def _check_budget(what: str, nbytes: int) -> None:
@@ -300,50 +313,57 @@ def _check_budget(what: str, nbytes: int) -> None:
 
 
 def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
-    """One scan of an atoms x n boolean table weighted by atom probability.
+    """One scan of a g x atoms x n boolean stack (an atoms x n table is the
+    stack of one), weighted by atom probability.
 
     The atom-level sums (marginals, P(Z > 0), E Z, E Z^2) run left to right
-    in atom order through np.cumsum, so each equals the plain loop over the
-    table.  Pair data is per column class, numbered by first appearance so
-    that distinct columns keep their order; the k_a variables of class a
-    make k_a (k_a - 1) ordered pairs, each with moment p_a.
+    in atom order through np.cumsum, so each equals the plain loop over its
+    table.  Pair data is per column class, keyed on a column's bits in every
+    table and numbered by first appearance so that distinct columns keep
+    their order; the k_a variables of class a make k_a (k_a - 1) ordered
+    pairs, each with moment p_a.
     """
-    keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
+    bits = bits.reshape(-1, *bits.shape[-2:])
+    g, atoms, n = bits.shape
+    packed = np.packbits(bits, axis=1).transpose(2, 0, 1).reshape(n, -1)
+    keys = [col.tobytes() for col in packed]
     rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
     classes = np.array([rank[key] for key in keys])
-    atoms, d = len(weights), len(rank)
-    # At the peak: three atoms x (d + 3) float tables and six d x d matrices.
+    d = len(rank)
+    # At the peak, per table: three atoms x (d + 3) float tables, six d x d.
     _check_budget(
-        f"the tables of {d} column classes over {atoms} atoms",
-        8 * (3 * atoms * (d + 3) + 6 * d * d),
+        f"the tables of {d} column classes over {atoms} atoms"
+        + (f" at {g} thresholds" if g > 1 else ""),
+        8 * g * (3 * atoms * (d + 3) + 6 * d * d),
     )
     _, first, k = np.unique(classes, return_index=True, return_counts=True)
-    table = bits[:, first].astype(np.float64)
+    table = bits[:, :, first].astype(np.float64)
 
     z = table @ k.astype(np.float64)  # hit count of each atom
-    weighted = np.column_stack([table, z > 0, z, z * z]) * weights[:, None]
-    sums = np.cumsum(weighted, axis=0)[-1]
-    p, (prob_hit, ez, ez2) = sums[:d], sums[d:]
+    weighted = np.dstack([table, z > 0, z, z * z]) * weights[:, None]
+    sums = np.cumsum(weighted, axis=1)[:, -1]
+    p, (prob_hit, ez, ez2) = sums[:, :d], sums[:, d:].T
+    _check_marginal_range(float(p.min()), float(p.max()), _summed_slack(atoms))
 
-    # Mirror the upper triangle and pin the diagonal to the marginals so the
+    # Mirror the upper triangle and pin the diagonal to the marginals so each
     # matrix is exactly symmetric with m[a][a] = p_a by definition.
-    m = weighted[:, :d].T @ table
-    m = np.where(np.arange(d)[:, None] <= np.arange(d), m, m.T)
-    np.fill_diagonal(m, p)
+    m = weighted[:, :, :d].transpose(0, 2, 1) @ table
+    m = np.where(np.arange(d)[:, None] <= np.arange(d), m, m.transpose(0, 2, 1))
+    m[:, np.arange(d), np.arange(d)] = p
     m.setflags(write=False)
-    excess = m - np.outer(p, p)
+    excess = m - p[:, :, None] * p[:, None, :]
     pairs = np.outer(k, k) - np.diag(k)  # ordered pairs per class pair
-    paired = excess[pairs > 0]
+    paired = excess[:, pairs > 0]
     return JointSummary(
-        marginals=MarginalVector(p[classes].tolist()),
-        prob_hit=float(prob_hit),
-        ez=float(ez),
-        ez2=float(ez2),
+        marginals=p[:, classes],
         classes=classes,
         pair_moments=m,
-        h=float((pairs * np.maximum(excess, 0.0)).sum()),
-        max_excess=float(paired.max()) if paired.size else -math.inf,
-        max_abs_excess=float(np.abs(paired).max()) if paired.size else 0.0,
+        prob_hit=prob_hit,
+        ez=ez,
+        ez2=ez2,
+        h=(pairs * np.maximum(excess, 0.0)).reshape(g, -1).sum(axis=1),
+        max_excess=paired.max(axis=1, initial=-math.inf),
+        max_abs_excess=np.abs(paired).max(axis=1, initial=0.0),
     )
 
 

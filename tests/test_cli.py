@@ -10,7 +10,8 @@ import tracemalloc
 
 import pytest
 
-from maxdecouple import JointBernoulli, cli, conjectured_extremal
+from maxdecouple import JointBernoulli, NonnegJoint, affine_hash_values, cli, conjectured_extremal
+from maxdecouple import dist
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
 from test_bounds import distinct_columns_joint, inflate_f
@@ -89,6 +90,29 @@ class TestReport:
         assert main(["report", "--in", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "too large" in err and "12000 column classes over 14 atoms" in err
+
+    def test_nonneg_joint_over_budget_exits_one_naming_size(self, tmp_path, monkeypatch, capsys):
+        values = [float(v) for v in range(1, 21)]
+        joint = affine_hash_values(4, 5, [values[i * 5:(i + 1) * 5] for i in range(4)])
+        path = write_json(tmp_path / "affine.json", joint.to_json_dict())
+        # 20 thresholds of 25 atoms and 4 column classes: 8 x 20 x (3 x 25 x 7 + 6 x 16).
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 99_359)
+        assert main(["report", "--in", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "too large" in err
+        assert "4 column classes over 25 atoms at 20 thresholds needs 99360 bytes" in err
+
+    def test_marginals_summed_past_one_by_rounding_exit_zero(self, tmp_path, capsys):
+        # Mass exactly 1 by fsum, but the first variable fires on every atom,
+        # and its marginal summed left to right passes 1 + 1e-12.
+        k = 40_000
+        assert sum([1 / k] * k) > 1 + 1e-12
+        joint = JointBernoulli(20, {2 * i + 1: 1 / k for i in range(k)})
+        nonneg = NonnegJoint(2, [((1.0, float(i % 2)), 1 / k) for i in range(k)])
+        for name, doc in (("bern", joint.to_json_dict()), ("nonneg", nonneg.to_json_dict())):
+            path = write_json(tmp_path / f"{name}.json", doc)
+            assert main(["report", "--in", path]) == EXIT_OK
+        assert "marginals must lie" not in capsys.readouterr().err
 
     def test_unparseable_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"

@@ -303,7 +303,7 @@ class TestOrthantAgainstOracle:
             verdicts.append(got)
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
-    def test_one_summary_per_threshold(self, monkeypatch):
+    def test_one_summary_per_block(self, monkeypatch):
         calls = []
         summarize = continuous._summarize
 
@@ -312,12 +312,76 @@ class TestOrthantAgainstOracle:
             return summarize(bits, weights)
 
         monkeypatch.setattr(continuous, "_summarize", counting)
-        joint = lattice_nonneg(np.random.default_rng(62))
-        decoupling_check_cont(joint)
-        expected_max(joint)
-        grid = {0.0}.union(*(values for values, _ in joint.atoms))
+        joint = random_nonneg(np.random.default_rng(62))
+        atoms, n = len(joint.atoms), joint.n
         # Nothing exceeds the largest value, so it needs no summary.
-        assert calls == [(len(joint.atoms), joint.n)] * (len(grid) - 1)
+        thresholds = len({0.0}.union(*(values for values, _ in joint.atoms))) - 1
+        assert thresholds > 4
+        cells = atoms * n + n * n
+        for sweep_block in (continuous.SWEEP_BLOCK, 2 * cells, cells):
+            monkeypatch.setattr(continuous, "SWEEP_BLOCK", sweep_block)
+            calls.clear()
+            fresh = NonnegJoint(n, joint.atoms)
+            decoupling_check_cont(fresh)
+            expected_max(fresh)
+            block = max(1, sweep_block // cells)
+            assert len(calls) == -(-thresholds // block)
+            assert all(shape[1:] == (atoms, n) and shape[0] <= block for shape in calls)
+            assert sum(shape[0] for shape in calls) == thresholds
+
+
+def one_threshold_sweep(joint):
+    """P(max > t) and P(max~ > t) at each threshold below the largest, one
+    threshold at a time by plain loops in atom order."""
+    grid = sorted({0.0}.union(*(values for values, _ in joint.atoms)))
+    hit, hit_independent = [], []
+    for t in grid[:-1]:
+        total = 0.0
+        p = [0.0] * joint.n
+        for values, prob in joint.atoms:
+            if max(values) > t:
+                total += prob
+            for i, v in enumerate(values):
+                if v > t:
+                    p[i] += prob
+        hit.append(total)
+        hit_independent.append(1.0 - math.prod(1.0 - x for x in p))
+    return grid, hit, hit_independent
+
+
+def sweep_joints(rng):
+    yield from (random_nonneg(rng) for _ in range(60))
+    yield from (lattice_nonneg(rng) for _ in range(60))
+    for q, n in ((5, 4), (7, 7), (11, 9)):
+        values = rng.permutation(np.arange(1, n * q + 1)) * 0.5
+        yield affine_hash_values(n, q, [values[i * q:(i + 1) * q] for i in range(n)])
+        values = rng.integers(0, 3, size=n * q)
+        yield affine_hash_values(n, q, [values[i * q:(i + 1) * q] for i in range(n)])
+
+
+class TestThresholdSweep:
+    def test_hit_probabilities_equal_one_threshold_reference(self):
+        for joint in sweep_joints(np.random.default_rng(63)):
+            sweep = joint._thresholds
+            grid, hit, hit_independent = one_threshold_sweep(joint)
+            assert sweep.grid == grid
+            assert sweep.hit == hit
+            assert sweep.hit_independent == hit_independent
+
+    def test_many_blocks_match_one_block(self, monkeypatch):
+        joints = list(sweep_joints(np.random.default_rng(64)))
+        monkeypatch.setattr(continuous, "SWEEP_BLOCK", 2**40)
+        whole = [j._thresholds for j in joints]
+        for joint, one in zip(joints, whole):
+            atoms, n = len(joint.atoms), joint.n
+            # Three thresholds per block.
+            monkeypatch.setattr(continuous, "SWEEP_BLOCK", 3 * (atoms * n + n * n))
+            split = NonnegJoint(n, joint.atoms)._thresholds
+            assert (split.grid, split.hit, split.hit_independent) == one[:3]
+            # Pair moments sum over other column classes, hence the ulps.
+            np.testing.assert_allclose(
+                split.max_excess, one.max_excess, rtol=0, atol=4 * atoms * 2.0**-52
+            )
 
 
 class TestMonotoneTransformInvariance:
