@@ -204,9 +204,11 @@ def _cmd_sample(args) -> int:
     joint = _load_joint_file(args.input)
     if not isinstance(joint, JointBernoulli):
         raise InvalidDistributionError("sample requires a bernoulli-joint file")
-    # One NUL-padded b"<mask>\n" row per atom; a chunk of draws gathers its
-    # rows and drops the padding, so memory stays O(atoms + chunk).
-    lines = np.array([b"%d\n" % mask for mask in joint.masks])
+    # One NUL-padded b"<mask>\n" row per atom, as wide as the last (largest)
+    # mask's; a chunk of draws gathers its rows and drops the padding, so
+    # memory stays O(atoms + chunk).
+    width = len(b"%d\n" % joint.masks[-1])
+    lines = np.array([b"%d\n" % mask for mask in joint.masks], dtype=f"S{width}")
     table = lines.view(np.uint8).reshape(len(lines), -1)
     for idx in _sample_indices(joint, args.seed, args.count):
         rows = table[idx]

@@ -6,10 +6,12 @@ for t >= 0 the variables 1{X_i > t} form a Bernoulli family, and
 E[max X_i] is the integral of P(max > t) over t.  With finite support that
 integral is an exact finite sum over the sorted distinct support values
 (left endpoints, since the indicators use strict '> t'), so no quadrature
-is involved anywhere.  Each joint is swept once, on first use: the
-indicator tables of a block of support thresholds go through the Bernoulli
-summary kernel (`dist._summarize`) as one stack, keeping three scalars per
-threshold: P(max > t), its independent counterpart and the largest excess.
+is involved anywhere.  A joint's values are read into one atoms x n float
+array at load, checked there with its weights, and kept.  Each joint is
+swept once, on first use: the indicator tables of a block of support
+thresholds, cut from that array, go through the Bernoulli summary kernel
+(`dist._summarize`) as one stack, keeping three scalars per threshold:
+P(max > t), its independent counterpart and the largest excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
@@ -23,6 +25,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,8 +33,8 @@ import numpy as np
 from .bounds import PINELIS_CONSTANT, holds
 from .constructions import is_prime
 from .dist import JointBernoulli
-from .dist import _check_unit_mass, _check_variable_count, _json_number
-from .dist import _read_document, _summarize
+from .dist import _check_number, _check_unit_mass, _check_variable_count
+from .dist import _first, _float_array, _gather, _read_document, _summarize
 from .errors import InvalidDistributionError
 
 # Slack for the per-threshold orthant comparison, a probability-scale check.
@@ -54,32 +57,51 @@ def _check_finite_nonneg(x: float, what: str) -> float:
 class NonnegJoint:
     """Finite-support joint law of n nonnegative real variables.
 
-    Atoms are (value-vector, probability) pairs, kept in construction order;
-    all summations walk that order, so results are deterministic.
+    Atoms are (value-vector, probability) pairs, kept in construction order,
+    and as the arrays `_values` (atoms x n) and `_weights`; all summations
+    walk that order, so results are deterministic.
     """
 
     n: int
     atoms: tuple[tuple[tuple[float, ...], float], ...]
 
     def __init__(self, n: int, atoms: Sequence[tuple[Sequence[float], float]]):
+        pairs = list(atoms)
+        self._load(n, [values for values, _ in pairs], [prob for _, prob in pairs])
+
+    def _load(self, n: int, rows: list, probs: list) -> None:
+        """The one load path: check every value and weight at once, then name
+        the first atom at fault, in construction order, by its first fault:
+        a value, the count of values, the weight."""
         _check_variable_count(n)
-        rows = []
-        for idx, (values, prob) in enumerate(atoms):
-            vec = tuple(
-                _check_finite_nonneg(v, f"atoms[{idx}].values[{k}]")
-                for k, v in enumerate(values)
-            )
-            if len(vec) != n:
+        rows = list(map(tuple, rows))
+        counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        flat, weights = _float_array(list(chain.from_iterable(rows))), _float_array(probs)
+        ends = np.cumsum(counts)
+        bad_value = _first(~((flat >= 0.0) & (flat < np.inf)))
+        by_value = int(np.searchsorted(ends, bad_value, "right"))
+        by_count = _first(counts != n)
+        idx = min(by_value, by_count, _first(~((weights >= 0.0) & (weights < np.inf))))
+        if idx < len(rows):  # each check below is given a bad number, and raises
+            if idx == by_value:
+                k = bad_value - ends[idx] + counts[idx]
+                _check_finite_nonneg(flat[bad_value].item(), f"atoms[{idx}].values[{k}]")
+            if idx == by_count:
                 raise InvalidDistributionError(
-                    f"atoms[{idx}] has {len(vec)} values, expected n={n}"
+                    f"atoms[{idx}] has {counts[idx]} values, expected n={n}"
                 )
-            prob = _check_finite_nonneg(prob, f"atoms[{idx}].p")
-            rows.append((vec, prob))
+            _check_finite_nonneg(weights[idx].item(), f"atoms[{idx}].p")
         if not rows:
             raise InvalidDistributionError("atom list must be nonempty")
-        _check_unit_mass(prob for _, prob in rows)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "atoms", tuple(rows))
+        probs = weights.tolist()
+        _check_unit_mass(probs)
+        values = flat.reshape(len(rows), n)
+        values.setflags(write=False)
+        weights.setflags(write=False)
+        atoms = tuple(zip(map(tuple, values.tolist()), probs))
+        for name, value in (("n", int(n)), ("atoms", atoms),
+                            ("_values", values), ("_weights", weights)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _thresholds(self) -> "_ThresholdSweep":
@@ -87,9 +109,8 @@ class NonnegJoint:
         (never exceeded: no survival to integrate, no excess to check), a
         block of thresholds per call; P(max X~ > t) = 1 - prod P(X_i <= t),
         multiplied left to right."""
-        values = np.array([vec for vec, _ in self.atoms], dtype=np.float64)
-        weights = np.array([prob for _, prob in self.atoms], dtype=np.float64)
-        grid = sorted({0.0}.union(*(vec for vec, _ in self.atoms)))
+        values, weights = self._values, self._weights
+        grid = sorted({0.0}.union(values.ravel().tolist()))
         cuts = np.array(grid[:-1])
         block = max(1, SWEEP_BLOCK // (values.size + self.n * self.n))
         hit, none, excess = np.empty((3, len(cuts)))
@@ -111,21 +132,25 @@ class NonnegJoint:
     @classmethod
     def from_json_dict(cls, obj: object) -> "NonnegJoint":
         n, raw = _read_document(obj, "nonneg-joint")
-        rows = []
-        for idx, entry in enumerate(raw):
-            if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
-                raise InvalidDistributionError(
-                    f"atoms[{idx}] must be an object with 'values' and 'p'"
-                )
-            values = entry["values"]
-            if not isinstance(values, list):
-                raise InvalidDistributionError(f"atoms[{idx}].values must be a list")
-            values = [
-                _json_number(v, f"atoms[{idx}].values[{k}]")
-                for k, v in enumerate(values)
-            ]
-            rows.append((values, _json_number(entry["p"], f"atoms[{idx}].p")))
-        return cls(n, rows)
+        columns = _gather(raw, "values", "p")
+        if columns is None or not (
+            set(map(type, columns[0])) <= {list}
+            and set(map(type, chain.from_iterable(columns[0]))) <= {int, float}
+            and set(map(type, columns[1])) <= {int, float}
+        ):
+            for idx, entry in enumerate(raw):  # name the first bad atom
+                if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
+                    raise InvalidDistributionError(
+                        f"atoms[{idx}] must be an object with 'values' and 'p'"
+                    )
+                if not isinstance(entry["values"], list):
+                    raise InvalidDistributionError(f"atoms[{idx}].values must be a list")
+                for k, v in enumerate(entry["values"]):
+                    _check_number(v, f"atoms[{idx}].values[{k}]")
+                _check_number(entry["p"], f"atoms[{idx}].p")
+        joint = cls.__new__(cls)
+        joint._load(n, *columns)
+        return joint
 
 
 class ContinuousCheck(NamedTuple):
@@ -255,8 +280,4 @@ def bernoulli_embedding(joint: JointBernoulli) -> NonnegJoint:
     The continuous operations then reproduce the Bernoulli ones exactly:
     expected_max is P(Z > 0) and expected_max_independent is P(Z~ > 0).
     """
-    atoms = [
-        (tuple(float((mask >> i) & 1) for i in range(joint.n)), prob)
-        for mask, prob in joint.atoms
-    ]
-    return NonnegJoint(joint.n, atoms)
+    return NonnegJoint(joint.n, list(zip(joint._bits().astype(np.float64), joint.probs)))

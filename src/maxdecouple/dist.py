@@ -10,8 +10,14 @@ measures true mass rather than producing a result.)
 The hit count Z = sum_i X_i of an atom is the popcount of its mask; it is
 never stored, always derived.
 
-Every operation reads one `JointSummary`, built by a single scan of the
-atom table on first use and cached on the joint.  The scan is the kernel
+A joint is read into numpy once, by the one load path that the constructor
+and `from_json_dict` share: the masks, sorted, packed into a byte table and
+the probabilities as float64, with every check run on those arrays; an
+error names the first bad atom in ascending mask order.
+
+Every operation reads one `JointSummary`, built on first use by unpacking
+the byte table into an atoms x n bit table, after the budget check, and
+scanning it once; it is cached on the joint.  The scan is the kernel
 `_summarize` over a stack of g tables: a joint is one, and the continuous
 module stacks the indicators of g thresholds.  Pair data is kept per column
 class (variables that fire on the same atoms in every table), so a wide
@@ -22,6 +28,7 @@ its arrays before it allocates them: a summary that would need more than
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,14 +59,38 @@ GUIDE_SCAN_STEPS = 4
 AtomTable = Iterable[tuple[int, float]] | Mapping[int, float]
 
 
-def _json_number(value: object, what: str) -> float:
-    """A JSON int or float (not bool) as a float, inf past the float range."""
+def _check_number(value: object, what: str) -> None:
+    """A JSON number is an int or a float, not a bool."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidDistributionError(f"{what} must be a number")
+
+
+def _as_float(value: object) -> float:
     try:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def _float_array(values: list) -> np.ndarray:
+    """`values` as float64, an int past the float range as inf."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.array(list(map(_as_float, values)), dtype=np.float64)
+
+
+def _first(flags: np.ndarray) -> int:
+    """Index of the first True in `flags`, or its length if there is none."""
+    return int(flags.argmax()) if flags.any() else len(flags)
+
+
+def _gather(raw: list, key: str, value: str) -> tuple[list, list] | None:
+    """Two fields of every atom as two lists, or None if an atom lacks one."""
+    try:
+        return [entry[key] for entry in raw], [entry[value] for entry in raw]
+    except (KeyError, TypeError):
+        return None
 
 
 def _check_variable_count(n: int) -> None:
@@ -95,71 +126,83 @@ def _read_document(obj: object, kind: str) -> tuple[int, list]:
     return n, raw
 
 
-def _normalize_atoms(n: int, atoms: AtomTable) -> tuple[tuple[int, float], ...]:
-    if isinstance(atoms, Mapping):
-        pairs = list(atoms.items())
-    else:
-        pairs = list(atoms)
-    pairs.sort(key=lambda kv: kv[0])
-    out = []
-    last_mask = -1
-    for mask, prob in pairs:
-        mask = int(mask)
-        prob = float(prob)
-        if mask == last_mask:
-            raise InvalidDistributionError(f"duplicate atom mask {mask}")
-        if mask < 0 or mask >> n:
-            raise InvalidDistributionError(
-                f"atom mask {mask} out of range for n={n} (need 0 <= mask < 2^n)"
-            )
-        if not math.isfinite(prob) or prob < 0.0:
-            raise InvalidDistributionError(
-                f"atom mask {mask} has invalid probability {prob!r}"
-            )
-        out.append((mask, prob))
-        last_mask = mask
-    _check_unit_mass(prob for _, prob in out)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class JointBernoulli:
     """Joint law of (X_1, ..., X_n) on {0,1}^n as a sparse atom table.
 
-    Immutable after construction (the cached `summary` is derived from the
-    atoms alone), so instances can be shared freely across threads.
+    The masks, ascending, and their probabilities are kept as tuples and as
+    the arrays the kernels read: `_table`, each mask's little-endian bytes
+    (as wide as the largest mask needs), and `_weights`, float64; `atoms`
+    pairs the tuples on first use.  Immutable after construction (the cached
+    values derive from the atoms alone), so instances can be shared freely.
     """
 
     n: int
-    atoms: tuple[tuple[int, float], ...]
+    masks: tuple[int, ...]
+    probs: tuple[float, ...]
 
     def __init__(self, n: int, atoms: AtomTable):
+        pairs = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
+        self._load(n, [int(mask) for mask, _ in pairs], [prob for _, prob in pairs])
+
+    def _load(self, n: int, masks: list[int], probs: list) -> None:
+        """The one load path: sort the atoms by mask, pack the masks into
+        `_table`, then check every atom at once, in the order the message
+        names the first bad one: a repeated mask, its range, its weight."""
         _check_variable_count(n)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "atoms", _normalize_atoms(int(n), atoms))
+        if not masks:
+            raise InvalidDistributionError("atom list must be nonempty")
+        weights = _float_array(probs)
+        if masks != sorted(masks):  # a stable sort: equal masks keep their order
+            order = sorted(range(len(masks)), key=masks.__getitem__)
+            masks, weights = [masks[i] for i in order], weights[order]
+        # Sorted, a negative mask comes first and masks past n bits last; the
+        # table holds the masks in range, as wide as the largest needs.
+        end = 0 if masks[0] < 0 else bisect.bisect_right(masks, n, key=int.bit_length)
+        width = max(1, (masks[end - 1].bit_length() + 7) // 8 if end else 1)
+        packed = b"".join([mask.to_bytes(width, "little") for mask in masks[:end]])
+        table = np.frombuffer(packed, dtype=np.uint8).reshape(end, width)
+        # The first atom at fault: a repeated mask (the one before the first
+        # counts as -1), a mask out of range, or a bad weight, in that order.
+        repeats = np.flatnonzero((table[1:] == table[:-1]).all(axis=1)) + 1
+        repeated = 0 if masks[0] == -1 else min(repeats, default=len(masks))
+        bad = min(repeated, end, _first(~(np.isfinite(weights) & (weights >= 0.0))))
+        if bad < len(masks):
+            mask = masks[bad]
+            if bad == repeated:
+                raise InvalidDistributionError(f"duplicate atom mask {mask}")
+            if bad == end:
+                raise InvalidDistributionError(
+                    f"atom mask {mask} out of range for n={n} (need 0 <= mask < 2^n)"
+                )
+            raise InvalidDistributionError(
+                f"atom mask {mask} has invalid probability {weights[bad].item()!r}"
+            )
+        probs = weights.tolist()
+        _check_unit_mass(probs)
+        weights.setflags(write=False)
+        for name, value in (("n", int(n)), ("masks", tuple(masks)), ("probs", tuple(probs)),
+                            ("_table", table), ("_weights", weights)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[int, float], ...]:
+        """(mask, probability) pairs, ascending by mask."""
+        return tuple(zip(self.masks, self.probs))
+
+    def _bits(self) -> np.ndarray:
+        """The atoms x n table of 0/1 bytes, bit i of each mask in column i."""
+        return np.unpackbits(self._table, axis=1, count=self.n, bitorder="little")
 
     @cached_property
     def summary(self) -> "JointSummary":
-        """The one-scan summary every operation reads, built on first use.
-        The bit table comes from each mask's bytes, so any n works."""
-        _check_budget(
-            f"the {len(self.atoms)} x {self.n} bit table", len(self.atoms) * self.n
-        )
-        width = (self.n + 7) // 8
-        raw = b"".join(mask.to_bytes(width, "little") for mask, _ in self.atoms)
-        table = np.frombuffer(raw, dtype=np.uint8).reshape(len(self.atoms), width)
-        bits = np.unpackbits(table, axis=1, count=self.n, bitorder="little")
-        s = _summarize(bits.view(bool), np.array(self.probs, dtype=np.float64))
-        p = MarginalVector(s.marginals[0].tolist(), _summed_slack(len(self.atoms)))
+        """The one-scan summary every operation reads, built on first use
+        by unpacking `_table`, after the budget check."""
+        atoms = len(self.masks)
+        _check_budget(f"the {atoms} x {self.n} bit table", atoms * self.n)
+        s = _summarize(self._bits().view(bool), self._weights)
+        p = MarginalVector(s.marginals[0].tolist(), _summed_slack(atoms))
         return JointSummary(p, s.classes, s.pair_moments[0], *(x[0].item() for x in s[3:]))
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(mask for mask, _ in self.atoms)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(prob for _, prob in self.atoms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,19 +214,25 @@ class JointBernoulli:
     @classmethod
     def from_json_dict(cls, obj: object) -> "JointBernoulli":
         n, raw = _read_document(obj, "bernoulli-joint")
-        pairs = []
-        for idx, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise InvalidDistributionError(f"atoms[{idx}] must be an object")
-            if "mask" not in entry or "p" not in entry:
-                raise InvalidDistributionError(
-                    f"atoms[{idx}] needs 'mask' and 'p' fields"
-                )
-            mask = entry["mask"]
-            if not isinstance(mask, int) or isinstance(mask, bool):
-                raise InvalidDistributionError(f"atoms[{idx}].mask must be an integer")
-            pairs.append((mask, _json_number(entry["p"], f"atoms[{idx}].p")))
-        return cls(n, pairs)
+        columns = _gather(raw, "mask", "p")
+        if columns is None or not (
+            set(map(type, columns[0])) <= {int} and set(map(type, columns[1])) <= {int, float}
+        ):
+            for idx, entry in enumerate(raw):  # name the first bad atom
+                if not isinstance(entry, dict):
+                    raise InvalidDistributionError(f"atoms[{idx}] must be an object")
+                if "mask" not in entry or "p" not in entry:
+                    raise InvalidDistributionError(
+                        f"atoms[{idx}] needs 'mask' and 'p' fields"
+                    )
+                mask = entry["mask"]
+                if not isinstance(mask, int) or isinstance(mask, bool):
+                    raise InvalidDistributionError(f"atoms[{idx}].mask must be an integer")
+                _check_number(entry["p"], f"atoms[{idx}].p")
+            columns = [int(mask) for mask in columns[0]], columns[1]
+        joint = cls.__new__(cls)
+        joint._load(n, *columns)
+        return joint
 
 
 @dataclass(frozen=True)
@@ -446,7 +495,7 @@ def _sample_indices(joint: JointBernoulli, seed: int, count: int) -> Iterator[np
     call, so the chunk size changes no draw; the cumulative masses are
     summed left to right in table order.
     """
-    table = _GuideTable(np.cumsum(np.array(joint.probs, dtype=np.float64)))
+    table = _GuideTable(np.cumsum(joint._weights))
     rng = np.random.default_rng(seed)
     for start in range(0, count, SAMPLE_CHUNK):
         yield table.indices(rng.random(min(SAMPLE_CHUNK, count - start)))
@@ -475,11 +524,9 @@ def permute_variables(joint: JointBernoulli, perm: Sequence[int]) -> JointBernou
     """Relabel variables: new variable perm[i] is old variable i."""
     if sorted(perm) != list(range(joint.n)):
         raise ValueError(f"perm must be a permutation of 0..{joint.n - 1}")
-    table = {}
-    for mask, prob in joint.atoms:
-        new_mask = 0
-        for i in range(joint.n):
-            if (mask >> i) & 1:
-                new_mask |= 1 << perm[i]
-        table[new_mask] = prob
-    return JointBernoulli(joint.n, table)
+    bits = joint._bits()
+    moved = np.empty_like(bits)
+    moved[:, perm] = bits
+    packed = np.packbits(moved, axis=1, bitorder="little")
+    masks = [int.from_bytes(row, "little") for row in packed]
+    return JointBernoulli(joint.n, zip(masks, joint.probs))

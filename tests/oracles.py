@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 
 from exact_simplex import solve_exact
@@ -315,3 +316,115 @@ def _det3(m: list[list[Fraction]]) -> Fraction:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+# --- Reference joint loaders ------------------------------------------------
+# The per-atom loops that read and checked joints before loading became one
+# vectorised pass per kind.  They are kept here, messages and all, so that a
+# differential test can hold the vectorised loader to them: the same atoms,
+# or the same first offending atom named in the same words.  The one change
+# is the empty atom list, now refused by name for both kinds.
+
+
+class OracleReject(ValueError):
+    """An input the reference loader refuses, with the package's message."""
+
+
+def _oracle_json_number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise OracleReject(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _oracle_check_unit_mass(probs) -> None:
+    if not probs:
+        raise OracleReject("atom list must be nonempty")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise OracleReject(
+            f"probabilities sum to {total!r}, deviation {total - 1.0!r} "
+            f"exceeds tolerance 1e-12"
+        )
+
+
+def oracle_bernoulli_atoms(n: int, atoms) -> tuple[tuple[int, float], ...]:
+    """`JointBernoulli(n, atoms).atoms`: sort by mask, then check each atom
+    in that order for a repeated mask, its range and its probability."""
+    pairs = list(atoms.items()) if isinstance(atoms, dict) else list(atoms)
+    pairs.sort(key=lambda kv: kv[0])
+    out = []
+    last_mask = -1
+    for mask, prob in pairs:
+        mask = int(mask)
+        prob = float(prob)
+        if mask == last_mask:
+            raise OracleReject(f"duplicate atom mask {mask}")
+        if mask < 0 or mask >> n:
+            raise OracleReject(
+                f"atom mask {mask} out of range for n={n} (need 0 <= mask < 2^n)"
+            )
+        if not math.isfinite(prob) or prob < 0.0:
+            raise OracleReject(f"atom mask {mask} has invalid probability {prob!r}")
+        out.append((mask, prob))
+        last_mask = mask
+    _oracle_check_unit_mass([prob for _, prob in out])
+    return tuple(out)
+
+
+def oracle_bernoulli_from_json(obj: dict) -> tuple[tuple[int, float], ...]:
+    """`JointBernoulli.from_json_dict(obj).atoms` for a document whose kind,
+    n and atom list are well formed: field types in file order first."""
+    pairs = []
+    for idx, entry in enumerate(obj["atoms"]):
+        if not isinstance(entry, dict):
+            raise OracleReject(f"atoms[{idx}] must be an object")
+        if "mask" not in entry or "p" not in entry:
+            raise OracleReject(f"atoms[{idx}] needs 'mask' and 'p' fields")
+        mask = entry["mask"]
+        if not isinstance(mask, int) or isinstance(mask, bool):
+            raise OracleReject(f"atoms[{idx}].mask must be an integer")
+        pairs.append((mask, _oracle_json_number(entry["p"], f"atoms[{idx}].p")))
+    return oracle_bernoulli_atoms(obj["n"], pairs)
+
+
+def _oracle_finite_nonneg(x, what: str) -> float:
+    x = float(x)
+    if not (x >= 0.0 and x < float("inf")):
+        raise OracleReject(f"{what} must be finite and >= 0, got {x!r}")
+    return x
+
+
+def oracle_nonneg_atoms(n: int, atoms) -> tuple:
+    """`NonnegJoint(n, atoms).atoms`: each atom in construction order, its
+    values, then their count, then its probability."""
+    rows = []
+    for idx, (values, prob) in enumerate(atoms):
+        vec = tuple(
+            _oracle_finite_nonneg(v, f"atoms[{idx}].values[{k}]")
+            for k, v in enumerate(values)
+        )
+        if len(vec) != n:
+            raise OracleReject(f"atoms[{idx}] has {len(vec)} values, expected n={n}")
+        rows.append((vec, _oracle_finite_nonneg(prob, f"atoms[{idx}].p")))
+    _oracle_check_unit_mass([prob for _, prob in rows])
+    return tuple(rows)
+
+
+def oracle_nonneg_from_json(obj: dict) -> tuple:
+    """`NonnegJoint.from_json_dict(obj).atoms`, field types in file order first."""
+    rows = []
+    for idx, entry in enumerate(obj["atoms"]):
+        if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
+            raise OracleReject(f"atoms[{idx}] must be an object with 'values' and 'p'")
+        values = entry["values"]
+        if not isinstance(values, list):
+            raise OracleReject(f"atoms[{idx}].values must be a list")
+        values = [
+            _oracle_json_number(v, f"atoms[{idx}].values[{k}]")
+            for k, v in enumerate(values)
+        ]
+        rows.append((values, _oracle_json_number(entry["p"], f"atoms[{idx}].p")))
+    return oracle_nonneg_atoms(obj["n"], rows)

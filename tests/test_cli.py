@@ -84,6 +84,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert "deviation" in err and "0.09999" in err
 
+    @pytest.mark.parametrize("kind", ["bernoulli-joint", "nonneg-joint"])
+    def test_empty_atom_list_exits_one_naming_it(self, tmp_path, capsys, kind):
+        path = write_json(tmp_path / "empty.json", {"kind": kind, "n": 2, "atoms": []})
+        verbs = [["report", "--in", path]]
+        if kind == "bernoulli-joint":
+            verbs.append(["sample", "--in", path, "--count", "3"])
+        for argv in verbs:
+            assert main(argv) == EXIT_INPUT
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "maxdecouple: invalid input: atom list must be nonempty\n"
+
     def test_joint_too_large_to_summarize_exits_one_naming_size(self, tmp_path, capsys):
         joint = distinct_columns_joint(14, 12_000)
         path = write_json(tmp_path / "wide.json", joint.to_json_dict())
