@@ -1,30 +1,23 @@
 """Canonical joint distributions: tightness examples, counterexamples, and
 exact pairwise-independent families.
 
-All builders return validated `JointBernoulli` tables.  Where a family is
-defined by equalities that must survive floating point exactly (total mass
-one, P(Z > 0) = 1), the last atom receives the residual 1 - (partial sum),
-which closes the table exactly without perturbing any marginal by more than
-one rounding step.
+All builders return validated `JointBernoulli` tables.  Where a mass is
+spread evenly and its total must survive floating point (one_hot_uniform;
+`optimize.expand_exchangeable`), `_even_spread` gives the last atom the
+residual total - (partial sum), perturbing no marginal by more than one
+rounding step; conjectured_extremal keeps equal masses.  The affine-hash
+families here and in `continuous` share one cell list, `_affine_cells`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dist import DENSE_VARIABLE_LIMIT, JointBernoulli, MarginalVector
-
-FAMILY_KINDS = (
-    "one_hot_uniform",
-    "conjectured_extremal",
-    "comonotone",
-    "affine_hash",
-    "xor_parity",
-    "product",
-)
 
 
 def is_prime(q: int) -> bool:
@@ -40,6 +33,29 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def _affine_cells(n: int, q: int) -> Iterator[tuple[int, ...]]:
+    """Check that q is prime and 1 <= n <= q at the call, then give the hash values
+    ((a + b*i) mod q for i < n) of each of the q^2 cells (a, b), a-major."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if not 1 <= n <= q:
+        raise ValueError(f"need 1 <= n <= q, got n={n}, q={q}")
+    return (tuple((a + b * i) % q for i in range(n)) for a in range(q) for b in range(q))
+
+
+def _even_spread(masks: Sequence[int], total: float) -> dict[int, float]:
+    """`total` in equal shares over `masks`; the last mask takes the
+    residual, total minus the other shares summed left to right."""
+    share = total / len(masks)
+    atoms = {}
+    running = 0.0
+    for mask in masks[:-1]:
+        atoms[mask] = share
+        running += share
+    atoms[masks[-1]] = total - running
+    return atoms
+
+
 def one_hot_uniform(n: int) -> JointBernoulli:
     """Equal mass 1/n on each one-hot mask: exactly one variable fires.
 
@@ -49,14 +65,7 @@ def one_hot_uniform(n: int) -> JointBernoulli:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    share = 1.0 / n
-    atoms = {}
-    running = 0.0
-    for i in range(n - 1):
-        atoms[1 << i] = share
-        running += share
-    atoms[1 << (n - 1)] = 1.0 - running
-    return JointBernoulli(n, atoms)
+    return JointBernoulli(n, _even_spread([1 << i for i in range(n)], 1.0))
 
 
 def conjectured_extremal(n: int) -> JointBernoulli:
@@ -112,22 +121,14 @@ def affine_hash(n: int, q: int, m: int) -> JointBernoulli:
     the q^2 pairs (the 2x2 map is invertible mod q since i != j), so every
     pair of variables is exactly independent with marginals m/q.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if not 1 <= n <= q:
-        raise ValueError(f"need 1 <= n <= q, got n={n}, q={q}")
+    cells = _affine_cells(n, q)
     if not 0 <= m <= q:
         raise ValueError(f"need 0 <= m <= q, got m={m}")
     counts: dict[int, int] = {}
-    for a in range(q):
-        for b in range(q):
-            mask = 0
-            for i in range(n):
-                if (a + b * i) % q < m:
-                    mask |= 1 << i
-            counts[mask] = counts.get(mask, 0) + 1
-    cells = q * q
-    return JointBernoulli(n, {mask: c / cells for mask, c in counts.items()})
+    for cell in cells:
+        mask = sum(1 << i for i, h in enumerate(cell) if h < m)
+        counts[mask] = counts.get(mask, 0) + 1
+    return JointBernoulli(n, {mask: c / (q * q) for mask, c in counts.items()})
 
 
 def xor_parity(k: int) -> JointBernoulli:
@@ -170,6 +171,18 @@ def product(marginal: MarginalVector) -> JointBernoulli:
     return JointBernoulli(n, atoms)
 
 
+# Each family kind's builder and the FamilySpec fields it is called with.
+_FAMILIES = {
+    "one_hot_uniform": (one_hot_uniform, ("n",)),
+    "conjectured_extremal": (conjectured_extremal, ("n",)),
+    "comonotone": (comonotone, ("n", "eps")),
+    "affine_hash": (affine_hash, ("n", "q", "m")),
+    "xor_parity": (xor_parity, ("k",)),
+    "product": (lambda p: product(MarginalVector(p)), ("p",)),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parsed description of a named family, as accepted by the CLI.
@@ -192,27 +205,11 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
     def build(self) -> JointBernoulli:
-        if self.kind == "one_hot_uniform":
-            self._require(n=self.n)
-            return one_hot_uniform(self.n)
-        if self.kind == "conjectured_extremal":
-            self._require(n=self.n)
-            return conjectured_extremal(self.n)
-        if self.kind == "comonotone":
-            self._require(n=self.n, eps=self.eps)
-            return comonotone(self.n, self.eps)
-        if self.kind == "affine_hash":
-            self._require(n=self.n, q=self.q, m=self.m)
-            return affine_hash(self.n, self.q, self.m)
-        if self.kind == "xor_parity":
-            self._require(k=self.k)
-            return xor_parity(self.k)
-        self._require(p=self.p or None)
-        return product(MarginalVector(self.p))
-
-    def _require(self, **params) -> None:
-        missing = [name for name, value in params.items() if value is None]
+        builder, names = _FAMILIES[self.kind]
+        values = [getattr(self, name) for name in names]
+        missing = [name for name, value in zip(names, values) if value in (None, ())]
         if missing:
             raise ValueError(
                 f"family {self.kind!r} needs parameter(s): {', '.join(missing)}"
             )
+        return builder(*values)

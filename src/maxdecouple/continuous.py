@@ -15,9 +15,11 @@ P(max > t), its independent counterpart and the largest excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
-threshold.  Survival functions of finitely supported laws are piecewise
-constant between support points, so checking support thresholds only is
-equivalent to checking all t > 0.
+threshold, up to `main_lower_check`'s tolerance DEFAULT_COVARIANCE_TOL, so on
+a 0/1 joint the two tests agree.  Survival functions of finitely supported
+laws are piecewise constant between support points, so checking support
+thresholds only is equivalent to checking all t > 0.  `affine_hash_values`
+enumerates the hash cells of `constructions.affine_hash`.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import PINELIS_CONSTANT, holds
-from .constructions import is_prime
-from .dist import JointBernoulli
-from .dist import _check_number, _check_unit_mass, _check_variable_count
-from .dist import _first, _float_array, _gather, _read_document, _summarize
+from .bounds import DEFAULT_COVARIANCE_TOL, PINELIS_CONSTANT, holds
+from .constructions import _affine_cells
+from .dist import JointBernoulli, _check_number, _check_unit_mass, _check_variable_count
+from .dist import _first, _first_invalid, _float_array, _gather, _read_document, _summarize
 from .errors import InvalidDistributionError
 
-# Slack for the per-threshold orthant comparison, a probability-scale check.
-ORTHANT_SLACK = 1e-12
+# The orthant test's tolerance is the Bernoulli one; the name is kept for callers.
+ORTHANT_SLACK = DEFAULT_COVARIANCE_TOL
 
 # Cells per `_summarize` call of the threshold sweep, counting each
 # threshold's atoms x n indicators and n x n pair cells, so that a wide joint
@@ -78,10 +79,10 @@ class NonnegJoint:
         counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         flat, weights = _float_array(list(chain.from_iterable(rows))), _float_array(probs)
         ends = np.cumsum(counts)
-        bad_value = _first(~((flat >= 0.0) & (flat < np.inf)))
+        bad_value = _first_invalid(flat)
         by_value = int(np.searchsorted(ends, bad_value, "right"))
         by_count = _first(counts != n)
-        idx = min(by_value, by_count, _first(~((weights >= 0.0) & (weights < np.inf))))
+        idx = min(by_value, by_count, _first_invalid(weights))
         if idx < len(rows):  # each check below is given a bad number, and raises
             if idx == by_value:
                 k = bad_value - ends[idx] + counts[idx]
@@ -219,14 +220,14 @@ def expected_max_independent(joint: NonnegJoint) -> float:
     return _tail_integral(joint._thresholds.grid, joint._thresholds.hit_independent)
 
 
-def pairwise_orthant_ok(joint: NonnegJoint, slack: float = ORTHANT_SLACK) -> bool:
-    """Thresholded negative-dependence test.
+def pairwise_orthant_ok(joint: NonnegJoint) -> bool:
+    """Thresholded negative-dependence test, at `main_lower_check`'s tolerance.
 
-    True iff P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) + slack for every
-    pair i != j and every support threshold t (support thresholds suffice:
-    both sides are constant between consecutive support values).
+    True iff P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) + DEFAULT_COVARIANCE_TOL
+    for every pair i != j and every support threshold t (support thresholds
+    suffice: both sides are constant between consecutive support values).
     """
-    return all(excess <= slack for excess in joint._thresholds.max_excess)
+    return all(excess <= DEFAULT_COVARIANCE_TOL for excess in joint._thresholds.max_excess)
 
 
 def decoupling_check_cont(joint: NonnegJoint) -> ContinuousCheck:
@@ -253,10 +254,7 @@ def affine_hash_values(
     uniform on the q^2 cells, so X_i and X_j are exactly independent and
     each X_i is uniform over its value table.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if not 1 <= n <= q:
-        raise ValueError(f"need 1 <= n <= q, got n={n}, q={q}")
+    cells = _affine_cells(n, q)
     if len(value_maps) != n:
         raise ValueError(f"need one value table per variable ({n}), got {len(value_maps)}")
     tables = []
@@ -265,12 +263,10 @@ def affine_hash_values(
             raise ValueError(f"value table {i} must have length q={q}")
         tables.append(tuple(_check_finite_nonneg(v, f"value_maps[{i}]") for v in table))
     counts: dict[tuple[float, ...], int] = {}
-    for a in range(q):
-        for b in range(q):
-            vec = tuple(tables[i][(a + b * i) % q] for i in range(n))
-            counts[vec] = counts.get(vec, 0) + 1
-    cells = q * q
-    atoms = [(vec, counts[vec] / cells) for vec in sorted(counts)]
+    for cell in cells:
+        vec = tuple(table[h] for table, h in zip(tables, cell))
+        counts[vec] = counts.get(vec, 0) + 1
+    atoms = [(vec, counts[vec] / (q * q)) for vec in sorted(counts)]
     return NonnegJoint(n, atoms)
 
 

@@ -69,11 +69,11 @@ def _as_float(value: object) -> float:
     try:
         return float(value)
     except OverflowError:
-        return math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 def _float_array(values: list) -> np.ndarray:
-    """`values` as float64, an int past the float range as inf."""
+    """`values` as float64, an int past the float range as inf of its sign."""
     try:
         return np.array(values, dtype=np.float64)
     except OverflowError:
@@ -83,6 +83,12 @@ def _float_array(values: list) -> np.ndarray:
 def _first(flags: np.ndarray) -> int:
     """Index of the first True in `flags`, or its length if there is none."""
     return int(flags.argmax()) if flags.any() else len(flags)
+
+
+def _first_invalid(values: np.ndarray) -> int:
+    """Index of the first value that is not finite and >= 0 (NaN is not),
+    or the length if there is none."""
+    return _first(~((values >= 0.0) & (values < np.inf)))
 
 
 def _gather(raw: list, key: str, value: str) -> tuple[list, list] | None:
@@ -162,11 +168,10 @@ class JointBernoulli:
         width = max(1, (masks[end - 1].bit_length() + 7) // 8 if end else 1)
         packed = b"".join([mask.to_bytes(width, "little") for mask in masks[:end]])
         table = np.frombuffer(packed, dtype=np.uint8).reshape(end, width)
-        # The first atom at fault: a repeated mask (the one before the first
-        # counts as -1), a mask out of range, or a bad weight, in that order.
+        # The first atom at fault: a repeated mask, its range, then its weight.
         repeats = np.flatnonzero((table[1:] == table[:-1]).all(axis=1)) + 1
-        repeated = 0 if masks[0] == -1 else min(repeats, default=len(masks))
-        bad = min(repeated, end, _first(~(np.isfinite(weights) & (weights >= 0.0))))
+        repeated = min(repeats, default=len(masks))
+        bad = min(repeated, end, _first_invalid(weights))
         if bad < len(masks):
             mask = masks[bad]
             if bad == repeated:

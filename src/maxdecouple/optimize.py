@@ -31,6 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .constructions import _even_spread
 from .dist import JointBernoulli
 
 MODES = ("pairwise_equality", "negative_covariance")
@@ -241,12 +242,7 @@ def expand_exchangeable(n: int, weights) -> JointBernoulli:
         masks = [
             sum(1 << i for i in bits) for bits in combinations(range(n), k)
         ]
-        share = target / len(masks)
-        running = 0.0
-        for mask in masks[:-1]:
-            atoms[mask] = share
-            running += share
-        atoms[masks[-1]] = target - running
+        atoms.update(_even_spread(masks, target))
     return JointBernoulli(n, atoms)
 
 

@@ -336,7 +336,7 @@ def _oracle_json_number(value, what: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        return math.inf
+        return math.inf if value > 0 else -math.inf
 
 
 def _oracle_check_unit_mass(probs) -> None:
@@ -356,7 +356,7 @@ def oracle_bernoulli_atoms(n: int, atoms) -> tuple[tuple[int, float], ...]:
     pairs = list(atoms.items()) if isinstance(atoms, dict) else list(atoms)
     pairs.sort(key=lambda kv: kv[0])
     out = []
-    last_mask = -1
+    last_mask = None
     for mask, prob in pairs:
         mask = int(mask)
         prob = float(prob)

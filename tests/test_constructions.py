@@ -11,6 +11,7 @@ from maxdecouple import (
     affine_hash,
     comonotone,
     conjectured_extremal,
+    expand_exchangeable,
     is_pairwise_independent,
     marginals,
     one_hot_uniform,
@@ -25,6 +26,12 @@ from maxdecouple import (
 class TestOneHotUniform:
     def test_pair_atoms(self):
         assert dict(one_hot_uniform(2).atoms) == {0b01: 0.5, 0b10: 0.5}
+
+    def test_equals_the_expanded_weight_class_one(self):
+        for n in range(1, 41):
+            weights = [0.0] * (n + 1)
+            weights[1] = 1.0
+            assert one_hot_uniform(n).atoms == expand_exchangeable(n, weights).atoms
 
     def test_hit_probability_exactly_one(self):
         for n in range(1, 25):
@@ -223,8 +230,19 @@ class TestFamilySpec:
             assert spec.build() == expected
 
     def test_missing_parameter_named(self):
-        with pytest.raises(ValueError, match="eps"):
-            FamilySpec("comonotone", n=3).build()
+        cases = [
+            (FamilySpec("one_hot_uniform"), "n"),
+            (FamilySpec("conjectured_extremal", k=3), "n"),
+            (FamilySpec("comonotone", n=3), "eps"),
+            (FamilySpec("comonotone"), "n, eps"),
+            (FamilySpec("affine_hash", n=3, m=2), "q"),
+            (FamilySpec("xor_parity", n=3), "k"),
+            (FamilySpec("product", n=2), "p"),
+        ]
+        for spec, missing in cases:
+            want = rf"^family '{spec.kind}' needs parameter\(s\): {missing}$"
+            with pytest.raises(ValueError, match=want):
+                spec.build()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

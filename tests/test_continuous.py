@@ -202,6 +202,20 @@ class TestAffineHashValues:
         with pytest.raises(ValueError):
             affine_hash_values(2, 4, [(0.0,) * 4, (1.0,) * 4])
 
+    def test_q_and_n_are_checked_before_the_tables(self):
+        with pytest.raises(ValueError, match="^q must be prime, got 4$"):
+            affine_hash_values(2, 4, [(0.0,) * 3])
+        with pytest.raises(ValueError, match=r"^need 1 <= n <= q, got n=4, q=3$"):
+            affine_hash_values(4, 3, [(0.0,) * 2])
+
+    def test_threshold_tables_have_the_embedded_atoms(self):
+        # The same hash cells: 0/1 tables h < m give the embedded Bernoulli
+        # family atom for atom, probabilities included.
+        for n, q, m in [(1, 2, 1), (3, 5, 2), (4, 5, 0), (6, 7, 3), (7, 11, 4), (5, 13, 13)]:
+            embedded = bernoulli_embedding(affine_hash(n, q, m))
+            tables = [tuple(1.0 if h < m else 0.0 for h in range(q))] * n
+            assert sorted(embedded.atoms) == list(affine_hash_values(n, q, tables).atoms)
+
 
 class TestLayerCake:
     def test_randomized_tail_integral_identity(self):

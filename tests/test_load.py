@@ -5,6 +5,7 @@ built the old way, from each mask's bytes."""
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,3 +252,35 @@ class TestKeptTable:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"the {len(joint.atoms)} x {joint.n} bit table needs {cells} bytes" in err
+
+
+def bernoulli_doc(*atoms):
+    return {"kind": "bernoulli-joint", "n": 2, "atoms": [{"mask": m, "p": p} for m, p in atoms]}
+
+
+def nonneg_doc(*atoms):
+    return {"kind": "nonneg-joint", "n": 1, "atoms": [{"values": v, "p": p} for v, p in atoms]}
+
+
+class TestNamedFaults:
+    def test_mask_minus_one_is_out_of_range(self):
+        # Like every other negative mask, not a duplicate of a mask before it.
+        want = r"^atom mask -1 out of range for n=2 \(need 0 <= mask < 2\^n\)$"
+        with pytest.raises(InvalidDistributionError, match=want):
+            JointBernoulli(2, {-1: 0.5, 1: 0.5})
+        with pytest.raises(InvalidDistributionError, match=want):
+            JointBernoulli.from_json_dict(bernoulli_doc((1, 0.5), (-1, 0.5)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_past_the_float_range_keeps_its_sign(self, sign):
+        huge, inf = sign * 10**400, "inf" if sign > 0 else "-inf"
+        want = f"^atom mask 1 has invalid probability {inf}$"
+        with pytest.raises(InvalidDistributionError, match=want):
+            JointBernoulli.from_json_dict(bernoulli_doc((1, huge), (2, 1.0)))
+        with pytest.raises(InvalidDistributionError, match=want):
+            JointBernoulli(2, {1: huge, 2: 1.0})
+        for doc, what in ((nonneg_doc(([huge], 1.0)), "atoms[0].values[0]"),
+                          (nonneg_doc(([1.0], 0.5), ([2.0], huge)), "atoms[1].p")):
+            want = rf"^{re.escape(what)} must be finite and >= 0, got {inf}$"
+            with pytest.raises(InvalidDistributionError, match=want):
+                NonnegJoint.from_json_dict(doc)
