@@ -8,10 +8,10 @@ integral is an exact finite sum over the sorted distinct support values
 (left endpoints, since the indicators use strict '> t'), so no quadrature
 is involved anywhere.  A joint's values are read into one atoms x n float
 array at load, checked there with its weights, and kept.  Each joint is
-swept once, on first use: the indicator tables of a block of support
-thresholds, cut from that array, go through the Bernoulli summary kernel
-(`dist._summarize`) as one stack, keeping three scalars per threshold:
-P(max > t), its independent counterpart and the largest excess.
+swept once, on first use, in closed form over the positions of its values
+in the grid (no per-threshold Bernoulli summary), keeping three scalars
+per threshold: P(max > t), its independent counterpart and the largest
+excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
@@ -35,23 +35,16 @@ import numpy as np
 from .bounds import DEFAULT_COVARIANCE_TOL, PINELIS_CONSTANT, holds
 from .constructions import _affine_cells
 from .dist import JointBernoulli, _check_number, _check_unit_mass, _check_variable_count
-from .dist import _first, _first_invalid, _float_array, _gather, _read_document, _summarize
+from .dist import _blocks, _first, _first_invalid, _float_array, _gather, _read_document
 from .errors import InvalidDistributionError
 
 # The orthant test's tolerance is the Bernoulli one; the name is kept for callers.
 ORTHANT_SLACK = DEFAULT_COVARIANCE_TOL
 
-# Cells per `_summarize` call of the threshold sweep, counting each
-# threshold's atoms x n indicators and n x n pair cells, so that a wide joint
-# with few atoms, whose classes a block would multiply, gets one per call.
-SWEEP_BLOCK = 1 << 17
 
-
-def _check_finite_nonneg(x: float, what: str) -> float:
-    x = float(x)
+def _check_finite_nonneg(x: float, what: str) -> None:
     if not (x >= 0.0 and x < float("inf")):
         raise InvalidDistributionError(f"{what} must be finite and >= 0, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -106,22 +99,55 @@ class NonnegJoint:
 
     @cached_property
     def _thresholds(self) -> "_ThresholdSweep":
-        """Summaries of 1{X_i > t} at each support value t below the largest
-        (never exceeded: no survival to integrate, no excess to check), a
-        block of thresholds per call; P(max X~ > t) = 1 - prod P(X_i <= t),
-        multiplied left to right."""
+        """The indicators 1{X_i > t} at each grid value t below the largest
+        (never exceeded: no survival to integrate, no excess to check), in
+        closed form: the s-th threshold from the top is exceeded by exactly
+        the values of depth (grid values above them) at most s.  P(X_i > t)
+        for each value class (variables with equal values), and P(max X > t)
+        from the row minimum depth, are atom sums, left to right, taken at
+        the column's own breakpoints and held to the next; P(max X~ > t) =
+        1 - prod P(X_i <= t), multiplied left to right; a class pair's
+        P(min > t) sums the masses of its maximum depth up to s, in depth
+        order.  No sum depends on the blocks."""
         values, weights = self._values, self._weights
-        grid = sorted({0.0}.union(values.ravel().tolist()))
-        cuts = np.array(grid[:-1])
-        block = max(1, SWEEP_BLOCK // (values.size + self.n * self.n))
-        hit, none, excess = np.empty((3, len(cuts)))
-        for start in range(0, len(cuts), block):
-            part = slice(start, start + block)
-            summary = _summarize(values > cuts[part, None, None], weights)
-            hit[part] = summary.prob_hit
-            none[part] = np.cumprod(1.0 - summary.marginals, axis=1)[:, -1]
-            excess[part] = summary.max_excess
-        return _ThresholdSweep(grid, hit.tolist(), (1.0 - none).tolist(), excess.tolist())
+        atoms, n = values.shape
+        grid, ranks = np.unique(np.append(values, 0.0), return_inverse=True)
+        size, cuts = len(grid), len(grid) - 1
+        depth = cuts - ranks[:-1].reshape(atoms, n)
+        keys = [column.tobytes() for column in depth.T]
+        members = dict(zip(keys, range(n)))  # identical columns: any member will do
+        index = dict(zip(members, range(len(members))))
+        classes, d = np.array([index[key] for key in keys]), len(members)
+        table = np.column_stack([depth[:, list(members.values())], depth.min(axis=1)])
+        # Each column's breakpoints, keyed column * size + depth.
+        points = np.sort(np.append(table + np.arange(d + 1) * size, np.arange(d + 1) * size), None)
+        points = points[np.append(True, points[1:] != points[:-1])]
+        col, cut = np.divmod(points, size)
+        sums = np.empty(len(points))
+        for part in _blocks(f"one column of the {atoms} x {len(points)} survival table",
+                            0, len(points), 25 * atoms):
+            sums[part] = np.cumsum((table[:, col[part]] <= cut[part]) * weights[:, None], 0)[-1]
+        hit, none, excess = np.empty((3, cuts))
+        counts = np.bincount(classes)
+        for top in _blocks(f"one threshold of the {d + 1 + n} x {cuts} survival tables",
+                           0, cuts, 24 * (d + 1 + n)):
+            at = np.arange(d + 1)[:, None] * size + np.arange(top.start, top.stop)
+            surv = sums[np.searchsorted(points, at, "right") - 1]
+            hit[top] = surv[d]
+            none[top] = np.cumprod(1.0 - surv[classes], axis=0)[-1]
+            excess[top] = -np.inf
+            for a in range(d):  # pairs (a, b), b > a, and (a, a) if a holds two variables
+                for part in _blocks(f"one class pair of the {d} x {d} pair tables",
+                                    a + (counts[a] < 2), d, 8 * (2 * atoms + 3 * top.stop + 3)):
+                    m, width = part.stop - part.start, top.stop + 1
+                    high = np.minimum(np.maximum(table[:, a, None], table[:, part]), top.stop)
+                    high += np.arange(0, m * width, width)
+                    mass = np.bincount(high.ravel(), np.repeat(weights, m), m * width)
+                    both = np.cumsum(mass.reshape(m, width), axis=1)[:, top]
+                    both -= surv[a] * surv[part]
+                    np.maximum(excess[top], both.max(axis=0), out=excess[top])
+        return _ThresholdSweep(grid.tolist(), hit[::-1].tolist(), (1.0 - none[::-1]).tolist(),
+                               excess[::-1].tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,11 +283,15 @@ def affine_hash_values(
     cells = _affine_cells(n, q)
     if len(value_maps) != n:
         raise ValueError(f"need one value table per variable ({n}), got {len(value_maps)}")
-    tables = []
     for i, table in enumerate(value_maps):
         if len(table) != q:
             raise ValueError(f"value table {i} must have length q={q}")
-        tables.append(tuple(_check_finite_nonneg(v, f"value_maps[{i}]") for v in table))
+        for j, v in enumerate(table):
+            _check_number(v, f"value_maps[{i}][{j}]")
+    flat = _float_array([v for table in value_maps for v in table])
+    if (bad := _first_invalid(flat)) < len(flat):
+        _check_finite_nonneg(flat[bad].item(), f"value_maps[{bad // q}][{bad % q}]")
+    tables = flat.reshape(n, q).tolist()
     counts: dict[tuple[float, ...], int] = {}
     for cell in cells:
         vec = tuple(table[h] for table, h in zip(tables, cell))

@@ -17,13 +17,12 @@ error names the first bad atom in ascending mask order.
 
 Every operation reads one `JointSummary`, built on first use by unpacking
 the byte table into an atoms x n bit table, after the budget check, and
-scanning it once; it is cached on the joint.  The scan is the kernel
-`_summarize` over a stack of g tables: a joint is one, and the continuous
-module stacks the indicators of g thresholds.  Pair data is kept per column
-class (variables that fire on the same atoms in every table), so a wide
-joint with few distinct columns costs no n x n memory.  The kernel sizes
-its arrays before it allocates them: a summary that would need more than
-`SUMMARY_BUDGET` bytes is rejected with its size in the message.
+scanning it once with the kernel `_summarize`; it is cached on the joint.
+Pair data is kept per column class (variables that fire on the same
+atoms), so a wide joint with few distinct columns costs no n x n memory.
+Arrays are sized before they are allocated: a summary that would need more
+than `SUMMARY_BUDGET` bytes is rejected with its size in the message, and
+`_blocks` cuts a long table into pieces that each fit.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ NORMALIZATION_TOL = 1e-12
 DENSE_VARIABLE_LIMIT = 24
 
 # Bytes one summary may allocate: the atoms x n bit table, then the atom x
-# class float tables and the d x d pair matrices of each `_summarize` table.
+# class float tables and the d x d pair matrices of `_summarize`, or one
+# block of the continuous threshold sweep's tables.
 SUMMARY_BUDGET = 1 << 30
 
 # Draws per chunk of the sampling kernel: large enough that numpy's per-call
@@ -60,8 +60,8 @@ AtomTable = Iterable[tuple[int, float]] | Mapping[int, float]
 
 
 def _check_number(value: object, what: str) -> None:
-    """A JSON number is an int or a float, not a bool."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """A number is an int or a float (numpy's too), not a bool."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise InvalidDistributionError(f"{what} must be a number")
 
 
@@ -205,9 +205,7 @@ class JointBernoulli:
         by unpacking `_table`, after the budget check."""
         atoms = len(self.masks)
         _check_budget(f"the {atoms} x {self.n} bit table", atoms * self.n)
-        s = _summarize(self._bits().view(bool), self._weights)
-        p = MarginalVector(s.marginals[0].tolist(), _summed_slack(atoms))
-        return JointSummary(p, s.classes, s.pair_moments[0], *(x[0].item() for x in s[3:]))
+        return _summarize(self._bits().view(bool), self._weights)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,7 +253,11 @@ class MarginalVector:
         vec = tuple(float(x) for x in p)
         if not vec:
             raise InvalidDistributionError("marginal vector must be nonempty")
-        _check_marginal_range(min(vec), max(vec), slack)
+        lo, hi = min(vec), max(vec)
+        if lo < 0.0 or hi > 1.0 + slack:
+            raise InvalidDistributionError(
+                f"marginals must lie in [0, 1]; found value {lo if lo < 0 else hi!r}"
+            )
         object.__setattr__(self, "p", vec)
 
     @property
@@ -329,9 +331,7 @@ class JointSummary(NamedTuple):
     the same atoms share one) and `pair_moments` the d x d class matrix of
     P(X_i = 1, X_j = 1).  Over ordered pairs i != j, `h` totals
     max(0, E[X_i X_j] - p_i p_j); `max_excess` and `max_abs_excess` are the
-    largest signed and absolute excess (-inf and 0 when n = 1).  For a
-    stack of g tables, `_summarize` gives every field but `classes` a
-    leading axis of length g, with the marginals a g x n array.
+    largest signed and absolute excess (-inf and 0 when n = 1).
     """
 
     marginals: MarginalVector
@@ -343,13 +343,6 @@ class JointSummary(NamedTuple):
     h: float
     max_excess: float
     max_abs_excess: float
-
-
-def _check_marginal_range(lo: float, hi: float, slack: float) -> None:
-    if lo < 0.0 or hi > 1.0 + slack:
-        raise InvalidDistributionError(
-            f"marginals must lie in [0, 1]; found value {lo if lo < 0 else hi!r}"
-        )
 
 
 def _summed_slack(atoms: int) -> float:
@@ -366,58 +359,53 @@ def _check_budget(what: str, nbytes: int) -> None:
         )
 
 
+def _blocks(what: str, start: int, stop: int, nbytes: int) -> Iterator[slice]:
+    """range(start, stop) in slices of as many items, `nbytes` each, as fit
+    SUMMARY_BUDGET; `what` names an item that alone is over."""
+    _check_budget(what, nbytes)
+    step = SUMMARY_BUDGET // nbytes
+    return (slice(at, min(at + step, stop)) for at in range(start, stop, step))
+
+
 def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
-    """One scan of a g x atoms x n boolean stack (an atoms x n table is the
-    stack of one), weighted by atom probability.
+    """One scan of an atoms x n boolean table weighted by atom probability.
 
     The atom-level sums (marginals, P(Z > 0), E Z, E Z^2) run left to right
-    in atom order through np.cumsum, so each equals the plain loop over its
-    table.  Pair data is per column class, keyed on a column's bits in every
-    table and numbered by first appearance so that distinct columns keep
-    their order; the k_a variables of class a make k_a (k_a - 1) ordered
-    pairs, each with moment p_a.
+    in atom order through np.cumsum, so each equals the plain loop over the
+    table.  Pair data is per column class, numbered by first appearance so
+    that distinct columns keep their order; the k_a variables of class a
+    make k_a (k_a - 1) ordered pairs, each with moment p_a.
     """
-    bits = bits.reshape(-1, *bits.shape[-2:])
-    g, atoms, n = bits.shape
-    packed = np.packbits(bits, axis=1).transpose(2, 0, 1).reshape(n, -1)
-    keys = [col.tobytes() for col in packed]
+    keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
     rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
     classes = np.array([rank[key] for key in keys])
-    d = len(rank)
-    # At the peak, per table: three atoms x (d + 3) float tables, six d x d.
+    atoms, d = len(weights), len(rank)
+    # At the peak: three atoms x (d + 3) float tables and six d x d matrices.
     _check_budget(
-        f"the tables of {d} column classes over {atoms} atoms"
-        + (f" at {g} thresholds" if g > 1 else ""),
-        8 * g * (3 * atoms * (d + 3) + 6 * d * d),
+        f"the tables of {d} column classes over {atoms} atoms",
+        8 * (3 * atoms * (d + 3) + 6 * d * d),
     )
     _, first, k = np.unique(classes, return_index=True, return_counts=True)
-    table = bits[:, :, first].astype(np.float64)
+    table = bits[:, first].astype(np.float64)
 
     z = table @ k.astype(np.float64)  # hit count of each atom
-    weighted = np.dstack([table, z > 0, z, z * z]) * weights[:, None]
-    sums = np.cumsum(weighted, axis=1)[:, -1]
-    p, (prob_hit, ez, ez2) = sums[:, :d], sums[:, d:].T
-    _check_marginal_range(float(p.min()), float(p.max()), _summed_slack(atoms))
+    weighted = np.column_stack([table, z > 0, z, z * z]) * weights[:, None]
+    sums = np.cumsum(weighted, axis=0)[-1]
+    p, (prob_hit, ez, ez2) = sums[:d], sums[d:]
 
-    # Mirror the upper triangle and pin the diagonal to the marginals so each
+    # Mirror the upper triangle and pin the diagonal to the marginals so the
     # matrix is exactly symmetric with m[a][a] = p_a by definition.
-    m = weighted[:, :, :d].transpose(0, 2, 1) @ table
-    m = np.where(np.arange(d)[:, None] <= np.arange(d), m, m.transpose(0, 2, 1))
-    m[:, np.arange(d), np.arange(d)] = p
+    m = weighted[:, :d].T @ table
+    m = np.where(np.arange(d)[:, None] <= np.arange(d), m, m.T)
+    np.fill_diagonal(m, p)
     m.setflags(write=False)
-    excess = m - p[:, :, None] * p[:, None, :]
+    excess = m - np.outer(p, p)
     pairs = np.outer(k, k) - np.diag(k)  # ordered pairs per class pair
-    paired = excess[:, pairs > 0]
+    paired = excess[pairs > 0]
     return JointSummary(
-        marginals=p[:, classes],
-        classes=classes,
-        pair_moments=m,
-        prob_hit=prob_hit,
-        ez=ez,
-        ez2=ez2,
-        h=(pairs * np.maximum(excess, 0.0)).reshape(g, -1).sum(axis=1),
-        max_excess=paired.max(axis=1, initial=-math.inf),
-        max_abs_excess=np.abs(paired).max(axis=1, initial=0.0),
+        MarginalVector(p[classes].tolist(), _summed_slack(atoms)), classes, m,
+        float(prob_hit), float(ez), float(ez2), float((pairs * np.maximum(excess, 0.0)).sum()),
+        float(paired.max(initial=-math.inf)), float(np.abs(paired).max(initial=0.0)),
     )
 
 

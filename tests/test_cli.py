@@ -107,12 +107,23 @@ class TestReport:
         values = [float(v) for v in range(1, 21)]
         joint = affine_hash_values(4, 5, [values[i * 5:(i + 1) * 5] for i in range(4)])
         path = write_json(tmp_path / "affine.json", joint.to_json_dict())
-        # 20 thresholds of 25 atoms and 4 column classes: 8 x 20 x (3 x 25 x 7 + 6 x 16).
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 99_359)
+        # 25 atoms, 4 value classes, 20 thresholds.  A class pair's tables at
+        # the top threshold block: 8 x (2 x 25 atoms + 3 x 20 thresholds + 3).
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 903)
         assert main(["report", "--in", path]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "too large" in err
-        assert "4 column classes over 25 atoms at 20 thresholds needs 99360 bytes" in err
+        assert err == (
+            "maxdecouple: invalid input: joint too large to summarize: one class pair of the "
+            "4 x 4 pair tables needs 904 bytes, over the budget of 903 bytes\n"
+        )
+        # One column, 25 bytes an atom, of the survival table at 28 breakpoints:
+        # zero and five depths per class and for the row minimum, where the top
+        # value's depth is zero (variable 3 and the row minimum).
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 624)
+        assert main(["report", "--in", path]) == EXIT_INPUT
+        assert "one column of the 25 x 28 survival table needs 625 bytes" in capsys.readouterr().err
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 904)
+        assert main(["report", "--in", path]) == EXIT_OK
 
     def test_marginals_summed_past_one_by_rounding_exit_zero(self, tmp_path, capsys):
         # Mass exactly 1 by fsum, but the first variable fires on every atom,

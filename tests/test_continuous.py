@@ -3,6 +3,7 @@ checks, the real-valued hash family, and the 0/1 embedding."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from maxdecouple import (
     product,
     MarginalVector,
 )
-from maxdecouple import continuous
+from maxdecouple import continuous, dist
+from maxdecouple.bounds import holds
+from maxdecouple.cli import EXIT_OK, main
 from maxdecouple.continuous import ORTHANT_SLACK, ContinuousCheck
 from test_dist import random_sparse_joint
 
@@ -194,6 +197,34 @@ class TestAffineHashValues:
         with pytest.raises(InvalidDistributionError):
             affine_hash_values(2, 3, [(0.0, 1.0, 2.0), (0.0, -1.0, 2.0)])
 
+    @pytest.mark.parametrize(
+        "entry, fault",
+        [
+            (10**400, "must be finite and >= 0, got inf"),
+            (-(10**400), "must be finite and >= 0, got -inf"),
+            (float("nan"), "must be finite and >= 0, got nan"),
+            (-1, "must be finite and >= 0, got -1.0"),
+            ("1", "must be a number"),
+            (True, "must be a number"),
+            (None, "must be a number"),
+        ],
+        ids=["huge", "huge-negative", "nan", "negative", "string", "bool", "null"],
+    )
+    def test_tables_are_checked_by_the_load_rules(self, entry, fault):
+        # The load path's wording, naming the table and the position in it.
+        with pytest.raises(InvalidDistributionError, match=f"^value_maps\\[1\\]\\[2\\] {fault}$"):
+            affine_hash_values(2, 3, [(0.0, 1.0, 2.0), (0.0, 1.0, entry)])
+        doc = {"kind": "nonneg-joint", "n": 2, "atoms": [{"values": [0.0, entry], "p": 1.0}]}
+        with pytest.raises(InvalidDistributionError, match=f"^atoms\\[0\\].values\\[1\\] {fault}$"):
+            NonnegJoint.from_json_dict(doc)
+        with pytest.raises(InvalidDistributionError, match=f"^value_maps\\[0\\]\\[0\\] {fault}$"):
+            affine_hash_values(1, 2, [[entry, 1.0]])
+
+    def test_tables_take_numpy_numbers(self):
+        tables = [np.arange(3), np.array([0.5, 1.5, 2.5])]
+        plain = affine_hash_values(2, 3, [[0, 1, 2], [0.5, 1.5, 2.5]])
+        assert affine_hash_values(2, 3, tables).atoms == plain.atoms
+
     def test_rejects_bad_table_length(self):
         with pytest.raises(ValueError):
             affine_hash_values(2, 3, [(0.0, 1.0), (0.0, 1.0, 2.0)])
@@ -317,31 +348,19 @@ class TestOrthantAgainstOracle:
             verdicts.append(got)
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
-    def test_one_summary_per_block(self, monkeypatch):
-        calls = []
-        summarize = continuous._summarize
+    def test_sweep_makes_no_summarize_call(self, monkeypatch):
+        def refuse(bits, weights):
+            raise AssertionError("the threshold sweep called dist._summarize")
 
-        def counting(bits, weights):
-            calls.append(bits.shape)
-            return summarize(bits, weights)
-
-        monkeypatch.setattr(continuous, "_summarize", counting)
-        joint = random_nonneg(np.random.default_rng(62))
-        atoms, n = len(joint.atoms), joint.n
-        # Nothing exceeds the largest value, so it needs no summary.
-        thresholds = len({0.0}.union(*(values for values, _ in joint.atoms))) - 1
-        assert thresholds > 4
-        cells = atoms * n + n * n
-        for sweep_block in (continuous.SWEEP_BLOCK, 2 * cells, cells):
-            monkeypatch.setattr(continuous, "SWEEP_BLOCK", sweep_block)
-            calls.clear()
-            fresh = NonnegJoint(n, joint.atoms)
+        monkeypatch.setattr(dist, "_summarize", refuse)
+        assert not hasattr(continuous, "_summarize")
+        rng = np.random.default_rng(62)
+        joints = [random_nonneg(rng) for _ in range(40)] + [lattice_nonneg(rng) for _ in range(40)]
+        joints.append(bernoulli_embedding(random_sparse_joint(rng)))
+        for joint in joints:
+            fresh = NonnegJoint(joint.n, joint.atoms)
             decoupling_check_cont(fresh)
             expected_max(fresh)
-            block = max(1, sweep_block // cells)
-            assert len(calls) == -(-thresholds // block)
-            assert all(shape[1:] == (atoms, n) and shape[0] <= block for shape in calls)
-            assert sum(shape[0] for shape in calls) == thresholds
 
 
 def one_threshold_sweep(joint):
@@ -382,20 +401,111 @@ class TestThresholdSweep:
             assert sweep.hit == hit
             assert sweep.hit_independent == hit_independent
 
-    def test_many_blocks_match_one_block(self, monkeypatch):
-        joints = list(sweep_joints(np.random.default_rng(64)))
-        monkeypatch.setattr(continuous, "SWEEP_BLOCK", 2**40)
-        whole = [j._thresholds for j in joints]
+    def test_max_excess_within_rounding_of_exact(self):
+        rng = np.random.default_rng(64)
+        joints = list(sweep_joints(rng)) + sweep_edge_cases(rng)
+        for joint in joints:
+            got = joint._thresholds.max_excess
+            want = exact_max_excess(joint)
+            assert len(got) == len(want)
+            slack = Fraction(4 * len(joint.atoms), 2**52)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g == -math.inf
+                else:
+                    assert abs(Fraction(g) - w) <= slack
+
+    def test_forced_blocks_match_one_block_exactly(self, monkeypatch):
+        joints = list(sweep_joints(np.random.default_rng(65)))
+        joints += sweep_edge_cases(np.random.default_rng(66))
+        whole = [tuple(joint._thresholds) for joint in joints]
+        blocks = []
+
+        def recording(what, start, stop, nbytes):
+            parts = list(dist._blocks(what, start, stop, nbytes))
+            blocks.append((what.split(" of ")[0], [p.stop - p.start for p in parts]))
+            return parts
+
+        monkeypatch.setattr(continuous, "_blocks", recording)
+        split = {"one threshold": 0, "one class pair": 0}
         for joint, one in zip(joints, whole):
-            atoms, n = len(joint.atoms), joint.n
-            # Three thresholds per block.
-            monkeypatch.setattr(continuous, "SWEEP_BLOCK", 3 * (atoms * n + n * n))
-            split = NonnegJoint(n, joint.atoms)._thresholds
-            assert (split.grid, split.hit, split.hit_independent) == one[:3]
-            # Pair moments sum over other column classes, hence the ulps.
-            np.testing.assert_allclose(
-                split.max_excess, one.max_excess, rtol=0, atol=4 * atoms * 2.0**-52
-            )
+            atoms, n, cuts = len(joint.atoms), joint.n, len(one[0]) - 1
+            # The largest smallest block: one column, threshold or class pair.
+            budget = max(25 * atoms, 24 * (2 * n + 1), 8 * (2 * atoms + 3 * cuts + 3))
+            monkeypatch.setattr(dist, "SUMMARY_BUDGET", budget)
+            blocks.clear()
+            assert tuple(NonnegJoint(n, joint.atoms)._thresholds) == one
+            for kind in split:
+                split[kind] += any(len(sizes) > 1 for what, sizes in blocks if what == kind)
+        assert min(split.values()) > len(joints) // 2
+
+    def test_wide_joint_reports_in_blocks(self, tmp_path, capsys):
+        # 3 atoms over 600 distinct random columns: 179,700 class pairs over
+        # 1,801 ranks, whose pair tables in one piece would take 2.6 GB.
+        rng = np.random.default_rng(67)
+        weights = [0.2, 0.3, 0.5]
+        joint = NonnegJoint(600, list(zip(rng.random((3, 600)).tolist(), weights)))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(joint.to_json_dict()))
+        assert main(["report", "--in", str(path)]) == EXIT_OK
+        got = json.loads(capsys.readouterr().out)
+        assert got == reference_check(joint)._asdict()
+
+
+def sweep_edge_cases(rng):
+    """Duplicate columns, n = 1, one atom, an all-zero column, all values equal."""
+    base = random_nonneg(rng, max_n=4)
+    rows = [(values + values[:2], p) for values, p in base.atoms]
+    lattice = lattice_nonneg(rng)
+    return [
+        NonnegJoint(base.n + min(2, base.n), rows),
+        NonnegJoint(1, [((float(v),), 0.25) for v in (0.5, 2.0, 1.0, 3.5)]),
+        NonnegJoint(4, [((1.0, 0.0, 2.5, 1.0), 1.0)]),
+        NonnegJoint(lattice.n + 1, [(values + (0.0,), p) for values, p in lattice.atoms]),
+        NonnegJoint(3, [((1.5, 1.5, 1.5), 0.375), ((1.5, 1.5, 1.5), 0.625)]),
+        NonnegJoint(2, [((0.0, 0.0), 1.0)]),
+    ]
+
+
+def exact_max_excess(joint):
+    """max over i != j of P(X_i > t, X_j > t) - P(X_i > t) P(X_j > t) at each
+    threshold below the largest value, in exact rationals (None when n = 1)."""
+    grid = sorted({0.0}.union(*(values for values, _ in joint.atoms)))
+    out = []
+    for t in grid[:-1]:
+        rows = [([v > t for v in values], Fraction(p)) for values, p in joint.atoms]
+        single = [sum(p for fired, p in rows if fired[i]) for i in range(joint.n)]
+        out.append(max(
+            (sum(p for fired, p in rows if fired[i] and fired[j]) - single[i] * single[j]
+             for i in range(joint.n) for j in range(joint.n) if i != j),
+            default=None,
+        ))
+    return out
+
+
+def reference_check(joint):
+    """The continuous check from one threshold at a time: the marginals
+    summed over the atoms in order, and the Bernoulli summary of the
+    threshold's indicator table for the largest pair excess."""
+    values, weights = joint._values, joint._weights
+    grid = sorted({0.0}.union(values.ravel().tolist()))
+    hit_independent, excess = [], []
+    for t in grid[:-1]:
+        fired = values > t
+        p = np.zeros(joint.n)
+        for row, w in zip(fired, weights.tolist()):
+            p += np.where(row, w, 0.0)
+        hit_independent.append(1.0 - math.prod((1.0 - p).tolist()))
+        excess.append(dist._summarize(fired, weights).max_excess)
+    emax, emax_ind = 0.0, 0.0
+    for vec, prob in joint.atoms:
+        emax += prob * max(vec)
+    for t, t_next, s in zip(grid, grid[1:], hit_independent):
+        emax_ind += (t_next - t) * s
+    return ContinuousCheck(
+        emax, emax_ind, holds(emax, PINELIS_CONSTANT * emax_ind),
+        all(e <= ORTHANT_SLACK for e in excess), holds(0.5 * emax_ind, emax),
+    )
 
 
 class TestMonotoneTransformInvariance:

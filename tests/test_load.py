@@ -200,9 +200,7 @@ def summary_from_mask_bytes(joint):
     raw = b"".join(mask.to_bytes(width, "little") for mask in joint.masks)
     table = np.frombuffer(raw, dtype=np.uint8).reshape(len(joint.masks), width)
     bits = np.unpackbits(table, axis=1, count=joint.n, bitorder="little")
-    s = dist._summarize(bits.view(bool), np.array(joint.probs, dtype=np.float64))
-    p = MarginalVector(s.marginals[0].tolist(), dist._summed_slack(len(joint.masks)))
-    return JointSummary(p, s.classes, s.pair_moments[0], *(x[0].item() for x in s[3:]))
+    return dist._summarize(bits.view(bool), np.array(joint.probs, dtype=np.float64))
 
 
 def bit_pattern(value):
