@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, continuous, optimize, verification
+from . import bounds, continuous, optimize
 from .constructions import FamilySpec
 from .continuous import NonnegJoint
 from .dist import JointBernoulli, _sample_indices
@@ -219,6 +220,8 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    from . import verification
+
     results = verification.run_battery(args.seed, args.trials)
     sys.stdout.write(verification.format_battery(args.seed, args.trials, results))
     return EXIT_OK if all(r.ok for r in results) else EXIT_INVARIANT
@@ -273,9 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state on the parser, so one serves every call.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -38,9 +38,6 @@ from .dist import JointBernoulli, _check_number, _check_unit_mass, _check_variab
 from .dist import _blocks, _first, _first_invalid, _float_array, _gather, _read_document
 from .errors import InvalidDistributionError
 
-# The orthant test's tolerance is the Bernoulli one; the name is kept for callers.
-ORTHANT_SLACK = DEFAULT_COVARIANCE_TOL
-
 
 def _check_finite_nonneg(x: float, what: str) -> None:
     if not (x >= 0.0 and x < float("inf")):

@@ -18,6 +18,10 @@ verification properties.  The sweep's ratio of the optimum to P(Z~ > 0)
 at p = 1/(n-1) tends to e/(2(e-1)), which is not the best lower constant:
 at p = 2/(n-1) the optimum, also pairwise independent, has Z in {0, 3} and
 a ratio below e/(2(e-1)) from n = 17 on.
+
+scipy is loaded on the first full-LP build (`build_full_lp`, `solve`), not
+at import: the exchangeable route and the rest of the package use numpy
+only.
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .constructions import _even_spread
 from .dist import JointBernoulli
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MODES = ("pairwise_equality", "negative_covariance")
 
@@ -101,6 +107,8 @@ def build_full_lp(
     in negative_covariance mode (a relaxation, so its optimum can only be
     lower).  Objective: minimize the mass off the zero atom.
     """
+    from scipy import sparse
+
     p = _check_common(n, p, mode)
     if n > FULL_VARIABLE_LIMIT:
         raise ValueError(
@@ -197,6 +205,8 @@ def solve(lp: ExtremalLp) -> LpSolution:
     at n = 12 and 14.  Crossover turns the interior point into a basic
     solution, so the witness keeps at most one atom per row.
     """
+    from scipy.optimize import linprog
+
     problem = lp.problem
     res = linprog(
         problem.c,

@@ -4,9 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,12 @@ from maxdecouple import dist
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
 from test_bounds import distinct_columns_joint, inflate_f
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout, recorded
+# before scipy became a lazy import.
+FULL_SEARCH_SHA256 = "1c8bf12e049e204e2a9c2e9bb46f5c3aa0051add9f594214033c035f6005fca0"
 
 
 def write_json(path, payload):
@@ -464,6 +473,86 @@ class TestUsageContract:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_reused_parser_matches_fresh_parser(self, extremal3_file, tmp_path, capsys):
+        bad = write_json(tmp_path / "bad.json", {"kind": "bernoulli-joint", "n": 1})
+        sequence = [
+            ["report", "--format", "xml", "--in", extremal3_file],
+            ["report", "--in", extremal3_file, "--format", "csv"],
+            ["report", "--in", bad],
+            ["search", "--n-min", "3", "--n-max", "6"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        fresh = []
+        for argv in sequence:
+            cli._shared_parser.cache_clear()
+            fresh.append(run(argv))
+        cli._shared_parser.cache_clear()
+        reused = [run(argv) for argv in sequence]
+        assert [code for code, _ in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_INPUT, EXIT_OK]
+        assert reused == fresh
+        assert cli._shared_parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_only_full_search_loads_scipy(self, tmp_path):
+        # The pytest process already holds scipy, so the check needs a new
+        # interpreter.
+        script = textwrap.dedent(
+            """
+            import contextlib, hashlib, io, json, sys
+            import maxdecouple
+            import maxdecouple.cli as cli
+
+            def scipy_loaded():
+                return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+            def run(*argv):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(list(argv)) == 0, argv
+                return out.getvalue()
+
+            joint, nonneg = sys.argv[1:]
+            run("construct", "--family", "extremal", "--n", "12", "--out", joint)
+            run("report", "--in", joint)
+            run("report", "--in", joint, "--format", "csv")
+            run("sample", "--in", joint, "--count", "100")
+            run("report", "--in", nonneg)
+            run("search", "--n-min", "3", "--n-max", "20")
+            run("search", "--n-min", "3", "--n-max", "20", "--mode", "negcov")
+            before = scipy_loaded()
+            full = run("search", "--n-min", "3", "--n-max", "6", "--reduction", "full")
+            print(json.dumps({
+                "before": before,
+                "after": scipy_loaded(),
+                "sha256": hashlib.sha256(full.encode()).hexdigest(),
+            }))
+            """
+        )
+        nonneg = write_json(
+            tmp_path / "nonneg.json",
+            {
+                "kind": "nonneg-joint",
+                "n": 2,
+                "atoms": [{"values": [0.0, 1.0], "p": 0.5}, {"values": [2.0, 0.5], "p": 0.5}],
+            },
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "joint.json"), nonneg],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result == {"before": False, "after": True, "sha256": FULL_SEARCH_SHA256}
 
 
 class TestInvariantExitCode:

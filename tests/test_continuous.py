@@ -31,9 +31,9 @@ from maxdecouple import (
     MarginalVector,
 )
 from maxdecouple import continuous, dist
-from maxdecouple.bounds import holds
+from maxdecouple.bounds import DEFAULT_COVARIANCE_TOL, holds
 from maxdecouple.cli import EXIT_OK, main
-from maxdecouple.continuous import ORTHANT_SLACK, ContinuousCheck
+from maxdecouple.continuous import ContinuousCheck
 from test_dist import random_sparse_joint
 
 
@@ -344,7 +344,8 @@ class TestOrthantAgainstOracle:
                 tables = [[float(v) for v in rng.integers(0, 3, size=q)] for _ in range(n)]
                 joint = affine_hash_values(n, q, tables)
             got = pairwise_orthant_ok(joint)
-            assert got == oracles.oracle_pairwise_orthant_ok(list(joint.atoms), ORTHANT_SLACK)
+            want = oracles.oracle_pairwise_orthant_ok(list(joint.atoms), DEFAULT_COVARIANCE_TOL)
+            assert got == want
             verdicts.append(got)
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
@@ -504,7 +505,7 @@ def reference_check(joint):
         emax_ind += (t_next - t) * s
     return ContinuousCheck(
         emax, emax_ind, holds(emax, PINELIS_CONSTANT * emax_ind),
-        all(e <= ORTHANT_SLACK for e in excess), holds(0.5 * emax_ind, emax),
+        all(e <= DEFAULT_COVARIANCE_TOL for e in excess), holds(0.5 * emax_ind, emax),
     )
 
 
