@@ -8,7 +8,10 @@ that order left to right, which makes all derived quantities deterministic.
 measures true mass rather than producing a result.)
 
 The hit count Z = sum_i X_i of an atom is the popcount of its mask; it is
-never stored, always derived.
+never stored, always derived, as an exact integer count of the atom's row
+of the bit table.  The d x d pair product of `_summarize` is the one BLAS
+call; with many column classes OpenBLAS runs it on a worker thread, which
+then spins idle for a while.
 
 A joint is read into numpy once, by the one load path that the constructor
 and `from_json_dict` share: the masks, sorted, packed into a byte table and
@@ -388,7 +391,9 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     _, first, k = np.unique(classes, return_index=True, return_counts=True)
     table = bits[:, first].astype(np.float64)
 
-    z = table @ k.astype(np.float64)  # hit count of each atom
+    # Each atom's hit count as an exact integer row count; a float mat-vec
+    # gives the same values but wakes a BLAS worker thread.
+    z = np.count_nonzero(bits, axis=1).astype(np.float64)
     weighted = np.column_stack([table, z > 0, z, z * z]) * weights[:, None]
     sums = np.cumsum(weighted, axis=0)[-1]
     p, (prob_hit, ez, ez2) = sums[:d], sums[d:]

@@ -6,6 +6,7 @@ the LP sweep).
 """
 
 import math
+import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -17,6 +18,7 @@ import oracles
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
     PINELIS_CONSTANT,
+    JointBernoulli,
     MarginalVector,
     affine_hash,
     bernoulli_embedding,
@@ -35,9 +37,11 @@ from maxdecouple import (
     moments_of_z,
     one_hot_uniform,
     paley_zygmund_lower,
+    permute_variables,
     pinelis_upper_check,
     prob_hit,
     prob_hit_independent,
+    product,
     sample,
     second_moments,
     solve,
@@ -134,6 +138,24 @@ def test_criterion_04_conjectured_extremal_exactness():
                     assert abs(m[i][k] - p[i] * p[k]) <= 1e-12
                     assert abs(oracle_m[i][k] - 0.25) <= 1e-15
         assert moments_of_z(j) == oracles.oracle_moments_z(atoms)
+
+
+def _wide_joints():
+    rng = random.Random(SEED)
+    perm = list(range(40))
+    rng.shuffle(perm)
+    yield "product12", product(MarginalVector([0.05 + 0.07 * i for i in range(12)]))
+    yield "extremal40-permuted", permute_variables(conjectured_extremal(40), perm)
+    yield "two-atom2000", JointBernoulli(2000, {0: 0.375, rng.getrandbits(2000): 0.625})
+
+
+@pytest.mark.parametrize("j", [pytest.param(j, id=name) for name, j in _wide_joints()])
+def test_z_moments_exact_on_wide_joints(j):
+    # The one-scan summary's integer hit counts give the atom scan's
+    # left-to-right sums bit for bit, at sizes past the n = 3 case above.
+    atoms = dict(j.atoms)
+    assert moments_of_z(j) == oracles.oracle_moments_z(atoms)
+    assert prob_hit(j) == oracles.oracle_prob_hit(atoms)
 
 
 def test_criterion_05_counterexample_ratio(joint_batch):

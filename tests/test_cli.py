@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from maxdecouple import JointBernoulli, NonnegJoint, affine_hash_values, cli, conjectured_extremal
+from maxdecouple import (
+    JointBernoulli, MarginalVector, NonnegJoint, affine_hash_values, cli, conjectured_extremal,
+    product,
+)
 from maxdecouple import dist
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
@@ -361,11 +364,17 @@ class TestSample:
         assert out == ""
         assert_names_digit_limit(err, "an integer in the file")
 
-    # SHA-256 of the stdout of `sample` before it streamed through the
-    # guide-table kernel (one searchsorted over all draws, one join).
-    # Both joints have masks past 2^64; the second has zero-mass atoms and
-    # a total mass just under 1.
+    # SHA-256 of the stdout of `sample`.  extremal70 and clamp80 were
+    # recorded before it streamed through the guide-table kernel (one
+    # searchsorted over all draws, one join); both have masks past 2^64,
+    # and clamp80 has zero-mass atoms and a total mass just under 1.
+    # product8, rows of at most 4 bytes, was recorded before the writer
+    # split into narrow and wide row layouts.
     GOLDEN = {
+        ("product8", 1, 0): "e595be81bf15aa95763adb4fc0ba525bbed1971cf5fccdf3a946cd37025fb2c9",
+        ("product8", 65535, 1): "57b841701b73c3ebe8ccba6e4dd42e8588462456151e95f823be5fac8623dc34",
+        ("product8", 65537, 2): "d1d60df8c6be5c93de8cbc4ce4c1e1a029b86f7b3867193afd30409f3d54bdcb",
+        ("product8", 196615, 3): "bfb73c8a690684d1ad9eedc3ee065dbcbeeb5d15f26cfbf3d74fcd3a20b66e0c",
         ("extremal70", 1, 0): "7a293ab9bb4e2e52a8bfc7cb6e8cd7c705cbe4ec47c316d8c25119343f93a3f3",
         ("extremal70", 65535, 1): "3e81c874814c5c366c4d2324e372f35660a1ffae67b6815fce362231bd1d6c40",
         ("extremal70", 65537, 2): "e3b5cd1f74d15da6a382fe181db84dadd0435ffc7a81e336d2987e3c45f399a3",
@@ -381,6 +390,8 @@ class TestSample:
         assert count in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 7)
         if name == "extremal70":
             joint = conjectured_extremal(70)
+        elif name == "product8":
+            joint = product(MarginalVector((0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)))
         else:
             joint = JointBernoulli(80, {0: 0.5, 1 << 79: 0.0, (1 << 79) | 1: 0.25,
                                         3: 0.25 - 5e-13, 1 << 70: 0.0})
@@ -430,14 +441,22 @@ class TestVerify:
 
 class TestUsageContract:
     def test_unknown_subcommand_exits_64(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["frobnicate"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: maxdecouple ")
+        assert "error: argument command: invalid choice: 'frobnicate'" in err
 
     def test_missing_required_flag_exits_64(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["report"])
-        assert exc.value.code == EXIT_USAGE
+        assert main(["report"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: maxdecouple report ")
+        assert "error: the following arguments are required: --in" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: maxdecouple ")
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "j.json"
@@ -484,11 +503,7 @@ class TestUsageContract:
         ]
 
         def run(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            return code, capsys.readouterr().out
+            return main(argv), capsys.readouterr().out
 
         fresh = []
         for argv in sequence:
