@@ -1,6 +1,7 @@
 """Command-line behaviour: output formats, exit-code contract, round trips."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,13 +22,17 @@ from maxdecouple import (
 from maxdecouple import dist
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
+from maxdecouple.optimize import exchangeable_optimum
 from test_bounds import distinct_columns_joint, inflate_f
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout, recorded
-# before scipy became a lazy import.
-FULL_SEARCH_SHA256 = "1c8bf12e049e204e2a9c2e9bb46f5c3aa0051add9f594214033c035f6005fca0"
+# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout, as
+# `optimize.solve` writes it: the restricted master's basis and the
+# correctly rounded sum of its masses off the zero atom.  The digest pins
+# those low bits; `test_only_full_search_loads_scipy` also checks every
+# lp_objective against the exact optimum.
+FULL_SEARCH_SHA256 = "860eae664e5d4366d073205238f3f514ae0786009d91526a1397e2f5eb8e28e4"
 
 
 def write_json(path, payload):
@@ -548,6 +554,7 @@ class TestUsageContract:
                 "before": before,
                 "after": scipy_loaded(),
                 "sha256": hashlib.sha256(full.encode()).hexdigest(),
+                "full": full,
             }))
             """
         )
@@ -567,7 +574,13 @@ class TestUsageContract:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
+        rows = list(csv.DictReader(io.StringIO(result.pop("full"))))
         assert result == {"before": False, "after": True, "sha256": FULL_SEARCH_SHA256}
+        assert [int(row["n"]) for row in rows] == [3, 4, 5, 6]
+        for row in rows:
+            n = int(row["n"])
+            exact = exchangeable_optimum(n, Fraction(1, n - 1)).objective_exact
+            assert float(row["lp_objective"]) == pytest.approx(exact, rel=1e-14), n
 
 
 class TestInvariantExitCode:

@@ -4,6 +4,7 @@ and the sweep table."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -28,6 +29,41 @@ from maxdecouple import (
 )
 from maxdecouple import optimize
 from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES
+
+
+def assert_basic_optimum(full, objective, n, p, mode, tol):
+    """`full` is optimal with the given objective, and its witness is a
+    basic feasible joint (at most one atom per row) to 1e-9."""
+    case = (n, p, mode)
+    pf, p2f = float(p), float(p * p)
+    assert full.status == "optimal", case
+    assert abs(full.objective - objective) <= tol, case
+    assert len(full.witness_atoms) <= 1 + n + math.comb(n, 2), case
+    joint = JointBernoulli(n, full.witness_atoms)
+    assert max(abs(x - pf) for x in marginals(joint).p) <= 1e-9, case
+    m = second_moments(joint).m
+    excess = [m[i][j] - p2f for i in range(n) for j in range(i + 1, n)]
+    if mode == "pairwise_equality":
+        assert max(map(abs, excess)) <= 1e-9, case
+    else:
+        assert max(excess) <= 1e-9, case
+    assert abs(prob_hit(joint) - full.objective) <= 1e-9, case
+
+
+@pytest.fixture
+def linprog_columns(monkeypatch):
+    """Column counts of every `scipy.optimize.linprog` call, in order."""
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counted(c, *args, **kwargs):
+        calls.append(len(c))
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
 
 
 class TestBuilders:
@@ -188,27 +224,15 @@ class TestOracleAgreement:
 
     def test_reduction_soundness(self):
         # The full LP reaches the closed form, and its witness is a basic
-        # feasible joint (at most one atom per row).
-        for n in range(2, 11):
-            grid = [Fraction(j, 10) for j in range(11)] + [Fraction(1, n - 1)]
-            for p in dict.fromkeys(grid):
-                pf, p2f = float(p), float(p * p)
+        # feasible joint (at most one atom per row): over the grid up to
+        # n = 10, and at the sweep's marginal up to the cap.
+        for n in range(2, FULL_VARIABLE_LIMIT + 1):
+            grid = [Fraction(j, 10) for j in range(11)] if n <= 10 else []
+            for p in dict.fromkeys(grid + [Fraction(1, n - 1)]):
                 for mode in MODES:
                     full = solve(build_full_lp(n, p, mode))
                     exch = exchangeable_optimum(n, p, mode)
-                    case = (n, p, mode)
-                    assert full.status == "optimal", case
-                    assert abs(full.objective - exch.objective) <= 1e-9, case
-                    assert len(full.witness_atoms) <= 1 + n + math.comb(n, 2), case
-                    joint = JointBernoulli(n, full.witness_atoms)
-                    assert max(abs(x - pf) for x in marginals(joint).p) <= 1e-9, case
-                    m = second_moments(joint).m
-                    excess = [m[i][j] - p2f for i in range(n) for j in range(i + 1, n)]
-                    if mode == "pairwise_equality":
-                        assert max(map(abs, excess)) <= 1e-9, case
-                    else:
-                        assert max(excess) <= 1e-9, case
-                    assert abs(prob_hit(joint) - full.objective) <= 1e-9, case
+                    assert_basic_optimum(full, exch.objective, n, p, mode, 1e-9)
 
     def test_negcov_never_above_equality(self):
         for n in (3, 4, 6, 9):
@@ -343,3 +367,38 @@ class TestNegativeCovarianceMode:
         joint = JointBernoulli(4, solution.witness_atoms)
         # witness satisfies constraints within solver tolerance only
         assert prob_hit(joint) == pytest.approx(solution.objective, abs=1e-7)
+
+
+class TestColumnGeneration:
+    def test_infeasible_seed_widens_to_every_atom(self, monkeypatch, linprog_columns):
+        # The zero atom alone leaves every marginal row empty, so HiGHS
+        # never sees that master; the zero and full atoms touch every row
+        # but cannot meet p on a marginal and p^2 on a pair at once, so
+        # HiGHS does.
+        for n in range(4, 9):
+            for seed, calls in (([0], [1 << n]), ([0, (1 << n) - 1], [2, 1 << n])):
+                for p in (Fraction(3, 10), Fraction(1, 2)):
+                    for mode in MODES:
+                        lp = build_full_lp(n, p, mode)
+                        expected = solve(lp)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(optimize, "_seed_columns", lambda lp: np.array(seed))
+                            linprog_columns.clear()
+                            widened = solve(lp)
+                        case = (n, seed, p, mode)
+                        assert linprog_columns == calls, case
+                        assert_basic_optimum(widened, expected.objective, n, p, mode, 1e-12)
+
+    def test_seed_master_is_solved_once(self, linprog_columns):
+        # At the sweep's marginal k = 2, so the seed is Hamming weights 0..3.
+        for n in range(3, 13):
+            sweep = Fraction(1, n - 1)
+            for p in dict.fromkeys([Fraction(j, 10) for j in range(11)] + [sweep]):
+                for mode in MODES:
+                    linprog_columns.clear()
+                    solution = solve(build_full_lp(n, p, mode))
+                    case = (n, p, mode, linprog_columns)
+                    assert solution.status == "optimal", case
+                    assert len(linprog_columns) == 1, case
+                    if p == sweep:
+                        assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
