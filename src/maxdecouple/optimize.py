@@ -210,8 +210,12 @@ def _seed_columns(lp: ExtremalLp) -> np.ndarray:
     if lp.p == 0:
         return masks
     k = 1 + math.floor((lp.n - 1) * lp.p)
-    # bitwise_count gives uint8, on which weight - k would wrap below 0.
-    weight = np.bitwise_count(masks).astype(int)
+    # Marginal row i lists the atoms with bit i set (in both modes), so
+    # counting the column indices of rows 1..n gives each Hamming weight.
+    a_eq = lp.problem.a_eq
+    weight = np.bincount(
+        a_eq.indices[a_eq.indptr[1] : a_eq.indptr[1 + lp.n]], minlength=masks.size
+    )
     return np.flatnonzero((weight == 0) | (abs(weight - k) <= 1))
 
 
@@ -252,23 +256,26 @@ def solve(lp: ExtremalLp) -> LpSolution:
     columns = _seed_columns(lp)
     while True:
         cost, a_eq = problem.c[columns], problem.a_eq[:, columns]
-        res = None
         # An equality row that no column touches cannot meet its nonzero
         # right-hand side.  HiGHS's interior point, presolve off, can
         # iterate on such a master without end instead of calling it
-        # infeasible, so it is never handed one.
-        if not problem.b_eq[np.diff(a_eq.indptr) == 0].any():
-            res = linprog(
-                cost,
-                A_ub=None if problem.a_ub is None else problem.a_ub[:, columns],
-                b_ub=problem.b_ub,
-                A_eq=a_eq,
-                b_eq=problem.b_eq,
-                bounds=(0, None),
-                method="highs-ipm",
-                options={"presolve": False},
-            )
-        if columns.size < size and (res is None or res.status != 0):
+        # infeasible, so it is never handed one.  The shipped seed always
+        # touches every row (a weight >= 2 atom covers them all, or the
+        # seed is every atom); this guards against other seeds.
+        if columns.size < size and problem.b_eq[np.diff(a_eq.indptr) == 0].any():
+            columns = np.arange(size)
+            continue
+        res = linprog(
+            cost,
+            A_ub=None if problem.a_ub is None else problem.a_ub[:, columns],
+            b_ub=problem.b_ub,
+            A_eq=a_eq,
+            b_eq=problem.b_eq,
+            bounds=(0, None),
+            method="highs-ipm",
+            options={"presolve": False},
+        )
+        if columns.size < size and res.status != 0:
             # Infeasible, or HiGHS could not settle it: widen to every atom.
             columns = np.arange(size)
             continue

@@ -391,14 +391,14 @@ class TestColumnGeneration:
 
     def test_seed_master_is_solved_once(self, linprog_columns):
         # At the sweep's marginal k = 2, so the seed is Hamming weights 0..3.
+        # Elsewhere the round count rests on which optimal duals HiGHS
+        # returns; test_reduction_soundness checks the answer there.
         for n in range(3, 13):
-            sweep = Fraction(1, n - 1)
-            for p in dict.fromkeys([Fraction(j, 10) for j in range(11)] + [sweep]):
-                for mode in MODES:
-                    linprog_columns.clear()
-                    solution = solve(build_full_lp(n, p, mode))
-                    case = (n, p, mode, linprog_columns)
-                    assert solution.status == "optimal", case
-                    assert len(linprog_columns) == 1, case
-                    if p == sweep:
-                        assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
+            p = Fraction(1, n - 1)
+            for mode in MODES:
+                linprog_columns.clear()
+                solution = solve(build_full_lp(n, p, mode))
+                case = (n, mode, linprog_columns)
+                assert solution.status == "optimal", case
+                assert len(linprog_columns) == 1, case
+                assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
