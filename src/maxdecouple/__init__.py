@@ -38,11 +38,8 @@ from .continuous import (
     pairwise_orthant_ok,
 )
 from .dist import (
-    EtaMatrix,
     JointBernoulli,
     MarginalVector,
-    SecondMomentMatrix,
-    eta_matrix,
     is_pairwise_independent,
     marginals,
     moments_of_z,
@@ -50,7 +47,6 @@ from .dist import (
     prob_hit,
     prob_hit_independent,
     sample,
-    second_moments,
 )
 from .errors import InvalidDistributionError
 from .optimize import (
@@ -60,7 +56,6 @@ from .optimize import (
     conjecture_sweep,
     exchangeable_optimum,
     expand_exchangeable,
-    min_ratio,
     solve,
 )
 
@@ -69,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CONJECTURED_LOWER_CONSTANT",
-    "EtaMatrix",
     "ExtremalLp",
     "FamilySpec",
     "InvalidDistributionError",
@@ -78,7 +72,6 @@ __all__ = [
     "MarginalVector",
     "NonnegJoint",
     "PINELIS_CONSTANT",
-    "SecondMomentMatrix",
     "affine_hash",
     "affine_hash_values",
     "bernoulli_embedding",
@@ -88,7 +81,6 @@ __all__ = [
     "conjectured_extremal",
     "decoupling_check_cont",
     "eta_lower_check",
-    "eta_matrix",
     "exchangeable_optimum",
     "expand_exchangeable",
     "expected_max",
@@ -98,7 +90,6 @@ __all__ = [
     "is_pairwise_independent",
     "main_lower_check",
     "marginals",
-    "min_ratio",
     "moments_of_z",
     "one_hot_uniform",
     "pairwise_orthant_ok",
@@ -109,7 +100,6 @@ __all__ = [
     "prob_hit_independent",
     "product",
     "sample",
-    "second_moments",
     "solve",
     "xor_parity",
 ]

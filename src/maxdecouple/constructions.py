@@ -11,7 +11,7 @@ families here and in `continuous` share one cell list, `_affine_cells`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -206,10 +206,15 @@ class FamilySpec:
 
     def build(self) -> JointBernoulli:
         builder, names = _FAMILIES[self.kind]
-        values = [getattr(self, name) for name in names]
-        missing = [name for name, value in zip(names, values) if value in (None, ())]
+        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) not in (None, ())]
+        missing = [name for name in names if name not in given]
         if missing:
             raise ValueError(
                 f"family {self.kind!r} needs parameter(s): {', '.join(missing)}"
             )
-        return builder(*values)
+        unused = [name for name in given if name not in names]
+        if unused:
+            raise ValueError(
+                f"family {self.kind!r} does not use parameter(s): {', '.join(unused)}"
+            )
+        return builder(*(getattr(self, name) for name in names))

@@ -256,10 +256,10 @@ class MarginalVector:
         vec = tuple(float(x) for x in p)
         if not vec:
             raise InvalidDistributionError("marginal vector must be nonempty")
-        lo, hi = min(vec), max(vec)
-        if lo < 0.0 or hi > 1.0 + slack:
+        bad = [x for x in vec if not 0.0 <= x <= 1.0 + slack]  # NaN is bad too
+        if bad:
             raise InvalidDistributionError(
-                f"marginals must lie in [0, 1]; found value {lo if lo < 0 else hi!r}"
+                f"marginals must lie in [0, 1]; found value {bad[0]!r}"
             )
         object.__setattr__(self, "p", vec)
 
@@ -276,55 +276,6 @@ class MarginalVector:
     def prob_none(self) -> float:
         """P(Z~ = 0) = prod_i (1 - p_i), multiplied left to right."""
         return math.prod(1.0 - p for p in self.p)
-
-
-@dataclass(frozen=True, eq=False)
-class SecondMomentMatrix:
-    """All pairwise success probabilities m[i][j] = P(X_i = 1, X_j = 1).
-
-    Symmetric with m[i][i] = p_i.  Stored as a read-only float array.
-    """
-
-    m: np.ndarray
-
-    def __init__(self, m: np.ndarray):
-        arr = np.array(m, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidDistributionError("second-moment matrix must be square")
-        if not np.array_equal(arr, arr.T):
-            raise InvalidDistributionError("second-moment matrix must be symmetric")
-        diag = np.diag(arr)
-        if np.any(arr < 0.0) or np.any(
-            arr > np.minimum.outer(diag, diag) + NORMALIZATION_TOL
-        ):
-            raise InvalidDistributionError(
-                "pair probabilities must lie in [0, min(p_i, p_j)]"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
-
-    @property
-    def n(self) -> int:
-        return self.m.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class EtaMatrix:
-    """Positive-part excess pair correlations and their total.
-
-    eta[i][j] = max(0, P(X_i=1, X_j=1) - p_i p_j) for i != j, zero on the
-    diagonal.  The total sums over ordered pairs, so every unordered pair
-    contributes twice; downstream bounds rely on that convention.
-    """
-
-    eta: np.ndarray
-    total: float
-
-    def __init__(self, eta: np.ndarray, total: float):
-        arr = np.array(eta, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "eta", arr)
-        object.__setattr__(self, "total", float(total))
 
 
 class JointSummary(NamedTuple):
@@ -419,12 +370,6 @@ def marginals(joint: JointBernoulli) -> MarginalVector:
     return joint.summary.marginals
 
 
-def second_moments(joint: JointBernoulli) -> SecondMomentMatrix:
-    """E[X_i X_j] = P(both set) for all pairs, as a dense n x n matrix."""
-    classes = joint.summary.classes
-    return SecondMomentMatrix(joint.summary.pair_moments[np.ix_(classes, classes)])
-
-
 def prob_hit(joint: JointBernoulli) -> float:
     """P(Z > 0): total mass off the zero mask, i.e. E[max_i X_i]."""
     return joint.summary.prob_hit
@@ -445,14 +390,6 @@ def is_pairwise_independent(joint: JointBernoulli, tol: float) -> bool:
     if tol < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return joint.summary.max_abs_excess <= tol
-
-
-def eta_matrix(joint: JointBernoulli) -> EtaMatrix:
-    """Clip each pair's excess correlation at zero and total over ordered pairs."""
-    p = np.array(marginals(joint).p)
-    excess = second_moments(joint).m - np.outer(p, p)
-    np.fill_diagonal(excess, 0.0)
-    return EtaMatrix(np.maximum(excess, 0.0), joint.summary.h)
 
 
 class _GuideTable:

@@ -59,9 +59,12 @@ PRICING_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
-class FullLpProblem:
+class ExtremalLp:
     """Atom-level formulation: minimize c @ q over q >= 0."""
 
+    n: int
+    p: Fraction
+    mode: str
     c: np.ndarray
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
@@ -69,28 +72,18 @@ class FullLpProblem:
     b_ub: np.ndarray | None
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremalLp:
-    n: int
-    p: Fraction
-    mode: str
-    problem: FullLpProblem
-
-
 @dataclass(frozen=True)
 class LpSolution:
     """Solved search instance.
 
-    `objective` is the minimum of P(Z > 0).  Exactly one of `witness_atoms`
-    (full) / `witness_weights` (exchangeable) is set for optimal solutions;
-    the exchangeable route additionally reports the exact rational optimum
-    and the exact weights P(Z = k), k = 0..n.
+    `objective` is the minimum of P(Z > 0).  For optimal solutions the full
+    route sets `witness_atoms`; the exchangeable route sets the exact
+    rational optimum and the exact weights P(Z = k), k = 0..n.
     """
 
     status: str  # "optimal" | "infeasible"
     objective: float | None
     witness_atoms: dict[int, float] | None = None
-    witness_weights: tuple[float, ...] | None = None
     objective_exact: Fraction | None = None
     weights_exact: tuple[Fraction, ...] | None = None
 
@@ -139,12 +132,10 @@ def build_full_lp(
     c[0] = 0.0
     a = sparse.csr_matrix(rows).astype(np.float64)
     if mode == "pairwise_equality":
-        problem = FullLpProblem(c=c, a_eq=a, b_eq=b, a_ub=None, b_ub=None)
-    else:
-        problem = FullLpProblem(
-            c=c, a_eq=a[: 1 + n], b_eq=b[: 1 + n], a_ub=a[1 + n :], b_ub=b[1 + n :]
-        )
-    return ExtremalLp(n=n, p=p, mode=mode, problem=problem)
+        return ExtremalLp(n, p, mode, c, a_eq=a, b_eq=b, a_ub=None, b_ub=None)
+    return ExtremalLp(
+        n, p, mode, c, a_eq=a[: 1 + n], b_eq=b[: 1 + n], a_ub=a[1 + n :], b_ub=b[1 + n :]
+    )
 
 
 def exchangeable_optimum(
@@ -185,16 +176,13 @@ def exchangeable_optimum(
         if k < n:  # at p = 1, k = n and the weight on n + 1 is zero
             support[k + 1] = upper
         support[0] = 1 - support[k] - upper
-    # Only the support is converted; the other n - 2 or so weights are zero.
     weights = [Fraction(0)] * (n + 1)
-    witness = [0.0] * (n + 1)
     for z, w in support.items():
-        weights[z], witness[z] = w, float(w)
+        weights[z] = w
     objective_exact = 1 - weights[0]
     return LpSolution(
         status="optimal",
         objective=float(objective_exact),
-        witness_weights=tuple(witness),
         objective_exact=objective_exact,
         weights_exact=tuple(weights),
     )
@@ -212,7 +200,7 @@ def _seed_columns(lp: ExtremalLp) -> np.ndarray:
     k = 1 + math.floor((lp.n - 1) * lp.p)
     # Marginal row i lists the atoms with bit i set (in both modes), so
     # counting the column indices of rows 1..n gives each Hamming weight.
-    a_eq = lp.problem.a_eq
+    a_eq = lp.a_eq
     weight = np.bincount(
         a_eq.indices[a_eq.indptr[1] : a_eq.indptr[1 + lp.n]], minlength=masks.size
     )
@@ -251,26 +239,25 @@ def solve(lp: ExtremalLp) -> LpSolution:
     """
     from scipy.optimize import linprog
 
-    problem = lp.problem
-    size = problem.c.size
+    size = lp.c.size
     columns = _seed_columns(lp)
     while True:
-        cost, a_eq = problem.c[columns], problem.a_eq[:, columns]
+        cost, a_eq = lp.c[columns], lp.a_eq[:, columns]
         # An equality row that no column touches cannot meet its nonzero
         # right-hand side.  HiGHS's interior point, presolve off, can
         # iterate on such a master without end instead of calling it
         # infeasible, so it is never handed one.  The shipped seed always
         # touches every row (a weight >= 2 atom covers them all, or the
         # seed is every atom); this guards against other seeds.
-        if columns.size < size and problem.b_eq[np.diff(a_eq.indptr) == 0].any():
+        if columns.size < size and lp.b_eq[np.diff(a_eq.indptr) == 0].any():
             columns = np.arange(size)
             continue
         res = linprog(
             cost,
-            A_ub=None if problem.a_ub is None else problem.a_ub[:, columns],
-            b_ub=problem.b_ub,
+            A_ub=None if lp.a_ub is None else lp.a_ub[:, columns],
+            b_ub=lp.b_ub,
             A_eq=a_eq,
-            b_eq=problem.b_eq,
+            b_eq=lp.b_eq,
             bounds=(0, None),
             method="highs-ipm",
             options={"presolve": False},
@@ -283,9 +270,9 @@ def solve(lp: ExtremalLp) -> LpSolution:
             return LpSolution(status="infeasible", objective=None)
         if res.status != 0:
             raise RuntimeError(f"full LP solver failed: {res.message}")
-        reduced = problem.c - problem.a_eq.T @ res.eqlin.marginals
-        if problem.a_ub is not None:
-            reduced -= problem.a_ub.T @ res.ineqlin.marginals
+        reduced = lp.c - lp.a_eq.T @ res.eqlin.marginals
+        if lp.a_ub is not None:
+            reduced -= lp.a_ub.T @ res.ineqlin.marginals
         reduced[columns] = 0.0
         entering = np.flatnonzero(reduced < -PRICING_TOLERANCE)
         if entering.size == 0:
@@ -324,16 +311,6 @@ def expand_exchangeable(n: int, weights) -> JointBernoulli:
         ]
         atoms.update(_even_spread(masks, target))
     return JointBernoulli(n, atoms)
-
-
-def min_ratio(
-    n: int, mode: str = "pairwise_equality"
-) -> tuple[float, LpSolution]:
-    """Minimal P(Z>0) / P(Z~>0) at the calibration marginal p = 1/(n-1)."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    solution = exchangeable_optimum(n, Fraction(1, n - 1), mode)
-    return solution.objective / _calibration_mtilde(n), solution
 
 
 def _calibration_mtilde(n: int) -> float:

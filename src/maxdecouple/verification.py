@@ -30,7 +30,6 @@ from .continuous import NonnegJoint
 from .dist import (
     JointBernoulli,
     MarginalVector,
-    eta_matrix,
     is_pairwise_independent,
     marginals,
     moments_of_z,
@@ -38,7 +37,6 @@ from .dist import (
     prob_hit,
     prob_hit_independent,
     sample,
-    second_moments,
 )
 
 MAX_COUNTEREXAMPLES = 3
@@ -140,6 +138,13 @@ def _pairwise_independent_families() -> list[JointBernoulli]:
     return instances
 
 
+def _ordered_pairs(joint: JointBernoulli) -> np.ndarray:
+    """Ordered pairs i != j of variables per class pair of `joint.summary`:
+    k_a k_b across two classes, k_a (k_a - 1) within one."""
+    k = np.bincount(joint.summary.classes)
+    return np.outer(k, k) - np.diag(k)
+
+
 def _check_joint_properties(
     joint: JointBernoulli, rng: np.random.Generator, tallies: dict[str, PropertyResult]
 ) -> None:
@@ -153,11 +158,8 @@ def _check_joint_properties(
     )
 
     # E[Z^2] recomputed from the pair moments must match the atom scan.
-    sm = second_moments(joint).m
-    p = marginals(joint).p
-    recomposed = sum(p) + 2.0 * sum(
-        sm[i][j] for i in range(joint.n) for j in range(i + 1, joint.n)
-    )
+    pair_total = (_ordered_pairs(joint) * joint.summary.pair_moments).sum()
+    recomposed = sum(marginals(joint).p) + float(pair_total)
     tallies["second-moment-identity"].record(
         bounds.holds(ez2, recomposed) and bounds.holds(recomposed, ez2), doc
     )
@@ -181,8 +183,7 @@ def _check_joint_properties(
     else:
         tallies["pairwise-flag-permutation-invariant"].record(True, doc)
 
-    h = eta_matrix(joint).total
-    if h == 0.0:
+    if report.H == 0.0:
         main = bounds.main_lower_check(joint)
         eta = bounds.eta_lower_check(joint)
         tallies["eta-reduces-to-main-when-h-zero"].record(
@@ -285,12 +286,10 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
             tag = f'{{"lp":{{"n":{n},"p":"{p}"}}}}'
             joint = product(MarginalVector((float(p),) * n))
             marg = marginals(joint).p
-            sm = second_moments(joint).m
+            paired = joint.summary.pair_moments[_ordered_pairs(joint) > 0]
             pf, p2f = float(p), float(p) * float(p)
-            feasible = max(abs(x - pf) for x in marg) <= 1e-12 and all(
-                abs(sm[i][j] - p2f) <= 1e-12
-                for i in range(n)
-                for j in range(i + 1, n)
+            feasible = max(abs(x - pf) for x in marg) <= 1e-12 and bool(
+                (abs(paired - p2f) <= 1e-12).all()
             )
             solved = optimize.exchangeable_optimum(n, p)
             solved_full = optimize.solve(optimize.build_full_lp(n, p))

@@ -42,6 +42,16 @@ def oracle_second_moments(n: int, atoms: dict[int, float]) -> list[list[float]]:
     return m
 
 
+def pair_moment_matrix(joint) -> list[list[float]]:
+    """The library's pair data, `summary.pair_moments` over column classes,
+    expanded to the n x n matrix of E[X_i X_j].  Not an oracle: it lets a
+    test compare the library's pair moments with the oracles entry by entry,
+    and it is the only n x n expansion of them."""
+    moments = joint.summary.pair_moments.tolist()
+    classes = joint.summary.classes.tolist()
+    return [[moments[a][b] for b in classes] for a in classes]
+
+
 def oracle_prob_hit(atoms: dict[int, float]) -> float:
     """P(at least one variable is 1) = total mass off the zero mask."""
     return sum(atoms[mask] for mask in sorted(atoms) if mask != 0)

@@ -43,7 +43,6 @@ from maxdecouple import (
     prob_hit_independent,
     product,
     sample,
-    second_moments,
     solve,
     xor_parity,
 )
@@ -131,7 +130,7 @@ def test_criterion_04_conjectured_extremal_exactness():
         )
         oracle_m = oracles.oracle_second_moments(3, atoms)
         p = marginals(j).p
-        m = second_moments(j).m
+        m = oracles.pair_moment_matrix(j)
         for i in range(3):
             for k in range(3):
                 if i != k:

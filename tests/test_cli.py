@@ -275,6 +275,17 @@ class TestConstruct:
     def test_missing_parameter_is_usage_error(self, capsys):
         assert main(["construct", "--family", "comonotone", "--n", "3"]) == EXIT_USAGE
 
+    def test_unused_parameter_is_usage_error(self, capsys):
+        assert main(["construct", "--family", "extremal", "--n", "3", "--eps", "0.5"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "does not use parameter(s): eps" in err
+
+    def test_nan_marginal_is_usage_error(self, capsys):
+        assert main(["construct", "--family", "product", "--p", "0.5,nan"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "marginals must lie in [0, 1]; found value nan" in err
+        assert "atom mask" not in err
+
     def test_mask_past_decimal_digit_limit_is_a_write_error(self, tmp_path, capsys):
         # 2^14284 - 1 has 4300 decimal digits and is written; the all-ones
         # mask over one more variable has 4301 and is refused unwritten.
@@ -433,6 +444,17 @@ class TestSample:
 
 
 class TestVerify:
+    # SHA-256 of `verify --seed 0 --trials 200` stdout, recorded while the
+    # battery still read pair moments from n x n matrices: it pins that the
+    # properties that now read the joint summary tally the same checks.
+    GOLDEN = "0cfc038dc2617edd6e229edcd7a4824953afed8a69024324be5eb471e9c4a6a8"
+
+    def test_stdout_matches_golden_digest(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "--seed", "0", "--trials", "200"]) == EXIT_OK
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.GOLDEN
+
     def test_small_battery_passes_and_is_deterministic(self, capsys):
         assert main(["verify", "--seed", "0", "--trials", "5"]) == EXIT_OK
         first = capsys.readouterr().out

@@ -18,7 +18,6 @@ from maxdecouple import (
     prob_hit,
     prob_hit_independent,
     product,
-    second_moments,
     xor_parity,
 )
 
@@ -124,7 +123,7 @@ class TestAffineHash:
             for _, prob in j.atoms
         )
         assert marginals(j).p == pytest.approx((1 / 3,) * 3, abs=1e-15)
-        m = second_moments(j).m
+        m = oracles.pair_moment_matrix(j)
         for i in range(3):
             for k in range(3):
                 if i != k:
@@ -162,7 +161,7 @@ class TestXorParity:
         assert len(j.atoms) == 4
         assert all(prob == 0.25 for _, prob in j.atoms)
         assert marginals(j).p == (0.5, 0.5, 0.5)
-        m = second_moments(j).m
+        m = oracles.pair_moment_matrix(j)
         for i in range(3):
             for k in range(3):
                 if i != k:
@@ -241,6 +240,19 @@ class TestFamilySpec:
         ]
         for spec, missing in cases:
             want = rf"^family '{spec.kind}' needs parameter\(s\): {missing}$"
+            with pytest.raises(ValueError, match=want):
+                spec.build()
+
+    def test_unused_parameter_named(self):
+        cases = [
+            (FamilySpec("conjectured_extremal", n=3, eps=0.5), "eps"),
+            (FamilySpec("one_hot_uniform", n=3, k=2), "k"),
+            (FamilySpec("comonotone", n=3, eps=0.5, q=5, m=1), "q, m"),
+            (FamilySpec("xor_parity", k=2, p=(0.5,)), "p"),
+            (FamilySpec("product", n=2, p=(0.5, 0.5)), "n"),
+        ]
+        for spec, unused in cases:
+            want = rf"^family '{spec.kind}' does not use parameter\(s\): {unused}$"
             with pytest.raises(ValueError, match=want):
                 spec.build()
 

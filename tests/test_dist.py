@@ -16,7 +16,6 @@ from maxdecouple import (
     MarginalVector,
     comonotone,
     conjectured_extremal,
-    eta_matrix,
     is_pairwise_independent,
     main_lower_check,
     marginals,
@@ -27,7 +26,6 @@ from maxdecouple import (
     prob_hit_independent,
     product,
     sample,
-    second_moments,
 )
 from maxdecouple import dist
 
@@ -113,6 +111,11 @@ class TestMarginalVector:
         with pytest.raises(InvalidDistributionError):
             MarginalVector([-0.1])
 
+    def test_rejects_nan_naming_it(self):
+        for values in ([0.5, math.nan], [math.nan, 0.5]):
+            with pytest.raises(InvalidDistributionError, match="found value nan$"):
+                MarginalVector(values)
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidDistributionError):
             MarginalVector([])
@@ -137,15 +140,15 @@ class TestMarginals:
 class TestSecondMoments:
     def test_comonotone_pair(self):
         j = comonotone(2, 0.1)
-        assert second_moments(j).m[0][1] == 0.1
+        assert oracles.pair_moment_matrix(j)[0][1] == 0.1
 
     def test_independent_product(self):
         j = product(MarginalVector([0.5, 0.5]))
-        assert second_moments(j).m[0][1] == 0.25
+        assert oracles.pair_moment_matrix(j)[0][1] == 0.25
 
     def test_extremal_three_pairwise_product(self):
         j = conjectured_extremal(3)
-        m = second_moments(j).m
+        m = oracles.pair_moment_matrix(j)
         oracle_m = oracles.oracle_second_moments(3, dict(j.atoms))
         assert np.allclose(m, oracle_m, atol=1e-14)
         for i in range(3):
@@ -157,7 +160,7 @@ class TestSecondMoments:
         rng = np.random.default_rng(5)
         for _ in range(50):
             j = random_sparse_joint(rng)
-            assert tuple(np.diag(second_moments(j).m)) == marginals(j).p
+            assert tuple(np.diag(oracles.pair_moment_matrix(j))) == marginals(j).p
 
 
 class TestProbHit:
@@ -213,7 +216,7 @@ class TestMomentsOfZ:
             j = random_sparse_joint(rng)
             _, ez2 = moments_of_z(j)
             p = marginals(j).p
-            m = second_moments(j).m
+            m = oracles.pair_moment_matrix(j)
             recomposed = sum(p) + 2.0 * sum(
                 m[i][k] for i in range(j.n) for k in range(i + 1, j.n)
             )
@@ -256,28 +259,30 @@ class TestPairwiseIndependence:
 
 
 class TestEtaMatrix:
+    """The positive-part excess: `summary.h` totals it over ordered pairs,
+    and `summary.max_excess` is the largest signed excess."""
+
     def test_pairwise_independent_gives_zero(self):
-        e = eta_matrix(product(MarginalVector([0.3, 0.7, 0.5])))
-        assert e.total == 0.0
-        assert np.all(e.eta == 0.0)
+        summary = product(MarginalVector([0.3, 0.7, 0.5])).summary
+        assert summary.h == 0.0
+        assert summary.max_excess <= 0.0
 
     def test_comonotone_pair(self):
-        e = eta_matrix(comonotone(2, 0.1))
-        assert e.eta[0][1] == pytest.approx(0.09, abs=1e-15)
-        assert e.eta[1][0] == pytest.approx(0.09, abs=1e-15)
-        assert e.total == pytest.approx(0.18, abs=1e-15)
+        summary = comonotone(2, 0.1).summary
+        assert summary.max_excess == pytest.approx(0.09, abs=1e-15)
+        assert summary.h == pytest.approx(0.18, abs=1e-15)
 
     def test_negative_correlation_clips_to_zero(self):
         j = JointBernoulli(2, {0b01: 0.5, 0b10: 0.5})
-        e = eta_matrix(j)
-        assert e.total == 0.0
+        assert j.summary.max_excess == -0.25
+        assert j.summary.h == 0.0
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             j = random_sparse_joint(rng, max_n=6)
             _, oracle_total = oracles.oracle_eta(j.n, dict(j.atoms))
-            assert eta_matrix(j).total == pytest.approx(oracle_total, abs=1e-12)
+            assert j.summary.h == pytest.approx(oracle_total, abs=1e-12)
 
 
 class TestColumnClasses:
@@ -289,9 +294,9 @@ class TestColumnClasses:
             atoms = dict(j.atoms)
             p = oracles.oracle_marginals(j.n, atoms)
             m = oracles.oracle_second_moments(j.n, atoms)
-            np.testing.assert_allclose(second_moments(j).m, m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(oracles.pair_moment_matrix(j), m, rtol=0, atol=1e-12)
             _, oracle_total = oracles.oracle_eta(j.n, atoms)
-            assert eta_matrix(j).total == pytest.approx(oracle_total, abs=1e-12)
+            assert j.summary.h == pytest.approx(oracle_total, abs=1e-12)
             gaps = [
                 m[a][b] - p[a] * p[b]
                 for a in range(j.n)
@@ -307,8 +312,8 @@ class TestColumnClasses:
         j = JointBernoulli(5, {0b00000: 0.5, 0b10110: 0.25, 0b01001: 0.25})
         assert j.summary.classes.tolist() == [0, 1, 1, 0, 1]
         assert j.summary.pair_moments.shape == (2, 2)
-        assert second_moments(j).m[1][4] == 0.25
-        assert second_moments(j).m[0][1] == 0.0
+        assert oracles.pair_moment_matrix(j)[1][4] == 0.25
+        assert oracles.pair_moment_matrix(j)[0][1] == 0.0
 
 
 class TestSample:

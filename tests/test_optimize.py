@@ -20,11 +20,9 @@ from maxdecouple import (
     full_report,
     is_pairwise_independent,
     marginals,
-    min_ratio,
     prob_hit,
     prob_hit_independent,
     product,
-    second_moments,
     solve,
 )
 from maxdecouple import optimize
@@ -41,7 +39,7 @@ def assert_basic_optimum(full, objective, n, p, mode, tol):
     assert len(full.witness_atoms) <= 1 + n + math.comb(n, 2), case
     joint = JointBernoulli(n, full.witness_atoms)
     assert max(abs(x - pf) for x in marginals(joint).p) <= 1e-9, case
-    m = second_moments(joint).m
+    m = oracles.pair_moment_matrix(joint)
     excess = [m[i][j] - p2f for i in range(n) for j in range(i + 1, n)]
     if mode == "pairwise_equality":
         assert max(map(abs, excess)) <= 1e-9, case
@@ -69,16 +67,15 @@ def linprog_columns(monkeypatch):
 class TestBuilders:
     def test_full_lp_shapes_equality_mode(self):
         lp = build_full_lp(3, 0.5)
-        prob = lp.problem
-        assert prob.c.shape == (8,)
-        assert prob.c[0] == 0.0 and prob.c[1:].sum() == 7.0
-        assert prob.a_eq.shape == (1 + 3 + 3, 8)  # mass + marginals + pairs
-        assert prob.a_ub is None
+        assert lp.c.shape == (8,)
+        assert lp.c[0] == 0.0 and lp.c[1:].sum() == 7.0
+        assert lp.a_eq.shape == (1 + 3 + 3, 8)  # mass + marginals + pairs
+        assert lp.a_ub is None
 
     def test_full_lp_shapes_negcov_mode(self):
         lp = build_full_lp(3, 0.5, "negative_covariance")
-        assert lp.problem.a_eq.shape == (4, 8)
-        assert lp.problem.a_ub.shape == (3, 8)
+        assert lp.a_eq.shape == (4, 8)
+        assert lp.a_ub.shape == (3, 8)
 
     def test_full_lp_matches_loop_oracle(self):
         # Entry for entry, in both modes: the bit-table kernel builds the
@@ -87,15 +84,15 @@ class TestBuilders:
             for p in dict.fromkeys((Fraction(3, 10), Fraction(1, max(n - 1, 1)))):
                 c, marg, b_marg, pair, b_pair = oracles.oracle_full_lp_rows(n, p)
                 for mode in MODES:
-                    prob = build_full_lp(n, p, mode).problem
-                    assert prob.c.tolist() == c
+                    lp = build_full_lp(n, p, mode)
+                    assert lp.c.tolist() == c
                     if mode == "pairwise_equality":
-                        assert prob.a_ub is None and prob.b_ub is None
-                        blocks = [(prob.a_eq, prob.b_eq, marg + pair, b_marg + b_pair)]
+                        assert lp.a_ub is None and lp.b_ub is None
+                        blocks = [(lp.a_eq, lp.b_eq, marg + pair, b_marg + b_pair)]
                     else:
                         blocks = [
-                            (prob.a_eq, prob.b_eq, marg, b_marg),
-                            (prob.a_ub, prob.b_ub, pair, b_pair),
+                            (lp.a_eq, lp.b_eq, marg, b_marg),
+                            (lp.a_ub, lp.b_ub, pair, b_pair),
                         ]
                     for matrix, b, rows, expected_b in blocks:
                         assert matrix.format == "csr", (n, mode)
@@ -178,14 +175,12 @@ class TestSolveKnownInstances:
     def test_product_pmf_satisfies_equality_constraints_up_to_cap(self):
         # The independent law meets every equality-mode constraint to 1e-12,
         # which is what rules out infeasible statuses at any p in [0, 1].
-        from maxdecouple import marginals, second_moments
-
         for n in (2, 6, 10, FULL_VARIABLE_LIMIT):
             for p in (0.1, 0.3, 1.0 / (n - 1), 0.5):
                 joint = product(MarginalVector((p,) * n))
                 marg = marginals(joint).p
                 assert max(abs(x - p) for x in marg) <= 1e-12
-                m = second_moments(joint).m
+                m = oracles.pair_moment_matrix(joint)
                 worst = max(
                     abs(m[i][j] - p * p)
                     for i in range(n)
@@ -220,7 +215,6 @@ class TestOracleAgreement:
                     got = exchangeable_optimum(n, p, mode)
                     pair = (got.objective_exact, got.weights_exact)
                     assert pair == expected, (n, p, mode)
-                    assert got.witness_weights == tuple(map(float, got.weights_exact))
 
     def test_reduction_soundness(self):
         # The full LP reaches the closed form, and its witness is a basic
@@ -297,13 +291,13 @@ class TestWitnessRoundTrip:
 
 class TestMinRatioAndSweep:
     def test_ratio_three_is_six_sevenths(self):
-        ratio, solution = min_ratio(3)
-        assert ratio == pytest.approx(6 / 7, abs=1e-12)
-        assert solution.objective_exact == Fraction(3, 4)
+        (row,) = conjecture_sweep(3, 3, reduction="exchangeable")
+        assert row["lp_ratio"] == pytest.approx(6 / 7, abs=1e-12)
+        assert exchangeable_optimum(3, Fraction(1, 2)).objective_exact == Fraction(3, 4)
 
     def test_ratio_sandwich(self):
-        for n in (3, 4, 5, 7):
-            ratio, solution = min_ratio(n)
+        for row in conjecture_sweep(3, 7, reduction="exchangeable"):
+            n, ratio = row["n"], row["lp_ratio"]
             p = 1.0 / (n - 1)
             mtilde = prob_hit_independent(MarginalVector((p,) * n))
             construction = (0.5 + 0.5 / (n - 1)) / mtilde
@@ -311,10 +305,6 @@ class TestMinRatioAndSweep:
             pz = (s * s / (s + s * s)) / mtilde
             assert ratio >= max(pz, 0.5) - 1e-9
             assert ratio <= construction + 1e-12
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            min_ratio(2)
 
     def test_sweep_rows(self):
         rows = conjecture_sweep(3, 12, reduction="exchangeable")
@@ -340,7 +330,7 @@ class TestMinRatioAndSweep:
         # second-moment lower bound coincides with the candidate family and
         # the LP optimum lands exactly on n/(2(n-1)).
         for n in (3, 4, 10, 40):
-            _, solution = min_ratio(n)
+            solution = exchangeable_optimum(n, Fraction(1, n - 1))
             assert solution.objective_exact == Fraction(n, 2 * (n - 1))
 
     def test_sweep_validates_range(self):

@@ -1,0 +1,19 @@
+"""The package's public names."""
+
+import maxdecouple
+from maxdecouple import dist, optimize
+
+# Names the package no longer defines: pair data lives in
+# `JointBernoulli.summary`, and the sweep prints the p = 1/(n-1) ratio.
+REMOVED = ("SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio")
+
+
+def test_all_lists_only_defined_names():
+    assert [name for name in maxdecouple.__all__ if not hasattr(maxdecouple, name)] == []
+    assert len(set(maxdecouple.__all__)) == len(maxdecouple.__all__)
+
+
+def test_removed_names_are_gone():
+    for module in (maxdecouple, dist, optimize):
+        assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+    assert "FullLpProblem" not in vars(optimize)
