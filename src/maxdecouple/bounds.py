@@ -26,7 +26,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .dist import JointBernoulli, MarginalVector, prob_hit_independent
+from .dist import JointBernoulli, MarginalVector, _check_tolerance, prob_hit_independent
 
 # Optimal constant in the upper decoupling bound.  Never hard-code a decimal
 # truncation of these; all comparisons derive from math.e at full precision.
@@ -142,8 +142,9 @@ def main_lower_check(
     E[X_i X_j] - p_i p_j <= tol (pairwise independence passes a fortiori).
     When applicable is True the bound is guaranteed, so holds must be True;
     when it is False no claim is made and `holds` merely reports the raw
-    comparison.
+    comparison.  A NaN `tol` raises ValueError.
     """
+    _check_tolerance(tol)
     applicable = joint.summary.max_excess <= tol
     lhs = joint.summary.prob_hit
     rhs = 0.5 * prob_hit_independent(joint.summary.marginals)

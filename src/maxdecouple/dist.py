@@ -385,8 +385,15 @@ def moments_of_z(joint: JointBernoulli) -> tuple[float, float]:
     return joint.summary.ez, joint.summary.ez2
 
 
+def _check_tolerance(tol: float) -> None:
+    """Reject a NaN tolerance, which would fail every comparison."""
+    if math.isnan(tol):
+        raise ValueError(f"tolerance must be a number, got {tol}")
+
+
 def is_pairwise_independent(joint: JointBernoulli, tol: float) -> bool:
     """True iff |P(X_i=1, X_j=1) - p_i p_j| <= tol for every pair i != j."""
+    _check_tolerance(tol)
     if tol < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return joint.summary.max_abs_excess <= tol

@@ -7,9 +7,9 @@ Two routes to the same optimum:
                 (2^n variables), solved in floating point by column
                 generation: HiGHS's interior point method (crossover on,
                 presolve off) solves a restricted master over the atoms
-                near the closed form's support, and the master's duals
-                price all 2^n atoms until none has a reduced cost below
-                -1e-7 (see `solve`); capped at n <= 16.
+                near the closed form's support, and its duals price all
+                2^n atoms in closed form until none has a reduced cost
+                below -1e-7 (see `solve`); capped at n <= 16.
   exchangeable  the closed-form optimum over laws of Z = sum X_i (the sharp
                 Dawson-Sankoff bound), valid because permutation-averaging
                 any feasible joint preserves equal marginals, the pair
@@ -22,15 +22,16 @@ at p = 1/(n-1) tends to e/(2(e-1)), which is not the best lower constant:
 at p = 2/(n-1) the optimum, also pairwise independent, has Z in {0, 3} and
 a ratio below e/(2(e-1)) from n = 17 on.
 
-scipy is loaded on the first full-LP build (`build_full_lp`, `solve`), not
-at import: the exchangeable route and the rest of the package use numpy
-only.
+scipy is loaded on the first full-LP solve, or on the first read of a full
+constraint matrix (`ExtremalLp.a_eq`, `a_ub`), not at import: the
+exchangeable route and the rest of the package use numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
 from typing import TYPE_CHECKING
@@ -60,16 +61,30 @@ PRICING_TOLERANCE = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class ExtremalLp:
-    """Atom-level formulation: minimize c @ q over q >= 0."""
+    """Atom-level formulation: minimize c @ q over q >= 0, a_eq @ q = b_eq,
+    a_ub @ q <= b_ub.  The 2^n-column matrices are built as float CSR on
+    first read; `solve` never reads them."""
 
     n: int
     p: Fraction
     mode: str
     c: np.ndarray
-    a_eq: sparse.csr_matrix
     b_eq: np.ndarray
-    a_ub: sparse.csr_matrix | None
     b_ub: np.ndarray | None
+
+    @cached_property
+    def a_eq(self) -> sparse.csr_matrix:
+        return self._matrix(slice(self.b_eq.size))
+
+    @cached_property
+    def a_ub(self) -> sparse.csr_matrix | None:
+        return None if self.b_ub is None else self._matrix(slice(self.b_eq.size, None))
+
+    def _matrix(self, which: slice) -> sparse.csr_matrix:
+        from scipy import sparse
+
+        rows = _constraint_rows(self.n, np.arange(1 << self.n))[which]
+        return sparse.csr_matrix(rows).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -108,34 +123,45 @@ def build_full_lp(
     in negative_covariance mode (a relaxation, so its optimum can only be
     lower).  Objective: minimize the mass off the zero atom.
     """
-    from scipy import sparse
-
     p = _check_common(n, p, mode)
     if n > FULL_VARIABLE_LIMIT:
         raise ValueError(
             f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
         )
-    size = 1 << n
-    pf = float(p)
-    p2f = float(p * p)
-
-    # One bit table, atoms x variables; row r of the constraint matrix is
-    # the indicator of the atoms that constraint r sums over.
-    bits = (np.arange(size)[:, None] >> np.arange(n)) & 1 == 1
-    first, second = np.triu_indices(n, 1)
-    rows = np.vstack(
-        [np.ones((1, size), dtype=bool), bits.T, (bits[:, first] & bits[:, second]).T]
-    )
-    b = np.concatenate([[1.0], np.full(n, pf), np.full(len(first), p2f)])
-
-    c = np.ones(size)
+    pairs = n * (n - 1) // 2
+    b = np.concatenate([[1.0], np.full(n, float(p)), np.full(pairs, float(p * p))])
+    c = np.ones(1 << n)
     c[0] = 0.0
-    a = sparse.csr_matrix(rows).astype(np.float64)
     if mode == "pairwise_equality":
-        return ExtremalLp(n, p, mode, c, a_eq=a, b_eq=b, a_ub=None, b_ub=None)
-    return ExtremalLp(
-        n, p, mode, c, a_eq=a[: 1 + n], b_eq=b[: 1 + n], a_ub=a[1 + n :], b_ub=b[1 + n :]
-    )
+        return ExtremalLp(n, p, mode, c, b_eq=b, b_ub=None)
+    return ExtremalLp(n, p, mode, c, b_eq=b[: 1 + n], b_ub=b[1 + n :])
+
+
+def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """The program's 0/1 rows over the atoms `masks`, a boolean
+    (1 + n + C(n, 2)) x len(masks) array (`linprog` copies it to float):
+    row 0 sums the mass, row 1 + i the atoms with bit i set, then the pair
+    rows in `np.triu_indices` order, each the atoms with both bits set."""
+    bits = (masks & (1 << np.arange(n))[:, None]) != 0
+    first, second = np.triu_indices(n, 1)
+    return np.vstack([np.ones((1, masks.size), dtype=bool), bits, bits[first] & bits[second]])
+
+
+def _reduced_costs(lp: ExtremalLp, duals: np.ndarray) -> np.ndarray:
+    """c - A^T y over all 2^n atoms, for duals y in `_constraint_rows` order,
+    in closed form: c_x - y_0 - sum_{i in x} y_i - sum_{i<j in x} y_ij.  The
+    sums extend one bit at a time, with no BLAS call: the mask r + 2^b, r
+    below 2^b, adds y_b and y_ib for each bit i of r to the sum of r."""
+    n = lp.n
+    pair = np.zeros((n, n))
+    pair[np.triu_indices(n, 1)] = duals[1 + n :]
+    total = duals[:1]
+    for b in range(n):
+        link = np.zeros(1)
+        for i in range(b):
+            link = np.concatenate([link, link + pair[i, b]])
+        total = np.concatenate([total, total + duals[1 + b] + link])
+    return lp.c - total
 
 
 def exchangeable_optimum(
@@ -191,19 +217,12 @@ def exchangeable_optimum(
 def _seed_columns(lp: ExtremalLp) -> np.ndarray:
     """Masks of Hamming weight 0, k - 1, k and k + 1, where
     k = 1 + floor((n-1) p) is the closed form's k (see
-    `exchangeable_optimum`).  At p = 0 every mask: the zero atom is then the
-    only feasible point, its duals are arbitrary, and pricing from a seed
-    can pull in every atom over several solves."""
-    masks = np.arange(1 << lp.n)
-    if lp.p == 0:
-        return masks
+    `exchangeable_optimum`)."""
     k = 1 + math.floor((lp.n - 1) * lp.p)
-    # Marginal row i lists the atoms with bit i set (in both modes), so
-    # counting the column indices of rows 1..n gives each Hamming weight.
-    a_eq = lp.a_eq
-    weight = np.bincount(
-        a_eq.indices[a_eq.indptr[1] : a_eq.indptr[1 + lp.n]], minlength=masks.size
-    )
+    # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
+    weight = np.zeros(1, dtype=np.int64)
+    for _ in range(lp.n):
+        weight = np.concatenate([weight, weight + 1])
     return np.flatnonzero((weight == 0) | (abs(weight - k) <= 1))
 
 
@@ -211,19 +230,20 @@ def solve(lp: ExtremalLp) -> LpSolution:
     """Solve the atom-level LP with HiGHS by column generation; witness
     atoms below WITNESS_ATOM_FLOOR are dropped.
 
-    A basic optimum has at most 1 + n + n(n-1)/2 atoms (79 of 4,096 at
-    n = 12), so HiGHS need not see all 2^n columns.  It solves a
-    restricted master: the same rows over the atoms of `_seed_columns`,
-    which surround the closed form's support {0, k, k + 1}.  The master's
-    duals y price all 2^n atoms with one sparse product, c - A^T y.  Every
-    atom whose reduced cost is below -PRICING_TOLERANCE enters, and the
-    master is solved again, until none prices out.  Its optimum is then
-    optimal over every atom, to the dual tolerance HiGHS applies to the full
-    program, and its basis is a basis of the full LP.  A master that is
-    infeasible, or that HiGHS cannot solve to optimality, widens to all
-    atoms, so the answer never rests on the closed form; only the speed
-    does.  On p in {j/10} and 1/(n-1), n = 2..12, both modes, one
-    master solve always sufficed.
+    At p = 0 the zero atom is the only feasible point, returned unsolved.
+    Otherwise a basic optimum has at most 1 + n + n(n-1)/2 atoms (79 of
+    4,096 at n = 12), so HiGHS need not see all 2^n columns.  It solves a
+    restricted master, dense rows from `_constraint_rows` over the atoms of
+    `_seed_columns`, which surround the closed form's support {0, k, k + 1}.
+    The master's duals price all 2^n atoms in closed form (`_reduced_costs`),
+    with no 2^n-column matrix.  Every atom whose reduced cost is below
+    -PRICING_TOLERANCE enters, and the master is solved again, until none
+    prices out.  Its optimum is then optimal over every atom, to the dual
+    tolerance HiGHS applies to the full program, and its basis is a basis
+    of the full LP.  A master that is infeasible, or that HiGHS cannot solve
+    to optimality, widens to all atoms, so the answer never rests on the
+    closed form; only the speed does.  On p in {j/10} and 1/(n-1),
+    n = 2..12, both modes, one master solve always sufficed.
 
     Each master is solved by interior point with crossover, presolve off.
     At n = 12 and p = 1/11 the master has 299 columns and 79 rows; interior
@@ -237,24 +257,27 @@ def solve(lp: ExtremalLp) -> LpSolution:
     sweep n = 3..16 at p = 1/(n-1) it is within 7e-16 relative of the exact
     optimum, where HiGHS's own objective value strays up to 2.5e-15.
     """
+    if lp.p == 0:
+        return LpSolution(status="optimal", objective=0.0, witness_atoms={0: 1.0})
     from scipy.optimize import linprog
 
-    size = lp.c.size
+    size, n_eq = lp.c.size, lp.b_eq.size
     columns = _seed_columns(lp)
     while True:
-        cost, a_eq = lp.c[columns], lp.a_eq[:, columns]
+        rows = _constraint_rows(lp.n, columns)
+        cost, a_eq = lp.c[columns], rows[:n_eq]
         # An equality row that no column touches cannot meet its nonzero
         # right-hand side.  HiGHS's interior point, presolve off, can
         # iterate on such a master without end instead of calling it
         # infeasible, so it is never handed one.  The shipped seed always
-        # touches every row (a weight >= 2 atom covers them all, or the
-        # seed is every atom); this guards against other seeds.
-        if columns.size < size and lp.b_eq[np.diff(a_eq.indptr) == 0].any():
+        # touches every row (a weight >= 2 atom covers them all); this
+        # guards against other seeds.
+        if columns.size < size and lp.b_eq[~a_eq.any(axis=1)].any():
             columns = np.arange(size)
             continue
         res = linprog(
             cost,
-            A_ub=None if lp.a_ub is None else lp.a_ub[:, columns],
+            A_ub=None if lp.b_ub is None else rows[n_eq:],
             b_ub=lp.b_ub,
             A_eq=a_eq,
             b_eq=lp.b_eq,
@@ -270,9 +293,8 @@ def solve(lp: ExtremalLp) -> LpSolution:
             return LpSolution(status="infeasible", objective=None)
         if res.status != 0:
             raise RuntimeError(f"full LP solver failed: {res.message}")
-        reduced = lp.c - lp.a_eq.T @ res.eqlin.marginals
-        if lp.a_ub is not None:
-            reduced -= lp.a_ub.T @ res.ineqlin.marginals
+        duals = np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
+        reduced = _reduced_costs(lp, duals)
         reduced[columns] = 0.0
         entering = np.flatnonzero(reduced < -PRICING_TOLERANCE)
         if entering.size == 0:

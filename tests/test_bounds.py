@@ -117,6 +117,16 @@ class TestMainLower:
         check = main_lower_check(comonotone(8, 1e-3))
         assert not check.applicable
 
+    def test_rejects_nan_tolerance(self):
+        # NaN fails every comparison, so it would read "not applicable".
+        j = product(MarginalVector([0.3, 0.7]))
+        for check in (main_lower_check, full_report):
+            with pytest.raises(ValueError, match="nan"):
+                check(j, math.nan)
+        # A negative tolerance still asks for strictly negative covariance.
+        assert not main_lower_check(j, -1e-3).applicable
+        assert main_lower_check(one_hot_uniform(4), -1e-3).applicable
+
     def test_holds_whenever_applicable_randomized(self):
         rng = np.random.default_rng(103)
         seen_applicable = 0

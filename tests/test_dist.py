@@ -246,6 +246,11 @@ class TestPairwiseIndependence:
         with pytest.raises(ValueError):
             is_pairwise_independent(comonotone(2, 0.1), -1.0)
 
+    def test_rejects_nan_tolerance(self):
+        # NaN fails every comparison, so it would answer False for any joint.
+        with pytest.raises(ValueError, match="nan"):
+            is_pairwise_independent(product(MarginalVector([0.3, 0.7])), math.nan)
+
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**31 - 1), permseed=st.integers(0, 2**31 - 1))
     def test_invariant_under_relabeling(self, seed, permseed):

@@ -2,6 +2,7 @@
 and the sweep table."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,19 @@ class TestBuilders:
                             lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
                             assert matrix.indices[lo:hi].tolist() == row, (n, mode, r)
                         assert b.tolist() == expected_b, (n, mode)
+
+    def test_constraint_rows_match_loop_oracle(self):
+        # Entry for entry, on random mask subsets in random order.
+        rng = np.random.default_rng(15)
+        for n in range(1, 13):
+            _, marg, _, pair, _ = oracles.oracle_full_lp_rows(n, Fraction(1, 2))
+            members = [set(row) for row in marg + pair]
+            for size in (1, 3, 1 << n):
+                masks = rng.permutation(1 << n)[:size]
+                rows = optimize._constraint_rows(n, masks)
+                assert rows.dtype == bool
+                expected = [[mask in row for mask in masks.tolist()] for row in members]
+                assert rows.tolist() == expected, (n, masks.tolist())
 
     def test_full_lp_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -360,6 +374,46 @@ class TestNegativeCovarianceMode:
 
 
 class TestColumnGeneration:
+    def test_reduced_costs_match_full_matrix(self):
+        # The closed-form pricing against c - A^T y over the full CSR, on
+        # random duals; the scale bounds the rounding of either sum.
+        rng = np.random.default_rng(16)
+        for n in range(1, FULL_VARIABLE_LIMIT + 1):
+            for mode in MODES:
+                lp = build_full_lp(n, Fraction(1, 3), mode)
+                y = rng.normal(size=1 + n + math.comb(n, 2))
+                y_eq, y_ub = y[: lp.b_eq.size], y[lp.b_eq.size :]
+                expected = lp.c - lp.a_eq.T @ y_eq
+                if lp.a_ub is not None:
+                    expected -= lp.a_ub.T @ y_ub
+                scale = 1.0 + np.abs(y).sum()
+                got = optimize._reduced_costs(lp, y)
+                assert got.shape == expected.shape, (n, mode)
+                assert np.abs(got - expected).max() <= 1e-12 * scale, (n, mode)
+
+    def test_zero_marginal_needs_no_solver(self, linprog_columns):
+        # At p = 0 the zero atom is the only feasible point.
+        for n in range(1, FULL_VARIABLE_LIMIT + 1):
+            for mode in MODES:
+                solution = solve(build_full_lp(n, 0, mode))
+                assert solution.status == "optimal", (n, mode)
+                assert solution.objective == 0.0, (n, mode)
+                assert solution.witness_atoms == {0: 1.0}, (n, mode)
+        assert linprog_columns == []
+
+    def test_solve_builds_no_full_matrix(self):
+        # The masters and the pricing stay far below the 2^16-column
+        # program, whose float CSR alone takes about 54 MB.
+        solve(build_full_lp(4, Fraction(1, 3)))  # scipy imported untraced
+        tracemalloc.start()
+        try:
+            solution = solve(build_full_lp(FULL_VARIABLE_LIMIT, Fraction(1, 15)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solution.status == "optimal"
+        assert peak < 16_000_000, peak
+
     def test_infeasible_seed_widens_to_every_atom(self, monkeypatch, linprog_columns):
         # The zero atom alone leaves every marginal row empty, so HiGHS
         # never sees that master; the zero and full atoms touch every row
