@@ -4,8 +4,8 @@ Compares P(max X_i > 0) (Bernoulli case) or E[max X_i] (nonnegative case)
 against the same functional of the independent version of the family:
 mutually independent copies with identical marginals.  Provides the exact
 toolkit (sparse joint pmfs, bound reports, canonical families, an extremal
-search in closed form with an LP cross-check, and the finite layer-cake
-extension to real values).
+search in closed form, certified over every atom by LP duality, and the
+finite layer-cake extension to real values).
 """
 
 from .bounds import (
@@ -50,13 +50,11 @@ from .dist import (
 )
 from .errors import InvalidDistributionError
 from .optimize import (
-    ExtremalLp,
     LpSolution,
-    build_full_lp,
     conjecture_sweep,
     exchangeable_optimum,
     expand_exchangeable,
-    solve,
+    full_optimum,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CONJECTURED_LOWER_CONSTANT",
-    "ExtremalLp",
     "FamilySpec",
     "InvalidDistributionError",
     "JointBernoulli",
@@ -75,7 +72,6 @@ __all__ = [
     "affine_hash",
     "affine_hash_values",
     "bernoulli_embedding",
-    "build_full_lp",
     "comonotone",
     "conjecture_sweep",
     "conjectured_extremal",
@@ -85,6 +81,7 @@ __all__ = [
     "expand_exchangeable",
     "expected_max",
     "expected_max_independent",
+    "full_optimum",
     "full_report",
     "g_function",
     "is_pairwise_independent",
@@ -100,6 +97,5 @@ __all__ = [
     "prob_hit_independent",
     "product",
     "sample",
-    "solve",
     "xor_parity",
 ]

@@ -193,8 +193,8 @@ def _cmd_construct(args) -> int:
 def _cmd_search(args) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise UsageError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    # 'auto' takes the exact exchangeable route at every n; 'full' exists
-    # for cross-validation at small n.
+    # 'auto' takes the exact exchangeable route at every n; 'full' also
+    # certifies each row over all 2^n atoms, at small n.
     reduction = "full" if args.reduction == "full" else "exchangeable"
     if reduction == "full" and args.n_max > optimize.FULL_VARIABLE_LIMIT:
         raise UsageError(f"full reduction supports n <= {optimize.FULL_VARIABLE_LIMIT}")
@@ -311,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         print(f"maxdecouple: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except optimize.CertificateError as exc:
+        print(f"maxdecouple: invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"maxdecouple: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT

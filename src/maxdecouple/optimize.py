@@ -1,106 +1,59 @@
 """Search for joints minimizing P(Z > 0) under prescribed equal marginals
 and pairwise moment constraints.
 
-Two routes to the same optimum:
+Two routes to the same optimum, both exact:
 
-  full          a linear program with one variable per atom of {0,1}^n
-                (2^n variables), solved in floating point by column
-                generation: HiGHS's interior point method (crossover on,
-                presolve off) solves a restricted master over the atoms
-                near the closed form's support, and its duals price all
-                2^n atoms in closed form until none has a reduced cost
-                below -1e-7 (see `solve`); capped at n <= 16.
   exchangeable  the closed-form optimum over laws of Z = sum X_i (the sharp
                 Dawson-Sankoff bound), valid because permutation-averaging
                 any feasible joint preserves equal marginals, the pair
                 moments, and P(Z > 0); computed in exact rationals, so the
                 reported optimum carries no solver tolerance.
+  full          the same optimum, proven optimal for the linear program
+                with one variable per atom of {0,1}^n (2^n variables) by
+                an LP-duality certificate checked in integers and
+                rationals over every atom (see `full_optimum`); capped at
+                n <= 16.
 
-The two routes must agree on small n, which is one of the package's
-verification properties.  The sweep's ratio of the optimum to P(Z~ > 0)
-at p = 1/(n-1) tends to e/(2(e-1)), which is not the best lower constant:
-at p = 2/(n-1) the optimum, also pairwise independent, has Z in {0, 3} and
-a ratio below e/(2(e-1)) from n = 17 on.
+The two routes must agree, which is one of the package's verification
+properties.  The sweep's ratio of the optimum to P(Z~ > 0) at p = 1/(n-1)
+tends to e/(2(e-1)), which is not the best lower constant: at p = 2/(n-1)
+the optimum, also pairwise independent, has Z in {0, 3} and a ratio below
+e/(2(e-1)) from n = 17 on.
 
-scipy is loaded on the first full-LP solve, or on the first read of a full
-constraint matrix (`ExtremalLp.a_eq`, `a_ub`), not at import: the
-exchangeable route and the rest of the package use numpy only.
+The module uses numpy only.  The tests keep a floating-point HiGHS solve
+of the atom-level program as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constructions import _even_spread
 from .dist import JointBernoulli
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 MODES = ("pairwise_equality", "negative_covariance")
 
 FULL_VARIABLE_LIMIT = 16
 
-# Witness atoms below this are dropped as solver dust.  Crossover returns a
-# basic solution, so every atom off the basis is zero up to rounding; the
-# solver's primal feasibility tolerance (1e-7) is far coarser than this.
-WITNESS_ATOM_FLOOR = 1e-15
-
-# An atom whose reduced cost is below -PRICING_TOLERANCE enters the
-# restricted master in `solve`: HiGHS's dual feasibility tolerance, the one
-# it applies to the full program.
-PRICING_TOLERANCE = 1e-7
-
-
-@dataclass(frozen=True, eq=False)
-class ExtremalLp:
-    """Atom-level formulation: minimize c @ q over q >= 0, a_eq @ q = b_eq,
-    a_ub @ q <= b_ub.  The 2^n-column matrices are built as float CSR on
-    first read; `solve` never reads them."""
-
-    n: int
-    p: Fraction
-    mode: str
-    c: np.ndarray
-    b_eq: np.ndarray
-    b_ub: np.ndarray | None
-
-    @cached_property
-    def a_eq(self) -> sparse.csr_matrix:
-        return self._matrix(slice(self.b_eq.size))
-
-    @cached_property
-    def a_ub(self) -> sparse.csr_matrix | None:
-        return None if self.b_ub is None else self._matrix(slice(self.b_eq.size, None))
-
-    def _matrix(self, which: slice) -> sparse.csr_matrix:
-        from scipy import sparse
-
-        rows = _constraint_rows(self.n, np.arange(1 << self.n))[which]
-        return sparse.csr_matrix(rows).astype(np.float64)
+class CertificateError(RuntimeError):
+    """The duality certificate of `full_optimum` failed: a library bug."""
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solved search instance.
+    """Solved search instance: `objective` is the minimum of P(Z > 0),
+    `objective_exact` the same optimum as a rational, and `weights_exact`
+    the exact weights P(Z = k), k = 0..n, of an optimal law."""
 
-    `objective` is the minimum of P(Z > 0).  For optimal solutions the full
-    route sets `witness_atoms`; the exchangeable route sets the exact
-    rational optimum and the exact weights P(Z = k), k = 0..n.
-    """
-
-    status: str  # "optimal" | "infeasible"
-    objective: float | None
-    witness_atoms: dict[int, float] | None = None
-    objective_exact: Fraction | None = None
-    weights_exact: tuple[Fraction, ...] | None = None
+    status: str  # "optimal"
+    objective: float
+    objective_exact: Fraction
+    weights_exact: tuple[Fraction, ...]
 
 
 def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
@@ -114,54 +67,46 @@ def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
     return p
 
 
-def build_full_lp(
-    n: int, p: Fraction | float, mode: str = "pairwise_equality"
-) -> ExtremalLp:
-    """Atom-level LP: q_x >= 0, sum q = 1, marginals p, pair moments p^2.
-
-    Pair moments are equalities in pairwise_equality mode and upper bounds
-    in negative_covariance mode (a relaxation, so its optimum can only be
-    lower).  Objective: minimize the mass off the zero atom.
-    """
-    p = _check_common(n, p, mode)
-    if n > FULL_VARIABLE_LIMIT:
-        raise ValueError(
-            f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
-        )
-    pairs = n * (n - 1) // 2
-    b = np.concatenate([[1.0], np.full(n, float(p)), np.full(pairs, float(p * p))])
-    c = np.ones(1 << n)
-    c[0] = 0.0
-    if mode == "pairwise_equality":
-        return ExtremalLp(n, p, mode, c, b_eq=b, b_ub=None)
-    return ExtremalLp(n, p, mode, c, b_eq=b[: 1 + n], b_ub=b[1 + n :])
+def _closed_form_k(n: int, p: Fraction) -> int:
+    """The k of `exchangeable_optimum`, 1 + floor(2 S2 / S1), which is
+    1 + floor((n - 1) p); 0 at p = 0, where all mass is on Z = 0."""
+    return 0 if p == 0 else 1 + math.floor((n - 1) * p)
 
 
 def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    """The program's 0/1 rows over the atoms `masks`, a boolean
-    (1 + n + C(n, 2)) x len(masks) array (`linprog` copies it to float):
-    row 0 sums the mass, row 1 + i the atoms with bit i set, then the pair
-    rows in `np.triu_indices` order, each the atoms with both bits set."""
+    """The atom-level program's 0/1 rows over the atoms `masks`, a boolean
+    (1 + n + C(n, 2)) x len(masks) array: row 0 sums the mass, row 1 + i
+    the atoms with bit i set, then the pair rows in `np.triu_indices`
+    order, each the atoms with both bits set."""
     bits = (masks & (1 << np.arange(n))[:, None]) != 0
     first, second = np.triu_indices(n, 1)
     return np.vstack([np.ones((1, masks.size), dtype=bool), bits, bits[first] & bits[second]])
 
 
-def _reduced_costs(lp: ExtremalLp, duals: np.ndarray) -> np.ndarray:
+def _reduced_costs(n: int, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
     """c - A^T y over all 2^n atoms, for duals y in `_constraint_rows` order,
-    in closed form: c_x - y_0 - sum_{i in x} y_i - sum_{i<j in x} y_ij.  The
-    sums extend one bit at a time, with no BLAS call: the mask r + 2^b, r
-    below 2^b, adds y_b and y_ib for each bit i of r to the sum of r."""
-    n = lp.n
-    pair = np.zeros((n, n))
+    in the duals' dtype and in closed form: c_x - y_0 - sum_{i in x} y_i -
+    sum_{i<j in x} y_ij.  The sums extend one bit at a time, with no BLAS
+    call: the mask r + 2^b, r below 2^b, adds y_b and y_ib for each bit i
+    of r to the sum of r."""
+    pair = np.zeros((n, n), dtype=duals.dtype)
     pair[np.triu_indices(n, 1)] = duals[1 + n :]
     total = duals[:1]
     for b in range(n):
-        link = np.zeros(1)
+        link = np.zeros(1, dtype=duals.dtype)
         for i in range(b):
             link = np.concatenate([link, link + pair[i, b]])
         total = np.concatenate([total, total + duals[1 + b] + link])
-    return lp.c - total
+    return c - total
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    """The Hamming weight of every mask 0 .. 2^n - 1."""
+    # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
+    weight = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        weight = np.concatenate([weight, weight + 1])
+    return weight
 
 
 def exchangeable_optimum(
@@ -196,7 +141,7 @@ def exchangeable_optimum(
     if p != 0:
         s1 = n * p
         s2_twice = n * (n - 1) * p * p
-        k = 1 + s2_twice // s1
+        k = _closed_form_k(n, p)
         upper = (s2_twice - (k - 1) * s1) / (k + 1)
         support[k] = (s1 - (k + 1) * upper) / k
         if k < n:  # at p = 1, k = n and the weight on n + 1 is zero
@@ -214,99 +159,104 @@ def exchangeable_optimum(
     )
 
 
-def _seed_columns(lp: ExtremalLp) -> np.ndarray:
-    """Masks of Hamming weight 0, k - 1, k and k + 1, where
-    k = 1 + floor((n-1) p) is the closed form's k (see
-    `exchangeable_optimum`)."""
-    k = 1 + math.floor((lp.n - 1) * lp.p)
-    # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
-    weight = np.zeros(1, dtype=np.int64)
-    for _ in range(lp.n):
-        weight = np.concatenate([weight, weight + 1])
-    return np.flatnonzero((weight == 0) | (abs(weight - k) <= 1))
+def _certificate_dual(n: int, k: int) -> tuple[np.ndarray, int]:
+    """The dual of `exchangeable_optimum`'s bound for the atom-level
+    program, y_0 = 0, y_i = 2/(k+1), y_ij = -2/(k(k+1)), in
+    `_constraint_rows` order, as (integers, scale): scaled by k(k+1) to
+    integers.  k = 0 stands for p = 0, where y = 0."""
+    pairs = n * (n - 1) // 2
+    if k == 0:
+        return np.zeros(1 + n + pairs, dtype=np.int64), 1
+    duals = np.concatenate([[0], np.full(n, 2 * k), np.full(pairs, -2)])
+    return duals.astype(np.int64), k * (k + 1)
 
 
-def solve(lp: ExtremalLp) -> LpSolution:
-    """Solve the atom-level LP with HiGHS by column generation; witness
-    atoms below WITNESS_ATOM_FLOOR are dropped.
+def _certificate_fault(
+    n: int, p: Fraction, mode: str, k: int, solution: LpSolution
+) -> str | None:
+    """What fails in the LP-duality certificate formed by the dual
+    `_certificate_dual(n, k)` and the law `solution.weights_exact` spread
+    uniformly over each Hamming-weight class, or None if it holds.
 
-    At p = 0 the zero atom is the only feasible point, returned unsolved.
-    Otherwise a basic optimum has at most 1 + n + n(n-1)/2 atoms (79 of
-    4,096 at n = 12), so HiGHS need not see all 2^n columns.  It solves a
-    restricted master, dense rows from `_constraint_rows` over the atoms of
-    `_seed_columns`, which surround the closed form's support {0, k, k + 1}.
-    The master's duals price all 2^n atoms in closed form (`_reduced_costs`),
-    with no 2^n-column matrix.  Every atom whose reduced cost is below
-    -PRICING_TOLERANCE enters, and the master is solved again, until none
-    prices out.  Its optimum is then optimal over every atom, to the dual
-    tolerance HiGHS applies to the full program, and its basis is a basis
-    of the full LP.  A master that is infeasible, or that HiGHS cannot solve
-    to optimality, widens to all atoms, so the answer never rests on the
-    closed form; only the speed does.  On p in {j/10} and 1/(n-1),
-    n = 2..12, both modes, one master solve always sufficed.
-
-    Each master is solved by interior point with crossover, presolve off.
-    At n = 12 and p = 1/11 the master has 299 columns and 79 rows; interior
-    point takes 7 iterations (about 6 ms), dual simplex 225 pivots (about
-    10 ms), and presolve adds 2 ms to either.  Crossover turns the interior
-    point into a basic solution, so the witness keeps at most one atom per
-    row and the duals are those of a basis.
-
-    The objective is the correctly rounded sum of the primal masses off the
-    zero atom (`math.fsum`), the P(Z > 0) of the returned point.  Over the
-    sweep n = 3..16 at p = 1/(n-1) it is within 7e-16 relative of the exact
-    optimum, where HiGHS's own objective value strays up to 2.5e-15.
+    Three checks, all exact:
+    - dual feasibility: in integers, every atom's scaled reduced cost is
+      >= 0 over all 2^n atoms (for the closed form's k, the atoms of
+      weight z >= 1 get (z - k)(z - k - 1) and the zero atom 0), and in
+      negative_covariance mode the pair duals are <= 0, the sign that
+      <= rows need;
+    - primal feasibility: in rationals, the weights are >= 0 and the
+      atoms of each class, counted per row by `_constraint_rows` and
+      weighted w_z / C(n, z), meet every right-hand side exactly (pair
+      rows from below in negative_covariance mode);
+    - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`.
+    By weak duality the objective is then the minimum over all atoms.
     """
-    if lp.p == 0:
-        return LpSolution(status="optimal", objective=0.0, witness_atoms={0: 1.0})
-    from scipy.optimize import linprog
-
-    size, n_eq = lp.c.size, lp.b_eq.size
-    columns = _seed_columns(lp)
-    while True:
-        rows = _constraint_rows(lp.n, columns)
-        cost, a_eq = lp.c[columns], rows[:n_eq]
-        # An equality row that no column touches cannot meet its nonzero
-        # right-hand side.  HiGHS's interior point, presolve off, can
-        # iterate on such a master without end instead of calling it
-        # infeasible, so it is never handed one.  The shipped seed always
-        # touches every row (a weight >= 2 atom covers them all); this
-        # guards against other seeds.
-        if columns.size < size and lp.b_eq[~a_eq.any(axis=1)].any():
-            columns = np.arange(size)
-            continue
-        res = linprog(
-            cost,
-            A_ub=None if lp.b_ub is None else rows[n_eq:],
-            b_ub=lp.b_ub,
-            A_eq=a_eq,
-            b_eq=lp.b_eq,
-            bounds=(0, None),
-            method="highs-ipm",
-            options={"presolve": False},
+    duals, scale = _certificate_dual(n, k)
+    c = np.full(1 << n, scale, dtype=np.int64)
+    c[0] = 0
+    reduced = _reduced_costs(n, c, duals)
+    worst = int(reduced.argmin())
+    if reduced[worst] < 0:
+        return f"atom {worst} has reduced cost {reduced[worst]}/{scale} < 0"
+    kind = np.repeat([0, 1, 2], [1, n, n * (n - 1) // 2])
+    rhs = (Fraction(1), p, p * p)
+    upper = mode == "negative_covariance"  # the pair rows are <= rows
+    if upper and (duals[kind == 2] > 0).any():
+        return "a pair row's dual is positive"
+    weights = solution.weights_exact
+    if min(weights) < 0:
+        return "a witness weight is negative"
+    used = [z for z, w in enumerate(weights) if w]
+    weight = _hamming_weights(n)
+    counts = np.column_stack(
+        [_constraint_rows(n, np.flatnonzero(weight == z)).sum(axis=1) for z in used]
+    )
+    if counts.shape[0] != kind.size:
+        return f"the program has {counts.shape[0]} rows, not {kind.size}"
+    shares = [weights[z] / math.comb(n, z) for z in used]
+    # Rows of one kind with the same counts per class have the same total.
+    for row, *count in np.unique(np.column_stack([kind, counts]), axis=0).tolist():
+        total = sum(share * c for share, c in zip(shares, count))
+        if total != rhs[row] and not (upper and row == 2 and total < rhs[row]):
+            name = ("mass", "marginal", "pair")[row]
+            return f"a {name} row sums to {total}, not {rhs[row]}"
+    dual_objective = sum(b * int(duals[kind == row].sum()) for row, b in enumerate(rhs))
+    dual_objective /= scale
+    if not dual_objective == 1 - weights[0] == solution.objective_exact:
+        return (
+            f"dual objective {dual_objective}, primal objective {1 - weights[0]}, "
+            f"closed form {solution.objective_exact}"
         )
-        if columns.size < size and res.status != 0:
-            # Infeasible, or HiGHS could not settle it: widen to every atom.
-            columns = np.arange(size)
-            continue
-        if res.status == 2:
-            return LpSolution(status="infeasible", objective=None)
-        if res.status != 0:
-            raise RuntimeError(f"full LP solver failed: {res.message}")
-        duals = np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
-        reduced = _reduced_costs(lp, duals)
-        reduced[columns] = 0.0
-        entering = np.flatnonzero(reduced < -PRICING_TOLERANCE)
-        if entering.size == 0:
-            break
-        columns = np.union1d(columns, entering)
-    atoms = {
-        int(mask): float(q)
-        for mask, q in zip(columns, res.x)
-        if q > WITNESS_ATOM_FLOOR
-    }
-    objective = math.fsum(cost * res.x)
-    return LpSolution(status="optimal", objective=objective, witness_atoms=atoms)
+    return None
+
+
+def full_optimum(
+    n: int, p: Fraction | float, mode: str = "pairwise_equality"
+) -> LpSolution:
+    """Exact minimum of P(Z > 0) over all joints on {0,1}^n: the atom-level
+    program q_x >= 0, sum q = 1, marginals p, pair moments p^2 (upper
+    bounds in negative_covariance mode), minimizing the mass off the zero
+    atom.  Capped at n <= FULL_VARIABLE_LIMIT.
+
+    Returns `exchangeable_optimum(n, p, mode)` once `_certificate_fault`
+    has proven it optimal for the program over every atom: the closed
+    form's witness is primal feasible, the dual of its bound is dual
+    feasible, and the two objectives are equal.  This is the dual form of
+    the f(z) argument in `exchangeable_optimum`'s docstring.  Raises
+    CertificateError, naming n, p and mode, if the certificate fails.
+    """
+    p = _check_common(n, p, mode)
+    if n > FULL_VARIABLE_LIMIT:
+        raise ValueError(
+            f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
+        )
+    solution = exchangeable_optimum(n, p, mode)
+    fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
+    if fault is not None:
+        raise CertificateError(
+            f"the full LP certificate fails at n={n}, p={p}, mode={mode}: {fault}"
+        )
+    return solution
 
 
 def expand_exchangeable(n: int, weights) -> JointBernoulli:
@@ -347,7 +297,9 @@ def conjecture_sweep(
 ) -> list[dict]:
     """Tabulate the optimal ratio against the candidate family's ratio.
 
-    `reduction` is "exchangeable" (closed form) or "full" (HiGHS LP, n <= 16).
+    `reduction` is "exchangeable" (closed form) or "full" (the closed form
+    certified over all 2^n atoms by `full_optimum`, n <= 16); both print
+    the same rows.
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  lp_ratio tends to
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
@@ -363,7 +315,7 @@ def conjecture_sweep(
     for n in range(n_min, n_max + 1):
         p = Fraction(1, n - 1)
         if reduction == "full":
-            solution = solve(build_full_lp(n, p, mode))
+            solution = full_optimum(n, p, mode)
         else:
             solution = exchangeable_optimum(n, p, mode)
         mtilde = _calibration_mtilde(n)

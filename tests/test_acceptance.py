@@ -22,7 +22,6 @@ from maxdecouple import (
     MarginalVector,
     affine_hash,
     bernoulli_embedding,
-    build_full_lp,
     comonotone,
     conjecture_sweep,
     conjectured_extremal,
@@ -31,6 +30,7 @@ from maxdecouple import (
     exchangeable_optimum,
     expected_max,
     expected_max_independent,
+    full_optimum,
     g_function,
     main_lower_check,
     marginals,
@@ -43,7 +43,6 @@ from maxdecouple import (
     prob_hit_independent,
     product,
     sample,
-    solve,
     xor_parity,
 )
 from maxdecouple.verification import random_joint, random_nonneg_joint
@@ -200,10 +199,10 @@ def test_criterion_08_lp_sandwich_and_sweep():
     with criterion(8, "full LP and exchangeable optimum agree; sweep n<=200 sane and timed"):
         for n in (3, 4, 5):
             p = Fraction(1, n - 1)
-            full = solve(build_full_lp(n, p))
+            full = full_optimum(n, p)
             exch = exchangeable_optimum(n, p)
             assert full.status == exch.status == "optimal"
-            assert abs(full.objective - exch.objective) <= 1e-8
+            assert full.objective_exact == exch.objective_exact
 
             mtilde = prob_hit_independent(MarginalVector((float(p),) * n))
             s = n * float(p)

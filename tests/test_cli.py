@@ -19,7 +19,7 @@ from maxdecouple import (
     JointBernoulli, MarginalVector, NonnegJoint, affine_hash_values, cli, conjectured_extremal,
     product,
 )
-from maxdecouple import dist
+from maxdecouple import dist, optimize
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
 from maxdecouple.optimize import exchangeable_optimum
@@ -27,12 +27,16 @@ from test_bounds import distinct_columns_joint, inflate_f
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout, as
-# `optimize.solve` writes it: the restricted master's basis and the
-# correctly rounded sum of its masses off the zero atom.  The digest pins
-# those low bits; `test_only_full_search_loads_scipy` also checks every
-# lp_objective against the exact optimum.
+# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout,
+# recorded when a float HiGHS solve wrote those rows; the certified exact
+# optimum prints the same bytes.  `test_no_verb_loads_scipy` also checks
+# every lp_objective against the exact optimum.
 FULL_SEARCH_SHA256 = "860eae664e5d4366d073205238f3f514ae0786009d91526a1397e2f5eb8e28e4"
+
+# SHA-256 of `search --n-min 3 --n-max 16 --reduction full` stdout in either
+# mode: the correctly rounded exact optimum, the same bytes as
+# `--reduction exchangeable`.
+FULL_SEARCH_16_SHA256 = "606a7180a04d72a432fd969e4940b0c8ad59ced8fc7d63d5720abcabd732fb7f"
 
 
 def write_json(path, payload):
@@ -314,17 +318,16 @@ class TestSearch:
         assert first["status"] == "optimal"
 
     def test_full_reduction_matches_exchangeable(self, tmp_path):
-        exch = tmp_path / "exch.csv"
-        full = tmp_path / "full.csv"
-        base = ["search", "--n-min", "3", "--n-max", "5"]
-        assert main([*base, "--reduction", "exchangeable", "--out", str(exch)]) == EXIT_OK
-        assert main([*base, "--reduction", "full", "--out", str(full)]) == EXIT_OK
-        for row_e, row_f in zip(
-            exch.read_text().splitlines()[1:], full.read_text().splitlines()[1:]
-        ):
-            obj_e = float(row_e.split(",")[3])
-            obj_f = float(row_f.split(",")[3])
-            assert abs(obj_e - obj_f) <= 1e-8
+        # Byte for byte, up to the cap, in both modes.
+        base = ["search", "--n-min", "3", "--n-max", "16"]
+        for mode in ("equality", "negcov"):
+            exch = tmp_path / f"exch-{mode}.csv"
+            full = tmp_path / f"full-{mode}.csv"
+            flags = [*base, "--mode", mode]
+            assert main([*flags, "--reduction", "exchangeable", "--out", str(exch)]) == EXIT_OK
+            assert main([*flags, "--reduction", "full", "--out", str(full)]) == EXIT_OK
+            assert full.read_bytes() == exch.read_bytes(), mode
+            assert hashlib.sha256(full.read_bytes()).hexdigest() == FULL_SEARCH_16_SHA256
 
     def test_negcov_mode_runs(self, capsys):
         assert main(["search", "--n-min", "3", "--n-max", "4", "--mode", "negcov"]) == EXIT_OK
@@ -544,7 +547,7 @@ class TestUsageContract:
         assert cli._shared_parser.cache_info().misses == 1
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_only_full_search_loads_scipy(self, tmp_path):
+    def test_no_verb_loads_scipy(self, tmp_path):
         # The pytest process already holds scipy, so the check needs a new
         # interpreter.
         script = textwrap.dedent(
@@ -570,6 +573,7 @@ class TestUsageContract:
             run("report", "--in", nonneg)
             run("search", "--n-min", "3", "--n-max", "20")
             run("search", "--n-min", "3", "--n-max", "20", "--mode", "negcov")
+            run("verify", "--trials", "5")
             before = scipy_loaded()
             full = run("search", "--n-min", "3", "--n-max", "6", "--reduction", "full")
             print(json.dumps({
@@ -597,12 +601,12 @@ class TestUsageContract:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         rows = list(csv.DictReader(io.StringIO(result.pop("full"))))
-        assert result == {"before": False, "after": True, "sha256": FULL_SEARCH_SHA256}
+        assert result == {"before": False, "after": False, "sha256": FULL_SEARCH_SHA256}
         assert [int(row["n"]) for row in rows] == [3, 4, 5, 6]
         for row in rows:
             n = int(row["n"])
             exact = exchangeable_optimum(n, Fraction(1, n - 1)).objective_exact
-            assert float(row["lp_objective"]) == pytest.approx(exact, rel=1e-14), n
+            assert float(row["lp_objective"]) == float(exact), n
 
 
 class TestInvariantExitCode:
@@ -628,3 +632,15 @@ class TestInvariantExitCode:
         for fmt in ("json", "csv"):
             assert main(["report", "--in", path, "--format", fmt]) == EXIT_INVARIANT
         assert "factorization=false" in capsys.readouterr().out
+
+    def test_failed_certificate_exits_two_naming_the_case(self, monkeypatch, capsys):
+        # A dual built from k + 1 cannot certify the optimum.
+        real = optimize._certificate_dual
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda n, k: real(n, k + 1))
+        argv = ["search", "--n-min", "3", "--n-max", "5", "--reduction", "full"]
+        assert main([*argv, "--mode", "negcov"]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("maxdecouple: invariant failed: the full LP certificate fails at ")
+        assert "n=3, p=1/2, mode=negative_covariance: dual objective" in err
+        assert "Traceback" not in err

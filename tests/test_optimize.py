@@ -1,30 +1,33 @@
-"""Extremal search: the LP builder, both solve routes, oracle agreement,
-and the sweep table."""
+"""Extremal search: the exact routes and the full route's duality
+certificate, the HiGHS oracle and its agreement with them, and the sweep
+table."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import highs_lp
 import oracles
+from highs_lp import build_full_lp, solve
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
     JointBernoulli,
     MarginalVector,
-    build_full_lp,
     conjecture_sweep,
     conjectured_extremal,
     exchangeable_optimum,
     expand_exchangeable,
+    full_optimum,
     full_report,
     is_pairwise_independent,
     marginals,
     prob_hit,
     prob_hit_independent,
     product,
-    solve,
 )
 from maxdecouple import optimize
 from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES
@@ -51,17 +54,15 @@ def assert_basic_optimum(full, objective, n, p, mode, tol):
 
 @pytest.fixture
 def linprog_columns(monkeypatch):
-    """Column counts of every `scipy.optimize.linprog` call, in order."""
-    import scipy.optimize
-
+    """Column counts of every `linprog` call of the HiGHS oracle, in order."""
     calls = []
-    real = scipy.optimize.linprog
+    real = highs_lp.linprog
 
     def counted(c, *args, **kwargs):
         calls.append(len(c))
         return real(c, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(highs_lp, "linprog", counted)
     return calls
 
 
@@ -119,6 +120,8 @@ class TestBuilders:
                 assert rows.tolist() == expected, (n, masks.tolist())
 
     def test_full_lp_rejects_large_n(self):
+        with pytest.raises(ValueError, match="exceeds 16"):
+            full_optimum(FULL_VARIABLE_LIMIT + 1, 0.5)
         with pytest.raises(ValueError):
             build_full_lp(FULL_VARIABLE_LIMIT + 1, 0.5)
 
@@ -185,6 +188,7 @@ class TestSolveKnownInstances:
                 for mode in MODES:
                     assert exchangeable_optimum(n, p, mode).status == "optimal"
                     assert solve(build_full_lp(n, p, mode)).status == "optimal"
+                    assert full_optimum(n, p, mode).status == "optimal"
 
     def test_product_pmf_satisfies_equality_constraints_up_to_cap(self):
         # The independent law meets every equality-mode constraint to 1e-12,
@@ -231,16 +235,17 @@ class TestOracleAgreement:
                     assert pair == expected, (n, p, mode)
 
     def test_reduction_soundness(self):
-        # The full LP reaches the closed form, and its witness is a basic
-        # feasible joint (at most one atom per row): over the grid up to
-        # n = 10, and at the sweep's marginal up to the cap.
+        # The HiGHS oracle reaches the certified optimum, and its witness is
+        # a basic feasible joint (at most one atom per row): over the grid
+        # up to n = 10, and at the sweep's marginal up to the cap.
         for n in range(2, FULL_VARIABLE_LIMIT + 1):
             grid = [Fraction(j, 10) for j in range(11)] if n <= 10 else []
             for p in dict.fromkeys(grid + [Fraction(1, n - 1)]):
                 for mode in MODES:
                     full = solve(build_full_lp(n, p, mode))
-                    exch = exchangeable_optimum(n, p, mode)
-                    assert_basic_optimum(full, exch.objective, n, p, mode, 1e-9)
+                    certified = full_optimum(n, p, mode)
+                    assert certified == exchangeable_optimum(n, p, mode)
+                    assert_basic_optimum(full, certified.objective, n, p, mode, 1e-9)
 
     def test_negcov_never_above_equality(self):
         for n in (3, 4, 6, 9):
@@ -387,7 +392,7 @@ class TestColumnGeneration:
                 if lp.a_ub is not None:
                     expected -= lp.a_ub.T @ y_ub
                 scale = 1.0 + np.abs(y).sum()
-                got = optimize._reduced_costs(lp, y)
+                got = optimize._reduced_costs(n, lp.c, y)
                 assert got.shape == expected.shape, (n, mode)
                 assert np.abs(got - expected).max() <= 1e-12 * scale, (n, mode)
 
@@ -426,7 +431,7 @@ class TestColumnGeneration:
                         lp = build_full_lp(n, p, mode)
                         expected = solve(lp)
                         with monkeypatch.context() as patch:
-                            patch.setattr(optimize, "_seed_columns", lambda lp: np.array(seed))
+                            patch.setattr(highs_lp, "seed_columns", lambda lp: np.array(seed))
                             linprog_columns.clear()
                             widened = solve(lp)
                         case = (n, seed, p, mode)
@@ -446,3 +451,120 @@ class TestColumnGeneration:
                 assert solution.status == "optimal", case
                 assert len(linprog_columns) == 1, case
                 assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
+
+
+class TestCertificate:
+    def test_certificate_holds_exactly(self):
+        # Dual objective b . y, the closed form and 1 - w_0 are one
+        # Fraction, with the dual's sign right for the <= rows, on every
+        # grid point up to the cap: p in {0, j/10, 1/(n-1), 2/(n-1), 1}.
+        for n in range(2, FULL_VARIABLE_LIMIT + 1):
+            pairs = math.comb(n, 2)
+            grid = [Fraction(j, 10) for j in range(11)]
+            for p in dict.fromkeys(grid + [Fraction(1, n - 1), min(Fraction(2, n - 1), 1)]):
+                k = optimize._closed_form_k(n, p)
+                duals, scale = optimize._certificate_dual(n, k)
+                assert duals.dtype == np.int64 and len(duals) == 1 + n + pairs
+                marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())
+                dual_objective = (int(duals[0]) + p * marginal + p * p * pair) / Fraction(scale)
+                assert (duals[1 + n :] <= 0).all()
+                for mode in MODES:
+                    solution = full_optimum(n, p, mode)
+                    case = (n, p, mode)
+                    assert solution.objective_exact == dual_objective, case
+                    assert solution.objective_exact == 1 - solution.weights_exact[0], case
+                    assert solution.objective == float(dual_objective), case
+
+    def test_reduced_costs_are_integer_parabola(self):
+        # Scaled by k(k+1), the atom of weight z >= 1 costs (z-k)(z-k-1) and
+        # the zero atom 0: zero only on the closed form's support.
+        for n in range(1, FULL_VARIABLE_LIMIT + 1):
+            weight = np.array([bin(mask).count("1") for mask in range(1 << n)])
+            assert optimize._hamming_weights(n).tolist() == weight.tolist()
+            for k in range(1, n + 1):
+                duals, scale = optimize._certificate_dual(n, k)
+                c = np.where(weight > 0, scale, 0)
+                reduced = optimize._reduced_costs(n, c, duals)
+                assert reduced.dtype == np.int64
+                expected = np.where(weight > 0, (weight - k) * (weight - k - 1), 0)
+                assert reduced.tolist() == expected.tolist(), (n, k)
+
+    def test_zero_marginal_dual_is_zero(self):
+        for n in (2, 9, FULL_VARIABLE_LIMIT):
+            assert optimize._closed_form_k(n, Fraction(0)) == 0
+            duals, scale = optimize._certificate_dual(n, 0)
+            assert scale == 1 and not duals.any()
+            assert full_optimum(n, 0).weights_exact[0] == 1
+
+    def cases(self):
+        for n in (2, 3, 5, 8, 12):
+            for p in (Fraction(1, n - 1), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
+                for mode in MODES:
+                    yield n, p, mode, exchangeable_optimum(n, p, mode)
+
+    def test_dual_from_k_plus_one_fails(self):
+        # Still dual feasible ((z-k-1)(z-k-2) >= 0), but its objective is
+        # below the optimum, so the certificate proves nothing.
+        for n, p, mode, solution in self.cases():
+            k = optimize._closed_form_k(n, p)
+            assert optimize._certificate_fault(n, p, mode, k, solution) is None
+            fault = optimize._certificate_fault(n, p, mode, k + 1, solution)
+            assert fault is not None and fault.startswith("dual objective"), (n, p, mode)
+
+    def test_moved_witness_weight_fails(self):
+        delta = Fraction(1, 10**6)
+        for n, p, mode, solution in self.cases():
+            k = optimize._closed_form_k(n, p)
+            weights = list(solution.weights_exact)
+            z = max(range(n + 1), key=weights.__getitem__)
+            for moved, row in ((z, "mass"), (z - 1 if z else 1, "marginal")):
+                shifted = list(weights)
+                shifted[z] -= delta
+                if row == "marginal":
+                    shifted[moved] += delta  # the mass row still holds
+                mutant = replace(solution, weights_exact=tuple(shifted))
+                fault = optimize._certificate_fault(n, p, mode, k, mutant)
+                assert fault is not None and fault.startswith(f"a {row} row"), (n, p, mode)
+
+    def test_dropped_pair_row_fails(self, monkeypatch):
+        # Either side: a dual that puts no multiplier on pair (0, 1) prices
+        # the support's atoms below zero, and a row builder that loses the
+        # last pair row no longer describes the program.
+        real_dual, real_rows = optimize._certificate_dual, optimize._constraint_rows
+
+        def dual_without_first_pair(n, k):
+            duals, scale = real_dual(n, k)
+            duals[1 + n] = 0
+            return duals, scale
+
+        for patch, reason in (
+            (("_certificate_dual", dual_without_first_pair), "has reduced cost"),
+            (("_constraint_rows", lambda n, masks: real_rows(n, masks)[:-1]), "the program has"),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(optimize, *patch)
+                for n, p, mode, solution in self.cases():
+                    k = optimize._closed_form_k(n, p)
+                    fault = optimize._certificate_fault(n, p, mode, k, solution)
+                    assert fault is not None and reason in fault, (n, p, mode, fault)
+                    named = f"n={n}, p={p}, mode={mode}"
+                    with pytest.raises(optimize.CertificateError, match=named):
+                        full_optimum(n, p, mode)
+
+    def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):
+        # A lone positive pair dual keeps every reduced cost >= 0, so only
+        # its sign fails, and only where the pair rows are <= rows.
+        def positive_pair_dual(n, k):
+            duals = np.zeros(1 + n + math.comb(n, 2), dtype=np.int64)
+            duals[1 + n] = 1
+            return duals, 10**6
+
+        monkeypatch.setattr(optimize, "_certificate_dual", positive_pair_dual)
+        p = Fraction(1, 3)
+        for mode, reason in (
+            ("negative_covariance", "positive"),
+            ("pairwise_equality", "dual objective"),
+        ):
+            solution = exchangeable_optimum(4, p, mode)
+            fault = optimize._certificate_fault(4, p, mode, 2, solution)
+            assert fault is not None and reason in fault, (mode, fault)

@@ -4,16 +4,23 @@ import maxdecouple
 from maxdecouple import dist, optimize
 
 # Names the package no longer defines: pair data lives in
-# `JointBernoulli.summary`, and the sweep prints the p = 1/(n-1) ratio.
-REMOVED = ("SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio")
+# `JointBernoulli.summary`, the sweep prints the p = 1/(n-1) ratio, and the
+# float atom-level LP and its HiGHS solve live in the tests (`highs_lp`),
+# replaced at runtime by `full_optimum`'s exact certificate.
+REMOVED = (
+    "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
+    "ExtremalLp", "build_full_lp", "solve",
+)
 
 
 def test_all_lists_only_defined_names():
     assert [name for name in maxdecouple.__all__ if not hasattr(maxdecouple, name)] == []
     assert len(set(maxdecouple.__all__)) == len(maxdecouple.__all__)
+    assert "full_optimum" in maxdecouple.__all__
 
 
 def test_removed_names_are_gone():
     for module in (maxdecouple, dist, optimize):
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
-    assert "FullLpProblem" not in vars(optimize)
+    gone = ("FullLpProblem", "PRICING_TOLERANCE", "WITNESS_ATOM_FLOOR", "_seed_columns")
+    assert [name for name in gone if name in vars(optimize)] == []
