@@ -20,7 +20,6 @@ from .bounds import (
     pinelis_upper_check,
 )
 from .constructions import (
-    FamilySpec,
     affine_hash,
     comonotone,
     conjectured_extremal,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CONJECTURED_LOWER_CONSTANT",
-    "FamilySpec",
     "InvalidDistributionError",
     "JointBernoulli",
     "LpSolution",

@@ -20,10 +20,9 @@ import sys
 
 import numpy as np
 
-from . import bounds, continuous, optimize
-from .constructions import FamilySpec
+from . import bounds, constructions, continuous, optimize
 from .continuous import NonnegJoint
-from .dist import JointBernoulli, _sample_indices
+from .dist import JointBernoulli, MarginalVector, _sample_indices
 from .errors import InvalidDistributionError
 
 EXIT_OK = 0
@@ -40,13 +39,14 @@ DEFAULT_SEED = 0
 # from about 24 bytes on 32,768 atoms (10^6 draws, 2-vCPU VM).
 NARROW_ROW_BYTES = 16
 
+# Each family's flag, its builder and the parameters it is called with.
 FAMILY_BY_FLAG = {
-    "one-hot": "one_hot_uniform",
-    "extremal": "conjectured_extremal",
-    "comonotone": "comonotone",
-    "affine-hash": "affine_hash",
-    "xor": "xor_parity",
-    "product": "product",
+    "one-hot": (constructions.one_hot_uniform, ("n",)),
+    "extremal": (constructions.conjectured_extremal, ("n",)),
+    "comonotone": (constructions.comonotone, ("n", "eps")),
+    "affine-hash": (constructions.affine_hash, ("n", "q", "m")),
+    "xor": (constructions.xor_parity, ("k",)),
+    "product": (lambda p: constructions.product(MarginalVector(p)), ("p",)),
 }
 
 MODE_BY_FLAG = {"equality": "pairwise_equality", "negcov": "negative_covariance"}
@@ -105,6 +105,9 @@ def _load_joint_file(path: str) -> JointBernoulli | NonnegJoint:
         obj = json.loads(text)
     except json.JSONDecodeError:
         raise
+    except RecursionError as exc:
+        limit = sys.getrecursionlimit()
+        raise InvalidDistributionError(f"JSON nested past the recursion limit of {limit}") from exc
     except ValueError as exc:
         # The scanner has checked the syntax, so the one other ValueError is
         # Python refusing an integer literal past its digit limit (decimal
@@ -162,24 +165,21 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    params = {}
+    params = {name: getattr(args, name) for _, used in FAMILY_BY_FLAG.values() for name in used}
     if args.p is not None:
         try:
             params["p"] = tuple(float(tok) for tok in args.p.split(","))
         except ValueError:
             raise UsageError(f"--p must be a comma-separated float list, got {args.p!r}")
-    spec = FamilySpec(
-        kind=FAMILY_BY_FLAG[args.family],
-        n=args.n,
-        eps=args.eps,
-        q=args.q,
-        m=args.m,
-        k=args.k,
-        **params,
-    )
+    builder, names = FAMILY_BY_FLAG[args.family]
+    given = [name for name, value in params.items() if value is not None]
+    for fault, wrong in (("needs", [name for name in names if name not in given]),
+                         ("does not use", [name for name in given if name not in names])):
+        if wrong:
+            raise UsageError(f"family '{args.family}' {fault} parameter(s): {', '.join(wrong)}")
     try:
-        joint = spec.build()
-    except (ValueError, InvalidDistributionError) as exc:
+        joint = builder(*(params[name] for name in names))
+    except ValueError as exc:  # InvalidDistributionError among them
         raise UsageError(str(exc))
     limit = sys.get_int_max_str_digits()
     if limit and joint.masks[-1] >= 10**limit:
@@ -193,13 +193,11 @@ def _cmd_construct(args) -> int:
 def _cmd_search(args) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise UsageError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    # 'auto' takes the exact exchangeable route at every n; 'full' also
-    # certifies each row over all 2^n atoms, at small n.
-    reduction = "full" if args.reduction == "full" else "exchangeable"
-    if reduction == "full" and args.n_max > optimize.FULL_VARIABLE_LIMIT:
+    # 'full' also certifies each row over all 2^n atoms, at small n.
+    if args.reduction == "full" and args.n_max > optimize.FULL_VARIABLE_LIMIT:
         raise UsageError(f"full reduction supports n <= {optimize.FULL_VARIABLE_LIMIT}")
     rows = optimize.conjecture_sweep(
-        args.n_min, args.n_max, MODE_BY_FLAG[args.mode], reduction=reduction
+        args.n_min, args.n_max, MODE_BY_FLAG[args.mode], reduction=args.reduction
     )
     buffer = io.StringIO()
     _write_csv(buffer, SWEEP_COLUMNS, rows)
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n-max", type=int, required=True)
     p_search.add_argument("--mode", choices=sorted(MODE_BY_FLAG), default="equality")
     p_search.add_argument(
-        "--reduction", choices=("auto", "full", "exchangeable"), default="auto"
+        "--reduction", choices=("exchangeable", "full"), default="exchangeable"
     )
     p_search.add_argument("--out", metavar="PATH")
     p_search.set_defaults(func=_cmd_search)
@@ -301,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds only from nonnegative integers
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"maxdecouple: usage error: {exc}", file=sys.stderr)

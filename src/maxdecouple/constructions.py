@@ -1,7 +1,8 @@
 """Canonical joint distributions: tightness examples, counterexamples, and
 exact pairwise-independent families.
 
-All builders return validated `JointBernoulli` tables.  Where a mass is
+All builders return validated `JointBernoulli` tables, sized before they
+are enumerated (`_check_table`) where they can be large.  Where a mass is
 spread evenly and its total must survive floating point (one_hot_uniform;
 `optimize.expand_exchangeable`), `_even_spread` gives the last atom the
 residual total - (partial sum), perturbing no marginal by more than one
@@ -11,13 +12,12 @@ families here and in `continuous` share one cell list, `_affine_cells`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dist import DENSE_VARIABLE_LIMIT, JointBernoulli, MarginalVector
+from .dist import DENSE_VARIABLE_LIMIT, JointBernoulli, MarginalVector, _check_budget
 
 
 def is_prime(q: int) -> bool:
@@ -43,6 +43,12 @@ def _affine_cells(n: int, q: int) -> Iterator[tuple[int, ...]]:
     return (tuple((a + b * i) % q for i in range(n)) for a in range(q) for b in range(q))
 
 
+def _check_table(n: int, atoms: int) -> None:
+    """Check the table of `atoms` masks over n variables, packed as
+    `JointBernoulli` packs it, against the budget before any atom is made."""
+    _check_budget(f"the table of {atoms} atoms over {n} variables", atoms * ((n + 7) // 8))
+
+
 def _even_spread(masks: Sequence[int], total: float) -> dict[int, float]:
     """`total` in equal shares over `masks`; the last mask takes the
     residual, total minus the other shares summed left to right."""
@@ -65,6 +71,7 @@ def one_hot_uniform(n: int) -> JointBernoulli:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_table(n, n)
     return JointBernoulli(n, _even_spread([1 << i for i in range(n)], 1.0))
 
 
@@ -82,6 +89,7 @@ def conjectured_extremal(n: int) -> JointBernoulli:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    _check_table(n, n * (n - 1) // 2 + 1)
     p_zero = 0.5 - 1.0 / (2.0 * (n - 1))
     pair_masks = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
     # Identical mass on every two-hot mask: the true total is then
@@ -105,6 +113,7 @@ def comonotone(n: int, eps: float) -> JointBernoulli:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    _check_table(n, 2)
     full = (1 << n) - 1
     if eps == 0.0:
         return JointBernoulli(n, {0: 1.0})
@@ -124,6 +133,7 @@ def affine_hash(n: int, q: int, m: int) -> JointBernoulli:
     cells = _affine_cells(n, q)
     if not 0 <= m <= q:
         raise ValueError(f"need 0 <= m <= q, got m={m}")
+    _check_table(n, q * q)
     counts: dict[int, int] = {}
     for cell in cells:
         mask = sum(1 << i for i, h in enumerate(cell) if h < m)
@@ -169,52 +179,3 @@ def product(marginal: MarginalVector) -> JointBernoulli:
         probs = np.concatenate([probs * (1.0 - p), probs * p])
     atoms = {mask: float(pr) for mask, pr in enumerate(probs) if pr != 0.0}
     return JointBernoulli(n, atoms)
-
-
-# Each family kind's builder and the FamilySpec fields it is called with.
-_FAMILIES = {
-    "one_hot_uniform": (one_hot_uniform, ("n",)),
-    "conjectured_extremal": (conjectured_extremal, ("n",)),
-    "comonotone": (comonotone, ("n", "eps")),
-    "affine_hash": (affine_hash, ("n", "q", "m")),
-    "xor_parity": (xor_parity, ("k",)),
-    "product": (lambda p: product(MarginalVector(p)), ("p",)),
-}
-FAMILY_KINDS = tuple(_FAMILIES)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed description of a named family, as accepted by the CLI.
-
-    `kind` is one of FAMILY_KINDS; only the parameters that family uses may
-    be set.  `build()` runs the corresponding constructor, which performs
-    the range validation.
-    """
-
-    kind: str
-    n: int | None = None
-    eps: float | None = None
-    q: int | None = None
-    m: int | None = None
-    k: int | None = None
-    p: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-    def build(self) -> JointBernoulli:
-        builder, names = _FAMILIES[self.kind]
-        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) not in (None, ())]
-        missing = [name for name in names if name not in given]
-        if missing:
-            raise ValueError(
-                f"family {self.kind!r} needs parameter(s): {', '.join(missing)}"
-            )
-        unused = [name for name in given if name not in names]
-        if unused:
-            raise ValueError(
-                f"family {self.kind!r} does not use parameter(s): {', '.join(unused)}"
-            )
-        return builder(*(getattr(self, name) for name in names))

@@ -1,17 +1,16 @@
 """Decoupling bounds for nonnegative real-valued variables with finite
 discrete support.
 
-Everything reduces to the Bernoulli bounds through threshold indicators:
-for t >= 0 the variables 1{X_i > t} form a Bernoulli family, and
-E[max X_i] is the integral of P(max > t) over t.  With finite support that
-integral is an exact finite sum over the sorted distinct support values
-(left endpoints, since the indicators use strict '> t'), so no quadrature
-is involved anywhere.  A joint's values are read into one atoms x n float
-array at load, checked there with its weights, and kept.  Each joint is
-swept once, on first use, in closed form over the positions of its values
-in the grid (no per-threshold Bernoulli summary), keeping three scalars
-per threshold: P(max > t), its independent counterpart and the largest
-excess.
+The bounds are those of the threshold indicators: for t >= 0 the variables
+1{X_i > t} form a Bernoulli family, and E[max X_i] is the integral of
+P(max > t) over t.  With finite support that integral is an exact finite
+sum over the sorted distinct support values (left endpoints, since the
+indicators use strict '> t'), so no quadrature is involved anywhere.  A
+joint's values are read into one atoms x n float array at load, checked
+there with its weights, and kept.  No Bernoulli joint or summary is built:
+each joint is swept once, on first use, in closed form over the positions
+of its values in the grid, keeping three scalars per threshold: P(max > t),
+its independent counterpart and the largest excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
@@ -34,14 +33,29 @@ import numpy as np
 
 from .bounds import DEFAULT_COVARIANCE_TOL, PINELIS_CONSTANT, holds
 from .constructions import _affine_cells
-from .dist import JointBernoulli, _check_number, _check_unit_mass, _check_variable_count
-from .dist import _blocks, _first, _first_invalid, _float_array, _gather, _read_document
+from .dist import JointBernoulli, _blocks, _check_budget, _check_number, _check_unit_mass
+from .dist import _check_variable_count, _first, _first_invalid, _float_array, _gather
+from .dist import _read_document
 from .errors import InvalidDistributionError
 
 
 def _check_finite_nonneg(x: float, what: str) -> None:
     if not (x >= 0.0 and x < float("inf")):
         raise InvalidDistributionError(f"{what} must be finite and >= 0, got {x!r}")
+
+
+def _check_fields(rows: list, probs: list) -> None:
+    """Check that each row is a list, a tuple or a 1-D numpy array of numbers
+    and each probability a number; the atoms are walked only if a type is odd."""
+    numbers = chain(probs, chain.from_iterable(rows))  # read only if every row is a sequence
+    if set(map(type, rows)) <= {list, tuple} and set(map(type, numbers)) <= {int, float}:
+        return
+    for idx, (row, prob) in enumerate(zip(rows, probs)):
+        if not (isinstance(row, (list, tuple)) or isinstance(row, np.ndarray) and row.ndim == 1):
+            raise InvalidDistributionError(f"atoms[{idx}].values must be a list")
+        for k, v in enumerate(row):
+            _check_number(v, f"atoms[{idx}].values[{k}]")
+        _check_number(prob, f"atoms[{idx}].p")
 
 
 @dataclass(frozen=True)
@@ -61,11 +75,11 @@ class NonnegJoint:
         self._load(n, [values for values, _ in pairs], [prob for _, prob in pairs])
 
     def _load(self, n: int, rows: list, probs: list) -> None:
-        """The one load path: check every value and weight at once, then name
-        the first atom at fault, in construction order, by its first fault:
-        a value, the count of values, the weight."""
+        """The one load path: check the field types, then every value and
+        weight at once, and name the first atom at fault, in construction
+        order, by its first fault: a value, the count of values, the weight."""
+        _check_fields(rows, probs)
         _check_variable_count(n)
-        rows = list(map(tuple, rows))
         counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         flat, weights = _float_array(list(chain.from_iterable(rows))), _float_array(probs)
         ends = np.cumsum(counts)
@@ -156,24 +170,10 @@ class NonnegJoint:
     @classmethod
     def from_json_dict(cls, obj: object) -> "NonnegJoint":
         n, raw = _read_document(obj, "nonneg-joint")
-        columns = _gather(raw, "values", "p")
-        if columns is None or not (
-            set(map(type, columns[0])) <= {list}
-            and set(map(type, chain.from_iterable(columns[0]))) <= {int, float}
-            and set(map(type, columns[1])) <= {int, float}
-        ):
-            for idx, entry in enumerate(raw):  # name the first bad atom
-                if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
-                    raise InvalidDistributionError(
-                        f"atoms[{idx}] must be an object with 'values' and 'p'"
-                    )
-                if not isinstance(entry["values"], list):
-                    raise InvalidDistributionError(f"atoms[{idx}].values must be a list")
-                for k, v in enumerate(entry["values"]):
-                    _check_number(v, f"atoms[{idx}].values[{k}]")
-                _check_number(entry["p"], f"atoms[{idx}].p")
+        fault = "must be an object with 'values' and 'p'"
+        rows, probs = _gather(raw, "values", "p", _check_fields, fault, fault)
         joint = cls.__new__(cls)
-        joint._load(n, *columns)
+        joint._load(n, rows, probs)
         return joint
 
 
@@ -278,6 +278,7 @@ def affine_hash_values(
     each X_i is uniform over its value table.
     """
     cells = _affine_cells(n, q)
+    _check_budget(f"the {q * q} x {n} value table", 8 * q * q * n)
     if len(value_maps) != n:
         raise ValueError(f"need one value table per variable ({n}), got {len(value_maps)}")
     for i, table in enumerate(value_maps):
@@ -303,4 +304,4 @@ def bernoulli_embedding(joint: JointBernoulli) -> NonnegJoint:
     The continuous operations then reproduce the Bernoulli ones exactly:
     expected_max is P(Z > 0) and expected_max_independent is P(Z~ > 0).
     """
-    return NonnegJoint(joint.n, list(zip(joint._bits().astype(np.float64), joint.probs)))
+    return NonnegJoint(joint.n, list(zip(joint._bits().tolist(), joint.probs)))

@@ -13,10 +13,10 @@ of the bit table.  The d x d pair product of `_summarize` is the one BLAS
 call; with many column classes OpenBLAS runs it on a worker thread, which
 then spins idle for a while.
 
-A joint is read into numpy once, by the one load path that the constructor
-and `from_json_dict` share: the masks, sorted, packed into a byte table and
-the probabilities as float64, with every check run on those arrays; an
-error names the first bad atom in ascending mask order.
+A joint is read into numpy once, by the one load path and type rules that
+the constructor and `from_json_dict` share: field types in input order,
+then the masks, sorted, packed into a byte table and the probabilities as
+float64, with every other check run on those arrays in ascending mask order.
 
 Every operation reads one `JointSummary`, built on first use by unpacking
 the byte table into an atoms x n bit table, after the budget check, and
@@ -94,15 +94,34 @@ def _first_invalid(values: np.ndarray) -> int:
     return _first(~((values >= 0.0) & (values < np.inf)))
 
 
-def _gather(raw: list, key: str, value: str) -> tuple[list, list] | None:
-    """Two fields of every atom as two lists, or None if an atom lacks one."""
+def _gather(raw: list, key: str, value: str, check, not_object: str, lacking: str):
+    """Two fields of every atom as two lists.  An atom that is not an object
+    holding both is named, by `not_object` or `lacking`, once `check` has
+    passed the fields of the atoms before it: a bad field comes first."""
     try:
         return [entry[key] for entry in raw], [entry[value] for entry in raw]
     except (KeyError, TypeError):
-        return None
+        bad = [isinstance(e, dict) and {key, value} <= e.keys() for e in raw].index(False)
+        check([e[key] for e in raw[:bad]], [e[value] for e in raw[:bad]])
+        fault = lacking if isinstance(raw[bad], dict) else not_object
+        raise InvalidDistributionError(f"atoms[{bad}] {fault}") from None
+
+
+def _typed_masks(masks: list, probs: list) -> list[int]:
+    """`masks` as ints once each is an integer (numpy's too, not a bool) and
+    each probability a number; the atoms are walked only if a type is odd."""
+    if set(map(type, masks)) <= {int} and set(map(type, probs)) <= {int, float}:
+        return masks
+    for idx, (mask, prob) in enumerate(zip(masks, probs)):
+        if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool):
+            raise InvalidDistributionError(f"atoms[{idx}].mask must be an integer")
+        _check_number(prob, f"atoms[{idx}].p")
+    return list(map(int, masks))
 
 
 def _check_variable_count(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise InvalidDistributionError("field 'n' must be an integer")
     if n < 1:
         raise InvalidDistributionError(f"need at least one variable, got n={n}")
 
@@ -152,12 +171,13 @@ class JointBernoulli:
 
     def __init__(self, n: int, atoms: AtomTable):
         pairs = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
-        self._load(n, [int(mask) for mask, _ in pairs], [prob for _, prob in pairs])
+        self._load(n, [mask for mask, _ in pairs], [prob for _, prob in pairs])
 
-    def _load(self, n: int, masks: list[int], probs: list) -> None:
-        """The one load path: sort the atoms by mask, pack the masks into
-        `_table`, then check every atom at once, in the order the message
-        names the first bad one: a repeated mask, its range, its weight."""
+    def _load(self, n: int, masks: list, probs: list) -> None:
+        """The one load path: check the field types, sort the atoms by mask,
+        pack the masks into `_table`, then check every atom at once, in the
+        order the message names the first bad one: a repeat, range, weight."""
+        masks = _typed_masks(masks, probs)
         _check_variable_count(n)
         if not masks:
             raise InvalidDistributionError("atom list must be nonempty")
@@ -220,24 +240,11 @@ class JointBernoulli:
     @classmethod
     def from_json_dict(cls, obj: object) -> "JointBernoulli":
         n, raw = _read_document(obj, "bernoulli-joint")
-        columns = _gather(raw, "mask", "p")
-        if columns is None or not (
-            set(map(type, columns[0])) <= {int} and set(map(type, columns[1])) <= {int, float}
-        ):
-            for idx, entry in enumerate(raw):  # name the first bad atom
-                if not isinstance(entry, dict):
-                    raise InvalidDistributionError(f"atoms[{idx}] must be an object")
-                if "mask" not in entry or "p" not in entry:
-                    raise InvalidDistributionError(
-                        f"atoms[{idx}] needs 'mask' and 'p' fields"
-                    )
-                mask = entry["mask"]
-                if not isinstance(mask, int) or isinstance(mask, bool):
-                    raise InvalidDistributionError(f"atoms[{idx}].mask must be an integer")
-                _check_number(entry["p"], f"atoms[{idx}].p")
-            columns = [int(mask) for mask in columns[0]], columns[1]
+        masks, probs = _gather(
+            raw, "mask", "p", _typed_masks, "must be an object", "needs 'mask' and 'p' fields"
+        )
         joint = cls.__new__(cls)
-        joint._load(n, *columns)
+        joint._load(n, masks, probs)
         return joint
 
 

@@ -14,6 +14,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from exact_simplex import solve_exact
 
 
@@ -340,8 +342,10 @@ class OracleReject(ValueError):
     """An input the reference loader refuses, with the package's message."""
 
 
-def _oracle_json_number(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+def _oracle_number(value, what: str) -> float:
+    """A number (numpy's too, not a bool) as a float, an int past the float
+    range as inf of its sign."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise OracleReject(f"{what} must be a number")
     try:
         return float(value)
@@ -360,16 +364,26 @@ def _oracle_check_unit_mass(probs) -> None:
         )
 
 
+def _oracle_bernoulli_fields(pairs) -> list:
+    """Each (mask, p) pair, in input order: the mask an integer (numpy's
+    too, not a bool), then p a number, read as a float."""
+    out = []
+    for idx, (mask, prob) in enumerate(pairs):
+        if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool):
+            raise OracleReject(f"atoms[{idx}].mask must be an integer")
+        out.append((int(mask), _oracle_number(prob, f"atoms[{idx}].p")))
+    return out
+
+
 def oracle_bernoulli_atoms(n: int, atoms) -> tuple[tuple[int, float], ...]:
-    """`JointBernoulli(n, atoms).atoms`: sort by mask, then check each atom
-    in that order for a repeated mask, its range and its probability."""
-    pairs = list(atoms.items()) if isinstance(atoms, dict) else list(atoms)
+    """`JointBernoulli(n, atoms).atoms`: check the field types in input
+    order, sort by mask, then check each atom in that order for a repeated
+    mask, its range and its probability."""
+    pairs = _oracle_bernoulli_fields(atoms.items() if isinstance(atoms, dict) else atoms)
     pairs.sort(key=lambda kv: kv[0])
     out = []
     last_mask = None
     for mask, prob in pairs:
-        mask = int(mask)
-        prob = float(prob)
         if mask == last_mask:
             raise OracleReject(f"duplicate atom mask {mask}")
         if mask < 0 or mask >> n:
@@ -386,32 +400,46 @@ def oracle_bernoulli_atoms(n: int, atoms) -> tuple[tuple[int, float], ...]:
 
 def oracle_bernoulli_from_json(obj: dict) -> tuple[tuple[int, float], ...]:
     """`JointBernoulli.from_json_dict(obj).atoms` for a document whose kind,
-    n and atom list are well formed: field types in file order first."""
+    n and atom list are well formed: each atom an object with both fields,
+    in file order, after the field types of the atoms before it."""
     pairs = []
     for idx, entry in enumerate(obj["atoms"]):
-        if not isinstance(entry, dict):
-            raise OracleReject(f"atoms[{idx}] must be an object")
-        if "mask" not in entry or "p" not in entry:
+        if not isinstance(entry, dict) or "mask" not in entry or "p" not in entry:
+            _oracle_bernoulli_fields(pairs)
+            if not isinstance(entry, dict):
+                raise OracleReject(f"atoms[{idx}] must be an object")
             raise OracleReject(f"atoms[{idx}] needs 'mask' and 'p' fields")
-        mask = entry["mask"]
-        if not isinstance(mask, int) or isinstance(mask, bool):
-            raise OracleReject(f"atoms[{idx}].mask must be an integer")
-        pairs.append((mask, _oracle_json_number(entry["p"], f"atoms[{idx}].p")))
+        pairs.append((entry["mask"], entry["p"]))
     return oracle_bernoulli_atoms(obj["n"], pairs)
 
 
-def _oracle_finite_nonneg(x, what: str) -> float:
-    x = float(x)
+def _oracle_finite_nonneg(x: float, what: str) -> float:
     if not (x >= 0.0 and x < float("inf")):
         raise OracleReject(f"{what} must be finite and >= 0, got {x!r}")
     return x
 
 
-def oracle_nonneg_atoms(n: int, atoms) -> tuple:
-    """`NonnegJoint(n, atoms).atoms`: each atom in construction order, its
-    values, then their count, then its probability."""
-    rows = []
+def _oracle_nonneg_fields(atoms) -> list:
+    """Each (values, p) atom, in input order: the values a list, a tuple or
+    a 1-D numpy array, each value a number, then p a number; all read as
+    floats."""
+    out = []
     for idx, (values, prob) in enumerate(atoms):
+        if not isinstance(values, (list, tuple)) and not (
+            isinstance(values, np.ndarray) and values.ndim == 1
+        ):
+            raise OracleReject(f"atoms[{idx}].values must be a list")
+        vec = [_oracle_number(v, f"atoms[{idx}].values[{k}]") for k, v in enumerate(values)]
+        out.append((vec, _oracle_number(prob, f"atoms[{idx}].p")))
+    return out
+
+
+def oracle_nonneg_atoms(n: int, atoms) -> tuple:
+    """`NonnegJoint(n, atoms).atoms`: the field types of every atom in
+    construction order, then each atom in that order: its values, their
+    count, its probability."""
+    rows = []
+    for idx, (values, prob) in enumerate(_oracle_nonneg_fields(atoms)):
         vec = tuple(
             _oracle_finite_nonneg(v, f"atoms[{idx}].values[{k}]")
             for k, v in enumerate(values)
@@ -424,17 +452,12 @@ def oracle_nonneg_atoms(n: int, atoms) -> tuple:
 
 
 def oracle_nonneg_from_json(obj: dict) -> tuple:
-    """`NonnegJoint.from_json_dict(obj).atoms`, field types in file order first."""
+    """`NonnegJoint.from_json_dict(obj).atoms`: each atom an object with both
+    fields, in file order, after the field types of the atoms before it."""
     rows = []
     for idx, entry in enumerate(obj["atoms"]):
         if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
+            _oracle_nonneg_fields(rows)
             raise OracleReject(f"atoms[{idx}] must be an object with 'values' and 'p'")
-        values = entry["values"]
-        if not isinstance(values, list):
-            raise OracleReject(f"atoms[{idx}].values must be a list")
-        values = [
-            _oracle_json_number(v, f"atoms[{idx}].values[{k}]")
-            for k, v in enumerate(values)
-        ]
-        rows.append((values, _oracle_json_number(entry["p"], f"atoms[{idx}].p")))
+        rows.append((entry["values"], entry["p"]))
     return oracle_nonneg_atoms(obj["n"], rows)

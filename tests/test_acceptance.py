@@ -201,7 +201,6 @@ def test_criterion_08_lp_sandwich_and_sweep():
             p = Fraction(1, n - 1)
             full = full_optimum(n, p)
             exch = exchangeable_optimum(n, p)
-            assert full.status == exch.status == "optimal"
             assert full.objective_exact == exch.objective_exact
 
             mtilde = prob_hit_independent(MarginalVector((float(p),) * n))

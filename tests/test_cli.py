@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from maxdecouple import (
-    JointBernoulli, MarginalVector, NonnegJoint, affine_hash_values, cli, conjectured_extremal,
-    product,
+    JointBernoulli, MarginalVector, NonnegJoint, affine_hash, affine_hash_values, cli, comonotone,
+    conjectured_extremal, one_hot_uniform, product, xor_parity,
 )
 from maxdecouple import dist, optimize
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
@@ -173,6 +173,17 @@ class TestReport:
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
+    def test_json_nested_past_the_recursion_limit_exits_one(self, tmp_path, capsys):
+        depth = sys.getrecursionlimit() + 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        assert main(["report", "--in", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        limit = sys.getrecursionlimit()
+        want = f"JSON nested past the recursion limit of {limit}"
+        assert err == f"maxdecouple: invalid input: {want}\n"
+
     def test_comonotone_exit_zero_conditional_not_applicable(self, tmp_path, capsys):
         path = write_json(
             tmp_path / "como.json",
@@ -276,13 +287,58 @@ class TestConstruct:
         assert main(["construct", "--family", "comonotone", "--n", "3", "--eps", "1.5"]) == EXIT_USAGE
         assert "eps" in capsys.readouterr().err
 
+    def test_each_family_prints_its_builder_joint(self, capsys):
+        cases = [
+            (["one-hot", "--n", "4"], one_hot_uniform(4)),
+            (["extremal", "--n", "5"], conjectured_extremal(5)),
+            (["comonotone", "--n", "3", "--eps", "0.25"], comonotone(3, 0.25)),
+            (["affine-hash", "--n", "3", "--q", "5", "--m", "2"], affine_hash(3, 5, 2)),
+            (["xor", "--k", "2"], xor_parity(2)),
+            (["product", "--p", "0.3,0.7"], product(MarginalVector([0.3, 0.7]))),
+        ]
+        for flags, joint in cases:
+            assert main(["construct", "--family", *flags]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert out == json.dumps(joint.to_json_dict(), indent=2) + "\n" and err == ""
+
     def test_missing_parameter_is_usage_error(self, capsys):
         assert main(["construct", "--family", "comonotone", "--n", "3"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "maxdecouple: usage error: family 'comonotone' needs parameter(s): eps\n"
 
     def test_unused_parameter_is_usage_error(self, capsys):
         assert main(["construct", "--family", "extremal", "--n", "3", "--eps", "0.5"]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "does not use parameter(s): eps" in err
+
+    def test_unknown_family_is_usage_error(self, capsys):
+        assert main(["construct", "--family", "mystery", "--n", "3"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid choice: 'mystery'" in err
+
+    def test_table_over_the_budget_is_usage_error(self):
+        # Real sizes, refused before any atom is made; the child's address
+        # space is capped at 1 GB, so a builder that enumerated first would
+        # end in MemoryError (exit 1), not take the machine's memory.
+        cases = {
+            "extremal --n 100000": "4999950001 atoms over 100000 variables",
+            "one-hot --n 100000": "100000 atoms over 100000 variables",
+            "comonotone --n 10000000000 --eps 0.5": "2 atoms over 10000000000 variables",
+            "affine-hash --n 1 --q 100003 --m 1": "10000600009 atoms over 1 variables",
+        }
+        script = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from maxdecouple.cli import main
+            raise SystemExit(main(["construct", "--family", *sys.argv[1].split()]))
+        """)
+        for flags, what in cases.items():
+            proc = subprocess.run([sys.executable, "-c", script, flags], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert proc.returncode == EXIT_USAGE, (flags, proc.stderr[-300:])
+            assert proc.stdout == ""
+            want = f"maxdecouple: usage error: joint too large to summarize: the table of {what}"
+            assert proc.stderr.startswith(f"{want} needs"), flags
 
     def test_nan_marginal_is_usage_error(self, capsys):
         assert main(["construct", "--family", "product", "--p", "0.5,nan"]) == EXIT_USAGE
@@ -340,6 +396,15 @@ class TestSearch:
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["search", "--n-min", "5", "--n-max", "4"]) == EXIT_USAGE
 
+    def test_reduction_defaults_to_exchangeable(self, capsys):
+        argv = ["search", "--n-min", "3", "--n-max", "6"]
+        assert main(argv) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main([*argv, "--reduction", "exchangeable"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        assert main([*argv, "--reduction", "auto"]) == EXIT_USAGE
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
     def test_csv_uses_17_significant_digits(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["search", "--n-min", "4", "--n-max", "4", "--out", str(out)])
@@ -366,6 +431,13 @@ class TestSample:
 
     def test_zero_count_is_usage_error(self, extremal3_file, capsys):
         assert main(["sample", "--in", extremal3_file, "--count", "0"]) == EXIT_USAGE
+
+    def test_negative_seed_is_usage_error(self, extremal3_file, capsys):
+        argv = ["sample", "--in", extremal3_file, "--seed", "-1", "--count", "5"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "maxdecouple: usage error: --seed must be nonnegative, got -1\n"
 
     def test_nonneg_file_is_input_error(self, tmp_path, capsys):
         path = write_json(
@@ -468,6 +540,12 @@ class TestVerify:
     def test_zero_trials_is_usage_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE
         assert "trials" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["verify", "--seed", "-5", "--trials", "1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "maxdecouple: usage error: --seed must be nonnegative, got -5\n"
 
 
 class TestUsageContract:

@@ -1,14 +1,17 @@
 """Family builders: exact values, validation, and independence guarantees."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
-    FamilySpec,
+    InvalidDistributionError,
     MarginalVector,
     affine_hash,
+    affine_hash_values,
     comonotone,
     conjectured_extremal,
     expand_exchangeable,
@@ -20,6 +23,8 @@ from maxdecouple import (
     product,
     xor_parity,
 )
+from maxdecouple import dist
+from maxdecouple.cli import EXIT_USAGE, main
 
 
 class TestOneHotUniform:
@@ -213,49 +218,61 @@ class TestProduct:
 
 
 class TestFamilySpec:
-    def test_build_each_kind(self):
-        cases = [
-            (FamilySpec("one_hot_uniform", n=4), one_hot_uniform(4)),
-            (FamilySpec("conjectured_extremal", n=5), conjectured_extremal(5)),
-            (FamilySpec("comonotone", n=3, eps=0.25), comonotone(3, 0.25)),
-            (FamilySpec("affine_hash", n=3, q=5, m=2), affine_hash(3, 5, 2)),
-            (FamilySpec("xor_parity", k=2), xor_parity(2)),
-            (
-                FamilySpec("product", p=(0.3, 0.7)),
-                product(MarginalVector([0.3, 0.7])),
-            ),
-        ]
-        for spec, expected in cases:
-            assert spec.build() == expected
+    # Each family's parameter names, the second field of its
+    # `cli.FAMILY_BY_FLAG` entry, as `construct` checks them: every missing
+    # and every unused one is named, by its family's flag, with exit 64.
+    def check(self, capsys, flags, want):
+        assert main(["construct", "--family", *flags]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"maxdecouple: usage error: family '{flags[0]}' {want}\n"
 
-    def test_missing_parameter_named(self):
+    def test_missing_parameter_named(self, capsys):
         cases = [
-            (FamilySpec("one_hot_uniform"), "n"),
-            (FamilySpec("conjectured_extremal", k=3), "n"),
-            (FamilySpec("comonotone", n=3), "eps"),
-            (FamilySpec("comonotone"), "n, eps"),
-            (FamilySpec("affine_hash", n=3, m=2), "q"),
-            (FamilySpec("xor_parity", n=3), "k"),
-            (FamilySpec("product", n=2), "p"),
+            (["one-hot"], "n"),
+            (["extremal", "--k", "3"], "n"),
+            (["comonotone", "--n", "3"], "eps"),
+            (["comonotone"], "n, eps"),
+            (["affine-hash", "--n", "3", "--m", "2"], "q"),
+            (["xor", "--n", "3"], "k"),
+            (["product", "--n", "2"], "p"),
         ]
-        for spec, missing in cases:
-            want = rf"^family '{spec.kind}' needs parameter\(s\): {missing}$"
-            with pytest.raises(ValueError, match=want):
-                spec.build()
+        for flags, missing in cases:
+            self.check(capsys, flags, f"needs parameter(s): {missing}")
 
-    def test_unused_parameter_named(self):
+    def test_unused_parameter_named(self, capsys):
         cases = [
-            (FamilySpec("conjectured_extremal", n=3, eps=0.5), "eps"),
-            (FamilySpec("one_hot_uniform", n=3, k=2), "k"),
-            (FamilySpec("comonotone", n=3, eps=0.5, q=5, m=1), "q, m"),
-            (FamilySpec("xor_parity", k=2, p=(0.5,)), "p"),
-            (FamilySpec("product", n=2, p=(0.5, 0.5)), "n"),
+            (["extremal", "--n", "3", "--eps", "0.5"], "eps"),
+            (["one-hot", "--n", "3", "--k", "2"], "k"),
+            (["comonotone", "--n", "3", "--eps", "0.5", "--q", "5", "--m", "1"], "q, m"),
+            (["xor", "--k", "2", "--p", "0.5"], "p"),
+            (["product", "--n", "2", "--p", "0.5,0.5"], "n"),
         ]
-        for spec, unused in cases:
-            want = rf"^family '{spec.kind}' does not use parameter\(s\): {unused}$"
-            with pytest.raises(ValueError, match=want):
-                spec.build()
+        for flags, unused in cases:
+            self.check(capsys, flags, f"does not use parameter(s): {unused}")
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            FamilySpec("mystery", n=3)
+
+class TestSizeCheck:
+    # Each table is sized as packed, ceil(n/8) bytes a mask, and refused
+    # before its first atom is made.  Under a 1,000-byte budget, so that a
+    # builder that enumerated first would still finish; `test_cli` runs the
+    # real sizes.
+    CASES = (
+        (one_hot_uniform, (100,), "the table of 100 atoms over 100 variables needs 1300 bytes"),
+        (conjectured_extremal, (40,), "the table of 781 atoms over 40 variables needs 3905 bytes"),
+        (comonotone, (10_000, 0.5), "the table of 2 atoms over 10000 variables needs 2500 bytes"),
+        (affine_hash, (1, 37, 1), "the table of 1369 atoms over 1 variables needs 1369 bytes"),
+        (affine_hash_values, (1, 37, [[1.0] * 37]), "the 1369 x 1 value table needs 10952 bytes"),
+    )
+
+    def test_over_the_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1000)
+        for builder, args, what in self.CASES:
+            want = f"^joint too large to summarize: {what}, over the budget of 1000 bytes$"
+            with pytest.raises(InvalidDistributionError, match=want):
+                builder(*args)
+
+    def test_largest_table_in_the_budget_is_built(self, monkeypatch):
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 2 * math.comb(9, 2) + 2)
+        assert len(conjectured_extremal(9).atoms) == math.comb(9, 2) + 1
+        with pytest.raises(InvalidDistributionError, match="too large"):
+            conjectured_extremal(10)

@@ -20,13 +20,6 @@ WIDTHS = (1, 7, 8, 9, 64, 65, 200)
 CASES_PER_WIDTH = 150
 
 
-def fits_float(x):
-    """False for an int that float() cannot convert: the reference loops
-    raise OverflowError on it in the constructor, where the loader reads
-    inf as a JSON reader does."""
-    return not isinstance(x, int) or abs(x) < 10**300
-
-
 def outcome(load, *args):
     """What a loader makes of its input: ("ok", repr of the atoms and the
     type of every number in them) or ("error", the message)."""
@@ -146,14 +139,14 @@ class TestLoaderMatchesReference:
 
     @pytest.mark.parametrize("n", WIDTHS)
     def test_bernoulli_constructor(self, n):
-        # Pairs from the same documents, where they are well formed.
+        # Pairs from the same documents, bad field types among them: the
+        # constructor and the JSON reader share the type rules.
         rng = random.Random(1000 + n)
         for _ in range(CASES_PER_WIDTH):
             entries = random_bernoulli_doc(rng, n)["atoms"]
             pairs = [
                 (e["mask"], e["p"]) for e in entries
-                if isinstance(e, dict) and isinstance(e.get("mask"), int)
-                and isinstance(e.get("p"), (int, float)) and fits_float(e["p"])
+                if isinstance(e, dict) and {"mask", "p"} <= e.keys()
             ]
             table = dict(pairs) if rng.random() < 0.3 else pairs
             want = outcome(oracles.oracle_bernoulli_atoms, n, table)
@@ -178,10 +171,8 @@ class TestLoaderMatchesReference:
         for _ in range(CASES_PER_WIDTH):
             entries = random_nonneg_doc(rng, n)["atoms"]
             atoms = [
-                (tuple(e["values"]), e["p"]) for e in entries
-                if isinstance(e, dict) and isinstance(e.get("values"), list)
-                and all(isinstance(v, (int, float)) and fits_float(v) for v in e["values"])
-                and isinstance(e.get("p"), (int, float)) and fits_float(e["p"])
+                (e["values"], e["p"]) for e in entries
+                if isinstance(e, dict) and {"values", "p"} <= e.keys()
             ]
             want = outcome(oracles.oracle_nonneg_atoms, n, atoms)
             got = outcome(lambda *a: NonnegJoint(*a).atoms, n, atoms)
@@ -282,3 +273,43 @@ class TestNamedFaults:
             want = rf"^{re.escape(what)} must be finite and >= 0, got {inf}$"
             with pytest.raises(InvalidDistributionError, match=want):
                 NonnegJoint.from_json_dict(doc)
+
+    @pytest.mark.parametrize("atoms,what", [
+        ({0.9: 0.5, 1: 0.5}, "atoms[0].mask must be an integer"),
+        ({0: 0.5, 1.5: 0.5}, "atoms[1].mask must be an integer"),
+        ({"1": 1.0}, "atoms[0].mask must be an integer"),
+        ([(0, 0.5), (True, 0.5)], "atoms[1].mask must be an integer"),
+        ({1: "1.0"}, "atoms[0].p must be a number"),
+        ([(0, 0.0), (1, True)], "atoms[1].p must be a number"),
+    ])
+    def test_constructor_field_types_as_in_json(self, atoms, what):
+        # The constructor coerces nothing: a bad field is named as in a file.
+        with pytest.raises(InvalidDistributionError, match=f"^{re.escape(what)}$"):
+            JointBernoulli(2, atoms)
+        pairs = atoms.items() if isinstance(atoms, dict) else atoms
+        with pytest.raises(InvalidDistributionError, match=f"^{re.escape(what)}$"):
+            JointBernoulli.from_json_dict(bernoulli_doc(*pairs))
+
+    @pytest.mark.parametrize("atoms,what", [
+        ([("12", 1.0)], "atoms[0].values must be a list"),
+        ([([1.0, 2.0], 0.5), ([True, 1.0], 0.5)], "atoms[1].values[0] must be a number"),
+        ([(np.array([[1.0, 2.0]]), 1.0)], "atoms[0].values must be a list"),
+        ([(np.array([1.0, 2.0]), "1")], "atoms[0].p must be a number"),
+    ])
+    def test_nonneg_constructor_field_types(self, atoms, what):
+        with pytest.raises(InvalidDistributionError, match=f"^{re.escape(what)}$"):
+            NonnegJoint(2, atoms)
+
+    def test_numpy_fields_are_read_as_python_numbers(self):
+        joint = JointBernoulli(2, [(np.int64(3), np.float64(0.25)), (np.uint8(0), 0.75)])
+        assert joint.atoms == ((0, 0.75), (3, 0.25))
+        assert [type(mask) for mask in joint.masks] == [int, int]
+        rows = NonnegJoint(2, [(np.array([1, 2]), np.float32(0.5)), ((0.0, 3), 0.5)])
+        assert rows.atoms == (((1.0, 2.0), 0.5), ((0.0, 3.0), 0.5))
+
+    @pytest.mark.parametrize("n", [2.5, "2", True, None])
+    def test_constructor_n_is_an_integer_as_in_json(self, n):
+        for build in (lambda: JointBernoulli(n, {0: 1.0}), lambda: NonnegJoint(n, [((1.0,), 1.0)]),
+                      lambda: JointBernoulli.from_json_dict({**bernoulli_doc((0, 1.0)), "n": n})):
+            with pytest.raises(InvalidDistributionError, match=r"^field 'n' must be an integer$"):
+                build()

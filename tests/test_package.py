@@ -1,15 +1,16 @@
 """The package's public names."""
 
 import maxdecouple
-from maxdecouple import dist, optimize
+from maxdecouple import cli, constructions, dist, optimize
 
 # Names the package no longer defines: pair data lives in
 # `JointBernoulli.summary`, the sweep prints the p = 1/(n-1) ratio, and the
 # float atom-level LP and its HiGHS solve live in the tests (`highs_lp`),
-# replaced at runtime by `full_optimum`'s exact certificate.
+# replaced at runtime by `full_optimum`'s exact certificate; the `construct`
+# command calls the family builders through `cli.FAMILY_BY_FLAG`.
 REMOVED = (
     "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
-    "ExtremalLp", "build_full_lp", "solve",
+    "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
 )
 
 
@@ -20,7 +21,9 @@ def test_all_lists_only_defined_names():
 
 
 def test_removed_names_are_gone():
-    for module in (maxdecouple, dist, optimize):
+    for module in (maxdecouple, cli, constructions, dist, optimize):
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
     gone = ("FullLpProblem", "PRICING_TOLERANCE", "WITNESS_ATOM_FLOOR", "_seed_columns")
     assert [name for name in gone if name in vars(optimize)] == []
+    assert "_FAMILIES" not in vars(constructions)
+    assert "status" not in optimize.LpSolution.__dataclass_fields__
