@@ -9,9 +9,9 @@ measures true mass rather than producing a result.)
 
 The hit count Z = sum_i X_i of an atom is the popcount of its mask; it is
 never stored, always derived, as an exact integer count of the atom's row
-of the bit table.  The d x d pair product of `_summarize` is the one BLAS
-call; with many column classes OpenBLAS runs it on a worker thread, which
-then spins idle for a while.
+of the bit table.  Every sum, the pair moments included, runs left to
+right in atom order on one thread, so no BLAS routine picks its order or
+starts a worker thread.
 
 A joint is read into numpy once, by the one load path and type rules that
 the constructor and `from_json_dict` share: field types in input order,
@@ -331,37 +331,46 @@ def _blocks(what: str, start: int, stop: int, nbytes: int) -> Iterator[slice]:
 def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     """One scan of an atoms x n boolean table weighted by atom probability.
 
-    The atom-level sums (marginals, P(Z > 0), E Z, E Z^2) run left to right
-    in atom order through np.cumsum, so each equals the plain loop over the
-    table.  Pair data is per column class, numbered by first appearance so
-    that distinct columns keep their order; the k_a variables of class a
-    make k_a (k_a - 1) ordered pairs, each with moment p_a.
+    Every sum (marginals, pair moments, P(Z > 0), E Z, E Z^2) runs left to
+    right in atom order through np.cumsum, on one thread, so each equals the
+    plain loop over the table, bit for bit.  Pair data is per column class,
+    numbered by first appearance so that distinct columns keep their order;
+    the k_a variables of class a make k_a (k_a - 1) ordered pairs, each with
+    moment p_a.
     """
     keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
     rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
     classes = np.array([rank[key] for key in keys])
     atoms, d = len(weights), len(rank)
-    # At the peak: three atoms x (d + 3) float tables and six d x d matrices.
+    # An upper bound on the peak: the d x atoms boolean table, a class's
+    # rows (at most d x atoms booleans and floats), the atom-level terms and
+    # six d x d matrices.
     _check_budget(
         f"the tables of {d} column classes over {atoms} atoms",
         8 * (3 * atoms * (d + 3) + 6 * d * d),
     )
     _, first, k = np.unique(classes, return_index=True, return_counts=True)
-    table = bits[:, first].astype(np.float64)
+    columns = np.ascontiguousarray(bits[:, first].T)
 
     # Each atom's hit count as an exact integer row count; a float mat-vec
     # gives the same values but wakes a BLAS worker thread.
     z = np.count_nonzero(bits, axis=1).astype(np.float64)
-    weighted = np.column_stack([table, z > 0, z, z * z]) * weights[:, None]
-    sums = np.cumsum(weighted, axis=0)[-1]
-    p, (prob_hit, ez, ez2) = sums[:d], sums[d:]
+    terms = (weights * (z > 0), weights * z, weights * (z * z))
+    prob_hit, ez, ez2 = (np.cumsum(column)[-1] for column in terms)
 
-    # Mirror the upper triangle and pin the diagonal to the marginals so the
-    # matrix is exactly symmetric with m[a][a] = p_a by definition.
-    m = weighted[:, :d].T @ table
-    m = np.where(np.arange(d)[:, None] <= np.arange(d), m, m.T)
-    np.fill_diagonal(m, p)
+    # Row a, from column a on, sums the atoms where class a fires, in atom
+    # order, with one cumsum for the whole row: the 0.0 terms (where class b
+    # does not fire) leave a left-to-right sum as it is.  Each cell is the
+    # plain loop over the atoms where both fire, bit for bit, and the
+    # diagonal is p.
+    m = np.zeros((d, d))
+    for a in range(d):
+        fired = columns[a]
+        rows = np.compress(fired, columns[a:], axis=1) * weights[fired]
+        if rows.shape[1]:
+            m[a, a:] = m[a:, a] = np.cumsum(rows, axis=1, out=rows)[:, -1]
     m.setflags(write=False)
+    p = m.diagonal()
     excess = m - np.outer(p, p)
     pairs = np.outer(k, k) - np.diag(k)  # ordered pairs per class pair
     paired = excess[pairs > 0]

@@ -38,6 +38,12 @@ FULL_SEARCH_SHA256 = "860eae664e5d4366d073205238f3f514ae0786009d91526a1397e2f5eb
 # `--reduction exchangeable`.
 FULL_SEARCH_16_SHA256 = "606a7180a04d72a432fd969e4940b0c8ad59ced8fc7d63d5720abcabd732fb7f"
 
+# SHA-256 of `report --in product.json` stdout, for the product law of the
+# marginals PRODUCT_MARGINALS (4,096 atoms), with every pair moment summed
+# left to right over the atoms in mask order.
+PRODUCT_MARGINALS = "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6"
+PRODUCT_REPORT_SHA256 = "d7a7a2c80f386bc3c4dda73517ae7f6d6f2b123f5f0755297a2ffa69c4948f7c"
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -86,6 +92,15 @@ class TestReport:
         assert payload["M"] == 0.75
         assert payload["M_tilde"] == 0.875
         assert payload["verdicts"]["pinelis"] is True
+
+    def test_product_report_matches_golden_digest(self, tmp_path, capsys):
+        path = str(tmp_path / "product.json")
+        argv = ["construct", "--family", "product", "--p", PRODUCT_MARGINALS, "--out", path]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--in", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PRODUCT_REPORT_SHA256
 
     def test_csv_format(self, extremal3_file, capsys):
         assert main(["report", "--in", extremal3_file, "--format", "csv"]) == EXIT_OK

@@ -1,6 +1,8 @@
 """Family builders: exact values, validation, and independence guarantees."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from maxdecouple import (
     product,
     xor_parity,
 )
-from maxdecouple import dist
+from maxdecouple import constructions, dist
 from maxdecouple.cli import EXIT_USAGE, main
 
 
@@ -252,15 +254,15 @@ class TestFamilySpec:
 
 
 class TestSizeCheck:
-    # Each table is sized as packed, ceil(n/8) bytes a mask, and refused
-    # before its first atom is made.  Under a 1,000-byte budget, so that a
-    # builder that enumerated first would still finish; `test_cli` runs the
-    # real sizes.
+    # Each table is sized before its first atom is made, at 384 bytes an
+    # atom plus its mask as an int (4 bytes per 30 bits) and twice packed
+    # (ceil(n/8) bytes).  Under a 1,000-byte budget, so that a builder that
+    # enumerated first would still finish; `test_cli` runs the real sizes.
     CASES = (
-        (one_hot_uniform, (100,), "the table of 100 atoms over 100 variables needs 1300 bytes"),
-        (conjectured_extremal, (40,), "the table of 781 atoms over 40 variables needs 3905 bytes"),
-        (comonotone, (10_000, 0.5), "the table of 2 atoms over 10000 variables needs 2500 bytes"),
-        (affine_hash, (1, 37, 1), "the table of 1369 atoms over 1 variables needs 1369 bytes"),
+        (one_hot_uniform, (100,), "the table of 100 atoms over 100 variables needs 42600 bytes"),
+        (conjectured_extremal, (40,), "the table of 781 atoms over 40 variables needs 313962 bytes"),
+        (comonotone, (10_000, 0.5), "the table of 2 atoms over 10000 variables needs 8440 bytes"),
+        (affine_hash, (1, 37, 1), "the table of 1369 atoms over 1 variables needs 533910 bytes"),
         (affine_hash_values, (1, 37, [[1.0] * 37]), "the 1369 x 1 value table needs 10952 bytes"),
     )
 
@@ -272,7 +274,28 @@ class TestSizeCheck:
                 builder(*args)
 
     def test_largest_table_in_the_budget_is_built(self, monkeypatch):
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 2 * math.comb(9, 2) + 2)
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", (4 + 2 * 2 + 384) * (math.comb(9, 2) + 1))
         assert len(conjectured_extremal(9).atoms) == math.comb(9, 2) + 1
         with pytest.raises(InvalidDistributionError, match="too large"):
             conjectured_extremal(10)
+
+    @pytest.mark.parametrize("builder,args", [
+        (conjectured_extremal, (40,)), (conjectured_extremal, (300,)),
+        (affine_hash, (7, 101, 30)), (affine_hash, (60, 61, 20)),
+        (one_hot_uniform, (50,)), (one_hot_uniform, (2000,)),
+    ])
+    def test_checked_figure_bounds_the_peak(self, monkeypatch, builder, args):
+        # The peaks are 0.05-0.89 of the checked figure on CPython 3.11 and
+        # numpy 2.4; the tightest is conjectured_extremal(300), at 0.89.  The
+        # per-atom charge, constructions.ATOM_OBJECT_BYTES, was calibrated
+        # there: if a new Python or numpy fails this case, re-measure it.
+        checked = []
+        monkeypatch.setattr(constructions, "_check_budget", lambda what, nbytes: checked.append(nbytes))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            builder(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == 1 and peak <= checked[0], (peak, checked)

@@ -40,6 +40,21 @@ def random_sparse_joint(rng, max_n=10, max_support=16):
     return JointBernoulli(n, {int(m): float(p) for m, p in zip(masks, probs)})
 
 
+def with_zero_mass_atoms(rng, joint, count):
+    """`joint` plus up to `count` atoms of mass 0.0 at masks it lacks."""
+    free = sorted(set(range(1 << joint.n)) - set(joint.masks))
+    extra = rng.choice(free, size=min(count, len(free)), replace=False) if free else []
+    return JointBernoulli(joint.n, dict(joint.atoms) | {int(m): 0.0 for m in extra})
+
+
+def assert_left_to_right_pair_moments(joint):
+    """The pair moments and marginals are the plain loop over the atoms in
+    ascending mask order, bit for bit."""
+    atoms = dict(joint.atoms)
+    assert oracles.pair_moment_matrix(joint) == oracles.oracle_second_moments(joint.n, atoms)
+    assert list(marginals(joint).p) == oracles.oracle_marginals(joint.n, atoms)
+
+
 def duplicate_variables(rng, joint):
     """Copy the bits of some variables into new ones, so that several
     variables fire on exactly the same atoms (column classes of size > 1)."""
@@ -149,12 +164,34 @@ class TestSecondMoments:
     def test_extremal_three_pairwise_product(self):
         j = conjectured_extremal(3)
         m = oracles.pair_moment_matrix(j)
-        oracle_m = oracles.oracle_second_moments(3, dict(j.atoms))
-        assert np.allclose(m, oracle_m, atol=1e-14)
+        assert m == oracles.oracle_second_moments(3, dict(j.atoms))
         for i in range(3):
             for k in range(3):
                 if i != k:
                     assert m[i][k] == pytest.approx(0.25, abs=1e-15)
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**31 - 1), duplicate=st.booleans(), zeros=st.integers(0, 3))
+    def test_equal_the_left_to_right_loop(self, seed, duplicate, zeros):
+        rng = np.random.default_rng(seed)
+        j = random_sparse_joint(rng, max_n=9, max_support=40)
+        if duplicate:
+            j = duplicate_variables(rng, j)
+        assert_left_to_right_pair_moments(with_zero_mass_atoms(rng, j, zeros))
+
+    def test_equal_the_left_to_right_loop_on_named_joints(self):
+        rng = np.random.default_rng(31)
+        joints = [
+            product(MarginalVector(rng.uniform(0.05, 0.95, size=12).tolist())),
+            with_zero_mass_atoms(rng, duplicate_variables(rng, random_sparse_joint(rng)), 4),
+            JointBernoulli(1, {0: 0.3, 1: 0.7}),  # n = 1
+            JointBernoulli(1, {1: 1.0}),
+            comonotone(7, 0.3),  # d = 1: every variable fires on the same atoms
+            JointBernoulli(3, {0: 1.0, 5: 0.0}),  # one class fires only on a zero mass
+        ]
+        assert len(set(joints[4].summary.classes.tolist())) == 1
+        for j in joints:
+            assert_left_to_right_pair_moments(j)
 
     def test_diagonal_is_marginal(self):
         rng = np.random.default_rng(5)
@@ -299,7 +336,7 @@ class TestColumnClasses:
             atoms = dict(j.atoms)
             p = oracles.oracle_marginals(j.n, atoms)
             m = oracles.oracle_second_moments(j.n, atoms)
-            np.testing.assert_allclose(oracles.pair_moment_matrix(j), m, rtol=0, atol=1e-12)
+            assert oracles.pair_moment_matrix(j) == m
             _, oracle_total = oracles.oracle_eta(j.n, atoms)
             assert j.summary.h == pytest.approx(oracle_total, abs=1e-12)
             gaps = [
