@@ -52,6 +52,12 @@ DENSE_VARIABLE_LIMIT = 24
 # block of the continuous threshold sweep's tables.
 SUMMARY_BUDGET = 1 << 30
 
+# Bytes numpy's buffered ufunc loop may hold while it casts an operand, as
+# `_summarize` does when it multiplies boolean rows by float weights: two
+# buffers of np.getbufsize() = 8192 float64 items and the iterator, which
+# tracemalloc put at 132 KB at most; twice that, for headroom.
+CAST_BUFFER = 1 << 18
+
 # Draws per chunk of the sampling kernel: large enough that numpy's per-call
 # cost is negligible, small enough that a chunk's arrays stay a few MB.
 SAMPLE_CHUNK = 1 << 16
@@ -342,12 +348,19 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
     classes = np.array([rank[key] for key in keys])
     atoms, d = len(weights), len(rank)
-    # An upper bound on the peak: the d x atoms boolean table, a class's
-    # rows (at most d x atoms booleans and floats), the atom-level terms and
-    # six d x d matrices.
+    # The peak, in bytes: the column keys; the d x atoms boolean columns;
+    # z, the three atom-level terms and a temporary; the pair loop's worst
+    # step, which holds row block a - 1 while it builds block a (d - a
+    # booleans, then floats, on each atom where class a fires, the indices
+    # and weights it selects and the cast buffer of their product); and six
+    # d x d matrices.
+    hits = np.array([int.from_bytes(key, "little").bit_count() for key in rank])
+    cells = (d - np.arange(d)) * hits
+    step = 8 * np.concatenate([[0], cells[:-1]]) + 9 * cells + 16 * hits
     _check_budget(
         f"the tables of {d} column classes over {atoms} atoms",
-        8 * (3 * atoms * (d + 3) + 6 * d * d),
+        len(keys) * (atoms // 8 + 65) + atoms * (d + 48) + int(step.max()) + CAST_BUFFER
+        + 48 * d * d,
     )
     _, first, k = np.unique(classes, return_index=True, return_counts=True)
     columns = np.ascontiguousarray(bits[:, first].T)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, repeat
 
 import numpy as np
@@ -39,6 +40,9 @@ from .dist import JointBernoulli
 MODES = ("pairwise_equality", "negative_covariance")
 
 FULL_VARIABLE_LIMIT = 16
+
+_ZERO = Fraction(0)
+
 
 class CertificateError(RuntimeError):
     """The duality certificate of `full_optimum` failed: a library bug."""
@@ -59,7 +63,7 @@ def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     p = Fraction(p)
-    if not 0 <= p <= 1:
+    if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"marginal p must lie in [0, 1], got {p}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -69,7 +73,16 @@ def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
 def _closed_form_k(n: int, p: Fraction) -> int:
     """The k of `exchangeable_optimum`, 1 + floor(2 S2 / S1), which is
     1 + floor((n - 1) p); 0 at p = 0, where all mass is on Z = 0."""
-    return 0 if p == 0 else 1 + math.floor((n - 1) * p)
+    return 0 if p == 0 else 1 + (n - 1) * p.numerator // p.denominator
+
+
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, the pair rows' order, computed once per n."""
+    first, second = np.triu_indices(n, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
 def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
@@ -78,7 +91,7 @@ def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
     the atoms with bit i set, then the pair rows in `np.triu_indices`
     order, each the atoms with both bits set."""
     bits = (masks & (1 << np.arange(n))[:, None]) != 0
-    first, second = np.triu_indices(n, 1)
+    first, second = _pair_indices(n)
     return np.vstack([np.ones((1, masks.size), dtype=bool), bits, bits[first] & bits[second]])
 
 
@@ -86,25 +99,26 @@ def _reduced_costs(n: int, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
     """c - A^T y over all 2^n atoms, for duals y in `_constraint_rows` order,
     in the duals' dtype and in closed form: c_x - y_0 - sum_{i in x} y_i -
     sum_{i<j in x} y_ij.  The sums extend one bit at a time, with no BLAS
-    call: the mask r + 2^b, r below 2^b, adds y_b and y_ib for each bit i
-    of r to the sum of r."""
+    call: the mask r + 2^b, r below 2^b, adds y_b and link_b(r) to the sum
+    of r, where link_j(r) = sum_{i in r} y_ij.  The links of the bits
+    j > b extend the same way, all at once, so each bit costs two
+    concatenations and at most 2^(n-1) links are held."""
     pair = np.zeros((n, n), dtype=duals.dtype)
-    pair[np.triu_indices(n, 1)] = duals[1 + n :]
+    pair[_pair_indices(n)] = duals[1 + n :]
     total = duals[:1]
+    link = np.zeros((n, 1), dtype=duals.dtype)  # row j - b holds link_j
     for b in range(n):
-        link = np.zeros(1, dtype=duals.dtype)
-        for i in range(b):
-            link = np.concatenate([link, link + pair[i, b]])
-        total = np.concatenate([total, total + duals[1 + b] + link])
+        total = np.concatenate([total, total + duals[1 + b] + link[0]])
+        link = np.concatenate([link[1:], link[1:] + pair[b, b + 1 :, None]], axis=1)
     return c - total
 
 
 def _hamming_weights(n: int) -> np.ndarray:
     """The Hamming weight of every mask 0 .. 2^n - 1."""
     # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
-    weight = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        weight = np.concatenate([weight, weight + 1])
+    weight = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        np.add(weight[: 1 << b], 1, out=weight[1 << b : 2 << b])
     return weight
 
 
@@ -120,10 +134,19 @@ def exchangeable_optimum(
     with k = 1 + floor(2 S2 / S1), attained only on the support {0, k, k+1}.
     Proof: f(z) = z(2k+1-z)/(k(k+1)) is 0 at z = 0, 1 at z = k and k+1, and
     at most 1 at every other integer z >= 1, so every feasible law has
-    P(Z > 0) >= E f(Z), which is the bound.  The weights below meet the
-    three rows on {0, k, k+1}; w_k and w_(k+1) are nonnegative by the choice
-    of k, and w_0 is because the bound is at most P(Z > 0) <= 1 under
-    Binomial(n, p).
+    P(Z > 0) >= E f(Z), which is the bound.
+
+    With p = a/b in lowest terms, k = 1 + floor((n-1) a / b) and
+    scale = k(k+1) b^2, the weights meeting the three rows on {0, k, k+1}
+    are integers over scale:
+        w_k     = n a (k b - (n-1) a) (k+1) / scale,
+        w_(k+1) = n a ((n-1) a - (k-1) b) k / scale,
+        w_0     = 1 - w_k - w_(k+1),
+    and the objective 1 - w_0 is the sum of the two numerators over scale.
+    Both numerators are nonnegative because k - 1 <= (n-1) p < k, and the
+    second is 0 at p = 1, where k = n; w_0 is nonnegative because the bound
+    is at most P(Z > 0) <= 1 under Binomial(n, p).  At p = 0 all mass is on
+    Z = 0.
 
     Two facts follow:
     - the program is never infeasible: Binomial(n, p) meets every row;
@@ -133,28 +156,29 @@ def exchangeable_optimum(
       P(Z > 0) >= 2 S1/(k+1) - T/(k(k+1)), above the equality optimum,
       which is itself feasible for the relaxation.
     """
-    p = _check_common(n, p, mode)
+    return _exchangeable(n, _check_common(n, p, mode))
+
+
+def _exchangeable(n: int, p: Fraction) -> LpSolution:
+    """`exchangeable_optimum` at a checked p, in integers."""
     if n < 2:
         raise ValueError(f"exchangeable reduction needs n >= 2, got {n}")
-    support = {0: Fraction(1)}
-    if p != 0:
-        s1 = n * p
-        s2_twice = n * (n - 1) * p * p
-        k = _closed_form_k(n, p)
-        upper = (s2_twice - (k - 1) * s1) / (k + 1)
-        support[k] = (s1 - (k + 1) * upper) / k
-        if k < n:  # at p = 1, k = n and the weight on n + 1 is zero
-            support[k + 1] = upper
-        support[0] = 1 - support[k] - upper
-    weights = [Fraction(0)] * (n + 1)
-    for z, w in support.items():
-        weights[z] = w
-    objective_exact = 1 - weights[0]
-    return LpSolution(
-        objective=float(objective_exact),
-        objective_exact=objective_exact,
-        weights_exact=tuple(weights),
-    )
+    weights = [_ZERO] * (n + 1)
+    a, b = p.numerator, p.denominator
+    if a == 0:
+        weights[0] = Fraction(1)
+        return LpSolution(0.0, _ZERO, tuple(weights))
+    k = _closed_form_k(n, p)
+    scale = k * (k + 1) * b * b
+    at_k = n * a * (k * b - (n - 1) * a) * (k + 1)
+    above_k = n * a * ((n - 1) * a - (k - 1) * b) * k
+    weights[0] = Fraction(scale - at_k - above_k, scale)
+    weights[k] = Fraction(at_k, scale)
+    if above_k:  # zero where (n - 1) p is an integer, p = 1 and k = n among them
+        weights[k + 1] = Fraction(above_k, scale)
+    # int / int rounds correctly, so it is float(objective_exact).
+    objective = (at_k + above_k) / scale
+    return LpSolution(objective, Fraction(at_k + above_k, scale), tuple(weights))
 
 
 def _certificate_dual(n: int, k: int) -> tuple[np.ndarray, int]:
@@ -182,11 +206,13 @@ def _certificate_fault(
       weight z >= 1 get (z - k)(z - k - 1) and the zero atom 0), and in
       negative_covariance mode the pair duals are <= 0, the sign that
       <= rows need;
-    - primal feasibility: in rationals, the weights are >= 0 and the
-      atoms of each class, counted per row by `_constraint_rows` and
-      weighted w_z / C(n, z), meet every right-hand side exactly (pair
-      rows from below in negative_covariance mode);
-    - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`.
+    - primal feasibility: the weights are >= 0 and the atoms of each
+      class, counted per row by `_constraint_rows` and weighted
+      w_z / C(n, z), meet every right-hand side exactly, in integers over
+      one common denominator (pair rows from below in
+      negative_covariance mode);
+    - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`,
+      with b . y one integer over scale * denominator(p)^2.
     By weak duality the objective is then the minimum over all atoms.
     """
     duals, scale = _certificate_dual(n, k)
@@ -196,30 +222,39 @@ def _certificate_fault(
     worst = int(reduced.argmin())
     if reduced[worst] < 0:
         return f"atom {worst} has reduced cost {reduced[worst]}/{scale} < 0"
-    kind = np.repeat([0, 1, 2], [1, n, n * (n - 1) // 2])
-    rhs = (Fraction(1), p, p * p)
     upper = mode == "negative_covariance"  # the pair rows are <= rows
-    if upper and (duals[kind == 2] > 0).any():
+    if upper and (duals[1 + n :] > 0).any():
         return "a pair row's dual is positive"
     weights = solution.weights_exact
     if min(weights) < 0:
         return "a witness weight is negative"
     used = [z for z, w in enumerate(weights) if w]
     weight = _hamming_weights(n)
-    counts = np.column_stack(
-        [_constraint_rows(n, np.flatnonzero(weight == z)).sum(axis=1) for z in used]
-    )
-    if counts.shape[0] != kind.size:
-        return f"the program has {counts.shape[0]} rows, not {kind.size}"
-    shares = [weights[z] / math.comb(n, z) for z in used]
+    classes = [np.flatnonzero(weight == z) for z in used]
+    starts = np.cumsum([0] + [masks.size for masks in classes[:-1]])
+    rows = _constraint_rows(n, np.concatenate(classes))
+    counts = np.add.reduceat(rows, starts, axis=1, dtype=np.int64)
+    pairs = n * (n - 1) // 2
+    if counts.shape[0] != 1 + n + pairs:
+        return f"the program has {counts.shape[0]} rows, not {1 + n + pairs}"
+    # In integers over one denominator: class z's atoms each carry
+    # w_z / C(n, z) = share_z / common, and row kind e's right-hand side is
+    # p^e = a^e / b^e.
+    a, b = p.numerator, p.denominator
+    denominators = [weights[z].denominator * math.comb(n, z) for z in used]
+    common = math.lcm(*denominators)
+    shares = [weights[z].numerator * (common // d) for z, d in zip(used, denominators)]
+    kind = np.repeat([0, 1, 2], [1, n, pairs])
     # Rows of one kind with the same counts per class have the same total.
-    for row, *count in np.unique(np.column_stack([kind, counts]), axis=0).tolist():
+    for row, *count in dict.fromkeys(map(tuple, np.column_stack([kind, counts]).tolist())):
         total = sum(share * c for share, c in zip(shares, count))
-        if total != rhs[row] and not (upper and row == 2 and total < rhs[row]):
+        scaled, rhs = total * b**row, a**row * common
+        if scaled != rhs and not (upper and row == 2 and scaled < rhs):
             name = ("mass", "marginal", "pair")[row]
-            return f"a {name} row sums to {total}, not {rhs[row]}"
-    dual_objective = sum(b * int(duals[kind == row].sum()) for row, b in enumerate(rhs))
-    dual_objective /= scale
+            total, rhs = Fraction(total, common), Fraction(a**row, b**row)
+            return f"a {name} row sums to {total}, not {rhs}"
+    marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())
+    dual_objective = Fraction((int(duals[0]) * b + marginal * a) * b + pair * a * a, scale * b * b)
     if not dual_objective == 1 - weights[0] == solution.objective_exact:
         return (
             f"dual objective {dual_objective}, primal objective {1 - weights[0]}, "
@@ -248,7 +283,7 @@ def full_optimum(
         raise ValueError(
             f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
         )
-    solution = exchangeable_optimum(n, p, mode)
+    solution = _exchangeable(n, p)
     fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
     if fault is not None:
         raise CertificateError(

@@ -322,6 +322,31 @@ def oracle_exchangeable_simplex(
     return 1 - result.value, result.x
 
 
+def oracle_exchangeable_optimum(
+    n: int, p: Fraction
+) -> tuple[float, Fraction, tuple[Fraction, ...]]:
+    """(objective, objective_exact, weights_exact) of the sharp
+    Dawson-Sankoff optimum in `Fraction` arithmetic, from the falling
+    moments S1 = n p and 2 S2 = n(n-1) p^2: with k = 1 + floor((n-1) p),
+    w_(k+1) = (2 S2 - (k-1) S1)/(k+1), w_k = (S1 - (k+1) w_(k+1))/k and
+    w_0 = 1 - w_k - w_(k+1); all mass on Z = 0 at p = 0."""
+    support = {0: Fraction(1)}
+    if p != 0:
+        s1 = n * p
+        s2_twice = n * (n - 1) * p * p
+        k = 1 + math.floor((n - 1) * p)
+        upper = (s2_twice - (k - 1) * s1) / (k + 1)
+        support[k] = (s1 - (k + 1) * upper) / k
+        if k < n:  # at p = 1, k = n and the weight on n + 1 is zero
+            support[k + 1] = upper
+        support[0] = 1 - support[k] - upper
+    weights = [Fraction(0)] * (n + 1)
+    for z, w in support.items():
+        weights[z] = w
+    objective_exact = 1 - weights[0]
+    return float(objective_exact), objective_exact, tuple(weights)
+
+
 def _det3(m: list[list[Fraction]]) -> Fraction:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

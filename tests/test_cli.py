@@ -38,6 +38,11 @@ FULL_SEARCH_SHA256 = "860eae664e5d4366d073205238f3f514ae0786009d91526a1397e2f5eb
 # `--reduction exchangeable`.
 FULL_SEARCH_16_SHA256 = "606a7180a04d72a432fd969e4940b0c8ad59ced8fc7d63d5720abcabd732fb7f"
 
+# SHA-256 of `search --n-min 3 --n-max 120` stdout in either mode, recorded
+# when the closed form was computed in `Fraction` arithmetic; the integer
+# closed form prints the same bytes.
+EXACT_SEARCH_120_SHA256 = "c24d735e43b7e9a687eb99ddc6dfb02570993a25523fe2b631558e0389db75bb"
+
 # SHA-256 of `report --in product.json` stdout, for the product law of the
 # marginals PRODUCT_MARGINALS (4,096 atoms), with every pair moment summed
 # left to right over the atoms in mask order.
@@ -400,6 +405,12 @@ class TestSearch:
             assert full.read_bytes() == exch.read_bytes(), mode
             assert hashlib.sha256(full.read_bytes()).hexdigest() == FULL_SEARCH_16_SHA256
 
+    def test_exact_sweep_to_120_is_pinned(self, capsys):
+        for mode in ("equality", "negcov"):
+            assert main(["search", "--n-min", "3", "--n-max", "120", "--mode", mode]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SEARCH_120_SHA256, mode
+
     def test_negcov_mode_runs(self, capsys):
         assert main(["search", "--n-min", "3", "--n-max", "4", "--mode", "negcov"]) == EXIT_OK
         capsys.readouterr()
@@ -640,17 +651,21 @@ class TestUsageContract:
         assert cli._shared_parser.cache_info().misses == 1
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_no_verb_loads_scipy(self, tmp_path):
-        # The pytest process already holds scipy, so the check needs a new
-        # interpreter.
+    @pytest.fixture(scope="class")
+    def fresh_verbs(self, tmp_path_factory):
+        # Every verb in a new interpreter, since the pytest process already
+        # holds scipy and the HiGHS oracle's scipy may load numpy.ma.
+        # Returns which of the two were loaded before and after the full
+        # search, and that search's stdout.
         script = textwrap.dedent(
             """
             import contextlib, hashlib, io, json, sys
             import maxdecouple
             import maxdecouple.cli as cli
 
-            def scipy_loaded():
-                return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+            def slow_modules():
+                return [name for name in ("scipy", "numpy.ma")
+                        if any(m == name or m.startswith(name + ".") for m in sys.modules)]
 
             def run(*argv):
                 out = io.StringIO()
@@ -666,17 +681,19 @@ class TestUsageContract:
             run("report", "--in", nonneg)
             run("search", "--n-min", "3", "--n-max", "20")
             run("search", "--n-min", "3", "--n-max", "20", "--mode", "negcov")
-            run("verify", "--trials", "5")
-            before = scipy_loaded()
+            run("verify", "--trials", "20")
+            before = slow_modules()
             full = run("search", "--n-min", "3", "--n-max", "6", "--reduction", "full")
+            run("search", "--n-min", "3", "--n-max", "12", "--reduction", "full", "--mode", "negcov")
             print(json.dumps({
                 "before": before,
-                "after": scipy_loaded(),
+                "after": slow_modules(),
                 "sha256": hashlib.sha256(full.encode()).hexdigest(),
                 "full": full,
             }))
             """
         )
+        tmp_path = tmp_path_factory.mktemp("fresh")
         nonneg = write_json(
             tmp_path / "nonneg.json",
             {
@@ -692,14 +709,22 @@ class TestUsageContract:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        rows = list(csv.DictReader(io.StringIO(result.pop("full"))))
-        assert result == {"before": False, "after": False, "sha256": FULL_SEARCH_SHA256}
+        return json.loads(proc.stdout)
+
+    def test_no_verb_loads_scipy(self, fresh_verbs):
+        assert "scipy" not in fresh_verbs["before"] + fresh_verbs["after"]
+        assert fresh_verbs["sha256"] == FULL_SEARCH_SHA256
+        rows = list(csv.DictReader(io.StringIO(fresh_verbs["full"])))
         assert [int(row["n"]) for row in rows] == [3, 4, 5, 6]
         for row in rows:
             n = int(row["n"])
             exact = exchangeable_optimum(n, Fraction(1, n - 1)).objective_exact
             assert float(row["lp_objective"]) == float(exact), n
+
+    def test_no_verb_loads_numpy_ma(self, fresh_verbs):
+        # numpy.ma costs about 16 ms and 1.3 MB to import; np.unique with
+        # an axis loads it.
+        assert "numpy.ma" not in fresh_verbs["before"] + fresh_verbs["after"]
 
 
 class TestInvariantExitCode:

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import highs_lp
 import oracles
@@ -30,7 +32,7 @@ from maxdecouple import (
     product,
 )
 from maxdecouple import optimize
-from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES
+from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES, LpSolution
 
 
 def assert_basic_optimum(full, objective, n, p, mode, tol):
@@ -232,6 +234,23 @@ class TestOracleAgreement:
                     got = exchangeable_optimum(n, p, mode)
                     pair = (got.objective_exact, got.weights_exact)
                     assert pair == expected, (n, p, mode)
+
+    def test_integer_closed_form_matches_fraction_oracle(self):
+        # Every breakpoint j/(n-1), where k steps, and the midpoint of each
+        # gap between two, from p = 0 to p = 1.
+        for n in range(2, 81):
+            for p in (Fraction(j, 2 * (n - 1)) for j in range(2 * n - 1)):
+                expected = LpSolution(*oracles.oracle_exchangeable_optimum(n, p))
+                for mode in MODES:
+                    assert exchangeable_optimum(n, p, mode) == expected, (n, p, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 200), p=st.floats(0.0, 1.0), mode=st.sampled_from(MODES))
+    def test_integer_closed_form_at_float_marginals(self, n, p, mode):
+        # A float p is read as Fraction(p), whose denominator is a power of
+        # two up to 2^1074; the products grow with it and stay exact.
+        expected = LpSolution(*oracles.oracle_exchangeable_optimum(n, Fraction(p)))
+        assert exchangeable_optimum(n, p, mode) == expected
 
     def test_reduction_soundness(self):
         # The HiGHS oracle reaches the certified optimum, and its witness is
