@@ -11,9 +11,7 @@ losslessly.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -23,7 +21,7 @@ import numpy as np
 from . import bounds, constructions, continuous, optimize
 from .continuous import NonnegJoint
 from .dist import JointBernoulli, MarginalVector, _sample_indices
-from .errors import InvalidDistributionError
+from .errors import InvalidDistributionError, InvariantError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,11 +125,13 @@ def _load_joint_file(path: str) -> JointBernoulli | NonnegJoint:
     )
 
 
-def _write_csv(stream, columns, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt_cell(row[c]) for c in columns])
+def _csv(columns, rows) -> str:
+    """The header and one line per row.  Every cell is a number, a bool, a
+    word or the verdicts string, none with a comma, quote or newline, so
+    no cell is quoted."""
+    lines = [",".join(columns)]
+    lines += [",".join([_fmt_cell(row[c]) for c in columns]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -160,7 +160,7 @@ def _cmd_report(args) -> int:
             row["verdicts"] = ";".join(
                 f"{k}={_fmt_cell(v)}" for k, v in row["verdicts"].items()
             )
-        _write_csv(sys.stdout, tuple(row), [row])
+        sys.stdout.write(_csv(tuple(row), [row]))
     return EXIT_OK if result.universal_ok else EXIT_INVARIANT
 
 
@@ -199,9 +199,7 @@ def _cmd_search(args) -> int:
     rows = optimize.conjecture_sweep(
         args.n_min, args.n_max, MODE_BY_FLAG[args.mode], reduction=args.reduction
     )
-    buffer = io.StringIO()
-    _write_csv(buffer, SWEEP_COLUMNS, rows)
-    _emit(args.out, buffer.getvalue())
+    _emit(args.out, _csv(SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -311,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         print(f"maxdecouple: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except optimize.CertificateError as exc:
+    except InvariantError as exc:
         print(f"maxdecouple: invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,12 +1,12 @@
 """Canonical joint distributions: tightness examples, counterexamples, and
 exact pairwise-independent families.
 
-All builders return validated `JointBernoulli` tables, sized before they
-are enumerated (`_check_table`) where they can be large.  Where a mass is
-spread evenly and its total must survive floating point (one_hot_uniform;
-`optimize.expand_exchangeable`), `_even_spread` gives the last atom the
-residual total - (partial sum), perturbing no marginal by more than one
-rounding step; conjectured_extremal keeps equal masses.  The affine-hash
+All builders return validated `JointBernoulli` tables, charged by
+`dist._check_table` before they are enumerated where they can be large.
+Where a mass is spread evenly and its total must survive floating point
+(one_hot_uniform; `optimize.expand_exchangeable`), `_even_spread` gives the
+last atom the residual total - (partial sum), perturbing no marginal by
+more than one rounding step; conjectured_extremal keeps equal masses.  The affine-hash
 families here and in `continuous` share one cell list, `_affine_cells`.
 """
 
@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dist import DENSE_VARIABLE_LIMIT, JointBernoulli, MarginalVector, _check_budget
+from .dist import JointBernoulli, MarginalVector, _check_table
 
 
 def is_prime(q: int) -> bool:
@@ -41,25 +41,6 @@ def _affine_cells(n: int, q: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= n <= q:
         raise ValueError(f"need 1 <= n <= q, got n={n}, q={q}")
     return (tuple((a + b * i) % q for i in range(n)) for a in range(q) for b in range(q))
-
-
-# Bytes per atom of the Python objects a builder and `JointBernoulli` hold
-# beside the mask's digits: the float, the (mask, p) tuple, the int and bytes
-# headers, the dict entry and the slots of the lists and tuples the atoms
-# pass through.  Tracemalloc puts them at 290-315 bytes on CPython 3.11
-# (numpy 2.4); re-measure them when the Python that CI pins changes, as
-# `test_checked_figure_bounds_the_peak` fails if they outgrow this figure.
-ATOM_OBJECT_BYTES = 384
-
-
-def _check_table(n: int, atoms: int) -> None:
-    """Check the table of `atoms` masks over n variables against the budget
-    before any atom is made.  Each atom is charged its mask three times,
-    as an int (30 bits in 4 bytes), as the bytes `JointBernoulli` packs and
-    in the packed table, and ATOM_OBJECT_BYTES for its Python objects."""
-    width = (n + 7) // 8
-    per_atom = 4 * ((n + 29) // 30) + 2 * width + ATOM_OBJECT_BYTES
-    _check_budget(f"the table of {atoms} atoms over {n} variables", atoms * per_atom)
 
 
 def _even_spread(masks: Sequence[int], total: float) -> dict[int, float]:
@@ -180,13 +161,11 @@ def product(marginal: MarginalVector) -> JointBernoulli:
     """The fully independent joint with the given marginals.
 
     This is the explicit law of the independent version (X~_1, ..., X~_n),
-    materialized over all 2^n outcomes; exact-zero atoms are dropped.
+    materialized over all 2^n outcomes, which are charged first; exact-zero
+    atoms are dropped.
     """
     n = marginal.n
-    if n > DENSE_VARIABLE_LIMIT:
-        raise ValueError(
-            f"product law needs a full 2^n table; n={n} exceeds {DENSE_VARIABLE_LIMIT}"
-        )
+    _check_table(n, 1 << n)
     probs = np.array([1.0])
     for p in marginal.p:
         probs = np.concatenate([probs * (1.0 - p), probs * p])

@@ -33,10 +33,10 @@ import numpy as np
 
 from .bounds import DEFAULT_COVARIANCE_TOL, PINELIS_CONSTANT, holds
 from .constructions import _affine_cells
-from .dist import JointBernoulli, _blocks, _check_budget, _check_number, _check_unit_mass
+from .dist import JointBernoulli, _blocks, _check_number, _check_unit_mass, _check_values
 from .dist import _check_variable_count, _first, _first_invalid, _float_array, _gather
 from .dist import _read_document
-from .errors import InvalidDistributionError
+from .errors import InvalidDistributionError, InvariantError
 
 
 def _check_finite_nonneg(x: float, what: str) -> None:
@@ -216,8 +216,9 @@ def expected_max(joint: NonnegJoint) -> float:
     """E[max_i X_i], as the direct atom sum.
 
     Also evaluates the tail-integral form (sum over support thresholds of
-    interval length times P(max > t)) and insists the two agree; a mismatch
-    can only be an internal bug, never a property of the input.  Each sum
+    interval length times P(max > t)) and insists the two agree, raising
+    InvariantError if not: a mismatch can only be an internal bug, never a
+    property of the input.  Each sum
     rounds once per atom or grid interval, by at most an ulp of the largest
     value, so the slack is four ulps of that value per atom and grid point.
     """
@@ -228,7 +229,7 @@ def expected_max(joint: NonnegJoint) -> float:
     layered = _layer_cake_expected_max(joint, grid)
     slack = 4 * sys.float_info.epsilon * grid[-1] * (len(joint.atoms) + len(grid))
     if abs(direct - layered) > slack:
-        raise RuntimeError(
+        raise InvariantError(
             f"tail-integral cross-check failed: direct={direct!r} layered={layered!r}"
         )
     return direct
@@ -275,10 +276,11 @@ def affine_hash_values(
     With (a, b) uniform on {0..q-1}^2 and q prime, set
     X_i = value_maps[i][(a + b*i) mod q].  For i != j the hash pair is
     uniform on the q^2 cells, so X_i and X_j are exactly independent and
-    each X_i is uniform over its value table.
+    each X_i is uniform over its value table.  The q^2 cells are charged
+    as atoms before any is walked.
     """
     cells = _affine_cells(n, q)
-    _check_budget(f"the {q * q} x {n} value table", 8 * q * q * n)
+    _check_values(n, q * q)
     if len(value_maps) != n:
         raise ValueError(f"need one value table per variable ({n}), got {len(value_maps)}")
     for i, table in enumerate(value_maps):
@@ -303,5 +305,7 @@ def bernoulli_embedding(joint: JointBernoulli) -> NonnegJoint:
 
     The continuous operations then reproduce the Bernoulli ones exactly:
     expected_max is P(Z > 0) and expected_max_independent is P(Z~ > 0).
+    The atoms x n value table is charged before it is made.
     """
+    _check_values(joint.n, len(joint.masks))
     return NonnegJoint(joint.n, list(zip(joint._bits().tolist(), joint.probs)))

@@ -25,7 +25,10 @@ Pair data is kept per column class (variables that fire on the same
 atoms), so a wide joint with few distinct columns costs no n x n memory.
 Arrays are sized before they are allocated: a summary that would need more
 than `SUMMARY_BUDGET` bytes is rejected with its size in the message, and
-`_blocks` cuts a long table into pieces that each fit.
+`_blocks` cuts a long table into pieces that each fit.  A function that
+builds a joint charges its table against the same budget first, by one
+rule per joint kind: `_check_table` for a Bernoulli table, `_check_values`
+for a nonneg one.
 """
 
 from __future__ import annotations
@@ -43,14 +46,28 @@ from .errors import InvalidDistributionError
 # Tolerance on |total mass - 1| for any probability table.
 NORMALIZATION_TOL = 1e-12
 
-# Largest n for which full-support (2^n atom) scans are permitted.  Sparse
-# atom tables may use larger n as long as their support stays small.
-DENSE_VARIABLE_LIMIT = 24
-
 # Bytes one summary may allocate: the atoms x n bit table, then the atom x
 # class float tables and the d x d pair matrices of `_summarize`, or one
-# block of the continuous threshold sweep's tables.
+# block of the continuous threshold sweep's tables.  A function that builds
+# a joint charges its table against the same budget first (`_check_table`,
+# `_check_values`).
 SUMMARY_BUDGET = 1 << 30
+
+# Bytes per atom of the Python objects a builder and a joint hold beside
+# its masks or values: the float, the atom's tuple, the int and bytes
+# headers, the dict entry and the slots of the lists and tuples the atoms
+# pass through.  Tracemalloc puts them at 290-315 bytes on CPython 3.11
+# (numpy 2.4); re-measure them, and VALUE_BYTES, when the Python that CI
+# pins changes, as `test_checked_figure_bounds_the_peak` fails if they
+# outgrow these figures.
+ATOM_OBJECT_BYTES = 384
+
+# Bytes per value of a nonneg joint as it is built: its slot in the
+# builder's rows, in the load path's flat list and float64 array, and its
+# float object and tuple slot in `NonnegJoint.atoms`.  Tracemalloc puts
+# them at 56-65 bytes; the rest covers a nonneg atom's objects, which come
+# to about 370 bytes, near ATOM_OBJECT_BYTES.
+VALUE_BYTES = 96
 
 # Bytes numpy's buffered ufunc loop may hold while it casts an operand, as
 # `_summarize` does when it multiplies boolean rows by float weights: two
@@ -326,6 +343,22 @@ def _check_budget(what: str, nbytes: int) -> None:
         )
 
 
+def _check_table(n: int, atoms: int) -> None:
+    """Check the Bernoulli table of `atoms` masks over n variables against
+    the budget before any atom is made.  Each atom is charged its mask
+    three times, as an int (30 bits in 4 bytes), as the bytes `_load` packs
+    and in the packed table, and ATOM_OBJECT_BYTES for its Python objects."""
+    per_atom = 4 * ((n + 29) // 30) + 2 * ((n + 7) // 8) + ATOM_OBJECT_BYTES
+    _check_budget(f"the table of {atoms} atoms over {n} variables", atoms * per_atom)
+
+
+def _check_values(n: int, atoms: int) -> None:
+    """Check the nonneg table of `atoms` rows of n values against the
+    budget before any row is made: VALUE_BYTES a value and
+    ATOM_OBJECT_BYTES an atom."""
+    _check_budget(f"the {atoms} x {n} value table", atoms * (ATOM_OBJECT_BYTES + n * VALUE_BYTES))
+
+
 def _blocks(what: str, start: int, stop: int, nbytes: int) -> Iterator[slice]:
     """range(start, stop) in slices of as many items, `nbytes` each, as fit
     SUMMARY_BUDGET; `what` names an item that alone is over."""
@@ -492,12 +525,18 @@ def sample(joint: JointBernoulli, seed: int, count: int) -> list[int]:
 
 
 def permute_variables(joint: JointBernoulli, perm: Sequence[int]) -> JointBernoulli:
-    """Relabel variables: new variable perm[i] is old variable i."""
+    """Relabel variables: new variable perm[i] is old variable i.
+
+    The table is charged before it is made.  Bit i of the packed table
+    moves to bit perm[i] one variable at a time, so no atoms x n bit table
+    is held."""
     if sorted(perm) != list(range(joint.n)):
         raise ValueError(f"perm must be a permutation of 0..{joint.n - 1}")
-    bits = joint._bits()
-    moved = np.empty_like(bits)
-    moved[:, perm] = bits
-    packed = np.packbits(moved, axis=1, bitorder="little")
-    masks = [int.from_bytes(row, "little") for row in packed]
+    _check_table(joint.n, len(joint.masks))
+    table = joint._table
+    moved = np.zeros((len(table), (joint.n + 7) // 8), dtype=np.uint8)
+    for i, j in enumerate(map(int, perm[: 8 * table.shape[1]])):  # later ones never fire
+        moved[:, j >> 3] |= ((table[:, i >> 3] >> (i & 7)) & 1) << (j & 7)
+    masks = [int.from_bytes(row, "little") for row in moved]
+    del moved  # the load path's peak comes next, and the charge has no room for both
     return JointBernoulli(joint.n, zip(masks, joint.probs))

@@ -9,3 +9,9 @@ class InvalidDistributionError(ValueError):
     range, duplicate atoms, and the like.  The message always names the
     offending field or the size of the deviation.
     """
+
+
+class InvariantError(RuntimeError):
+    """An internal check failed: `full_optimum`'s duality certificate or
+    `expected_max`'s tail-integral cross-check.  A library bug, never a
+    property of the input."""

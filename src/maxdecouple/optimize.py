@@ -35,17 +35,14 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .constructions import _even_spread
-from .dist import JointBernoulli
+from .dist import JointBernoulli, _check_table
+from .errors import InvariantError
 
 MODES = ("pairwise_equality", "negative_covariance")
 
 FULL_VARIABLE_LIMIT = 16
 
 _ZERO = Fraction(0)
-
-
-class CertificateError(RuntimeError):
-    """The duality certificate of `full_optimum` failed: a library bug."""
 
 
 @dataclass(frozen=True)
@@ -276,7 +273,7 @@ def full_optimum(
     form's witness is primal feasible, the dual of its bound is dual
     feasible, and the two objectives are equal.  This is the dual form of
     the f(z) argument in `exchangeable_optimum`'s docstring.  Raises
-    CertificateError, naming n, p and mode, if the certificate fails.
+    InvariantError, naming n, p and mode, if the certificate fails.
     """
     p = _check_common(n, p, mode)
     if n > FULL_VARIABLE_LIMIT:
@@ -286,7 +283,7 @@ def full_optimum(
     solution = _exchangeable(n, p)
     fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
     if fault is not None:
-        raise CertificateError(
+        raise InvariantError(
             f"the full LP certificate fails at n={n}, p={p}, mode={mode}: {fault}"
         )
     return solution
@@ -298,17 +295,13 @@ def expand_exchangeable(n: int, weights) -> JointBernoulli:
     Inverse of collapsing a joint to Hamming-weight totals; used to
     round-trip exchangeable witnesses through the atom-level toolkit.
     Each class closes with a residual atom so the class total survives
-    float conversion exactly.  The C(n, k) atoms of each nonzero class k
-    are capped at 2^FULL_VARIABLE_LIMIT in all, before any is enumerated.
+    float conversion exactly.  The C(n, k) atoms of the nonzero classes
+    are charged by `dist._check_table` before any is enumerated.
     """
     if len(weights) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} weights, got {len(weights)}")
     classes = [(k, float(w)) for k, w in enumerate(weights) if float(w) != 0.0]
-    size = sum(math.comb(n, k) for k, _ in classes)
-    if size > 1 << FULL_VARIABLE_LIMIT:
-        raise ValueError(
-            f"expansion writes {size} atoms, over the cap of 2^{FULL_VARIABLE_LIMIT}"
-        )
+    _check_table(n, sum(math.comb(n, k) for k, _ in classes))
     atoms: dict[int, float] = {}
     for k, target in classes:
         masks = [

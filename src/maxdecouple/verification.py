@@ -38,6 +38,7 @@ from .dist import (
     prob_hit_independent,
     sample,
 )
+from .errors import InvariantError
 
 MAX_COUNTEREXAMPLES = 3
 
@@ -108,36 +109,6 @@ def _joint_json(joint: JointBernoulli | NonnegJoint) -> str:
     return json.dumps(joint.to_json_dict(), separators=(",", ":"))
 
 
-def _family_instances() -> list[JointBernoulli]:
-    """Named families, including the maximally positively dependent ones."""
-    instances = []
-    for n in range(3, 13):
-        instances.append(conjectured_extremal(n))
-    for k in range(1, 5):
-        instances.append(xor_parity(k))
-    for q, m in ((2, 1), (3, 1), (3, 2), (5, 2), (7, 3), (11, 4), (13, 5)):
-        instances.append(affine_hash(q, q, m))
-    for n in (1, 2, 3, 8, 16):
-        instances.append(one_hot_uniform(n))
-    for n, eps in ((2, 0.1), (8, 1e-6), (5, 0.0), (5, 1.0), (3, 0.5)):
-        instances.append(comonotone(n, eps))
-    instances.append(product(MarginalVector((0.3, 0.7))))
-    instances.append(product(MarginalVector((0.5,) * 4)))
-    return instances
-
-
-def _pairwise_independent_families() -> list[JointBernoulli]:
-    instances = []
-    for n in range(3, 13):
-        instances.append(conjectured_extremal(n))
-    for k in range(1, 5):
-        instances.append(xor_parity(k))
-    for q, m in ((2, 1), (3, 1), (3, 2), (5, 2), (7, 3), (11, 4), (13, 5), (31, 11)):
-        instances.append(affine_hash(min(q, 8), q, m))
-    instances.append(product(MarginalVector((0.25, 0.5, 0.75))))
-    return instances
-
-
 def _ordered_pairs(joint: JointBernoulli) -> np.ndarray:
     """Ordered pairs i != j of variables per class pair of `joint.summary`:
     k_a k_b across two classes, k_a (k_a - 1) within one."""
@@ -183,24 +154,19 @@ def _check_joint_properties(
     else:
         tallies["pairwise-flag-permutation-invariant"].record(True, doc)
 
-    if report.H == 0.0:
-        main = bounds.main_lower_check(joint)
-        eta = bounds.eta_lower_check(joint)
-        tallies["eta-reduces-to-main-when-h-zero"].record(
-            bounds.holds(eta.rhs, main.rhs) and bounds.holds(main.rhs, eta.rhs), doc
-        )
-    else:
-        tallies["eta-reduces-to-main-when-h-zero"].record(True, doc)
+    # The report's C and eta_lower are the right-hand sides of
+    # `main_lower_check` and `eta_lower_check`.
+    eta, half = report.eta_lower, report.C
+    tallies["eta-reduces-to-main-when-h-zero"].record(
+        report.H != 0.0 or (bounds.holds(eta, half) and bounds.holds(half, eta)), doc
+    )
 
-    embedded = continuous.bernoulli_embedding(joint)
-    check = continuous.decoupling_check_cont(embedded)
-    mtilde = prob_hit_independent(marginals(joint))
-    main = bounds.main_lower_check(joint)
+    check = continuous.decoupling_check_cont(continuous.bernoulli_embedding(joint))
     agreed = (
         check.emax == m
-        and check.emax_ind == mtilde
+        and check.emax_ind == report.M_tilde
         and check.upper_holds == report.verdicts["pinelis"]
-        and check.pairwise_ok == main.applicable
+        and check.pairwise_ok == report.verdicts["main_lower_applicable"]
     )
     tallies["bernoulli-embedding-commutes"].record(agreed, doc)
 
@@ -222,7 +188,7 @@ def _check_nonneg_properties(
     doc = _joint_json(joint)
     try:
         check = continuous.decoupling_check_cont(joint)
-    except RuntimeError:
+    except InvariantError:
         # expected_max's internal tail-integral cross-check tripped
         tallies["layer-cake-identity"].record(False, doc)
         return
@@ -250,30 +216,40 @@ def _check_nonneg_properties(
 
 
 def _check_family_properties(tallies: dict[str, PropertyResult]) -> None:
-    for joint in _family_instances():
-        doc = _joint_json(joint)
-        report = bounds.full_report(joint)
-        tallies["families-universal-verdicts"].record(report.universal_ok, doc)
+    """The named families, the maximally positively dependent ones among
+    them, each built once; every property records its joints in a fixed
+    order."""
+    extremal = [conjectured_extremal(n) for n in range(3, 13)]
+    xor = [xor_parity(k) for k in range(1, 5)]
+    hashes = [affine_hash(q, q, m) for q, m in ((2, 1), (3, 1), (3, 2), (5, 2), (7, 3))]
+    one_hot = [one_hot_uniform(n) for n in (1, 2, 3, 8, 16)]
+    universal = [
+        *extremal, *xor, *hashes, affine_hash(11, 11, 4), affine_hash(13, 13, 5), *one_hot,
+        *(comonotone(n, eps) for n, eps in ((2, 0.1), (8, 1e-6), (5, 0.0), (5, 1.0), (3, 0.5))),
+        product(MarginalVector((0.3, 0.7))), product(MarginalVector((0.5,) * 4)),
+    ]
+    pairwise = [
+        *extremal, *xor, *hashes, *(affine_hash(8, q, m) for q, m in ((11, 4), (13, 5), (31, 11))),
+        product(MarginalVector((0.25, 0.5, 0.75))),
+    ]
 
-    for joint in _pairwise_independent_families():
+    for joint in universal:
+        tallies["families-universal-verdicts"].record(
+            bounds.full_report(joint).universal_ok, _joint_json(joint)
+        )
+    for joint in pairwise:
         doc = _joint_json(joint)
         tallies["families-pairwise-independent"].record(
             is_pairwise_independent(joint, 1e-12), doc
         )
         main = bounds.main_lower_check(joint)
-        tallies["families-half-lower-bound"].record(
-            main.applicable and main.holds, doc
-        )
-
-    for n in range(3, 13):
-        joint = conjectured_extremal(n)
-        p = marginals(joint)
+        tallies["families-half-lower-bound"].record(main.applicable and main.holds, doc)
+    for n, joint in enumerate(extremal, 3):
         target = 1.0 / (n - 1)
         tallies["extremal-marginals"].record(
-            max(abs(x - target) for x in p.p) <= 1e-12, _joint_json(joint)
+            max(abs(x - target) for x in marginals(joint).p) <= 1e-12, _joint_json(joint)
         )
-    for n in (1, 2, 3, 8, 16):
-        joint = one_hot_uniform(n)
+    for joint in one_hot:
         tallies["one-hot-hit-probability-exactly-one"].record(
             prob_hit(joint) == 1.0, _joint_json(joint)
         )
@@ -283,7 +259,7 @@ def _certified(n: int, p: Fraction, mode: str = "pairwise_equality"):
     """`optimize.full_optimum`, or None if its certificate fails."""
     try:
         return optimize.full_optimum(n, p, mode)
-    except optimize.CertificateError:
+    except InvariantError:
         return None
 
 

@@ -113,6 +113,24 @@ class TestReport:
         assert header.split(",")[:3] == ["M", "M_tilde", "S"]
         assert row.split(",")[0] == "0.75"
 
+    def test_csv_bytes(self, extremal3_file, tmp_path, capsys):
+        # Recorded when the rows were written by the `csv` module.
+        nonneg = write_json(tmp_path / "nonneg.json", {"kind": "nonneg-joint", "n": 2, "atoms": [
+            {"values": [0.5, 2.0], "p": 0.25}, {"values": [1.5, 0.0], "p": 0.75}]})
+        want = {
+            extremal3_file: (
+                "M,M_tilde,S,P_prod,G,F,A,B,C,H,pz_lower,pinelis_rhs,eta_lower,verdicts\n"
+                "0.75,0.875,1.5,0.125,0.8125,1.21875,2.25,3.75,0.4375,0,0.75,1.3842296185106606,"
+                "0.4375,pinelis=true;paley_zygmund=true;main_lower_applicable=true;"
+                "main_lower=true;eta_lower=true;g_nonnegative=true;factorization=true;"
+                "moment_implication=true\n"
+            ),
+            nonneg: "emax,emax_ind,upper_holds,pairwise_ok,lower_holds\n1.625,1.4375,true,true,true\n",
+        }
+        for path, text in want.items():
+            assert main(["report", "--in", path, "--format", "csv"]) == EXIT_OK
+            assert capsys.readouterr().out == text
+
     def test_bad_normalization_exits_one_naming_deviation(self, tmp_path, capsys):
         path = write_json(
             tmp_path / "bad.json",
@@ -345,6 +363,7 @@ class TestConstruct:
             "one-hot --n 100000": "100000 atoms over 100000 variables",
             "comonotone --n 10000000000 --eps 0.5": "2 atoms over 10000000000 variables",
             "affine-hash --n 1 --q 100003 --m 1": "10000600009 atoms over 1 variables",
+            "product --p " + ",".join(["0.5"] * 22): "4194304 atoms over 22 variables",
         }
         script = textwrap.dedent("""
             import resource, sys
@@ -762,3 +781,18 @@ class TestInvariantExitCode:
         assert err.startswith("maxdecouple: invariant failed: the full LP certificate fails at ")
         assert "n=3, p=1/2, mode=negative_covariance: dual objective" in err
         assert "Traceback" not in err
+
+    def test_failed_cross_check_exits_two(self, monkeypatch, tmp_path, capsys):
+        # A layer-cake sum off by a relative 1e-9 fails `expected_max`'s
+        # cross-check, which `main` reports like the certificate's.
+        path = write_json(tmp_path / "nonneg.json", {"kind": "nonneg-joint", "n": 2, "atoms": [
+            {"values": [1e9, 2e9], "p": 0.5}, {"values": [3e9, 0.0], "p": 0.5}]})
+        layer_cake = cli.continuous._layer_cake_expected_max
+        monkeypatch.setattr(cli.continuous, "_layer_cake_expected_max",
+                            lambda joint, grid: layer_cake(joint, grid) * (1 + 1e-9))
+        for fmt in ("json", "csv"):
+            assert main(["report", "--in", path, "--format", fmt]) == EXIT_INVARIANT
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("maxdecouple: invariant failed: tail-integral cross-check failed: ")
+            assert "Traceback" not in err

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,18 +15,21 @@ from maxdecouple import (
     MarginalVector,
     affine_hash,
     affine_hash_values,
+    bernoulli_embedding,
     comonotone,
     conjectured_extremal,
+    exchangeable_optimum,
     expand_exchangeable,
     is_pairwise_independent,
     marginals,
     one_hot_uniform,
+    permute_variables,
     prob_hit,
     prob_hit_independent,
     product,
     xor_parity,
 )
-from maxdecouple import constructions, dist
+from maxdecouple import dist
 from maxdecouple.cli import EXIT_USAGE, main
 
 
@@ -254,16 +258,24 @@ class TestFamilySpec:
 
 
 class TestSizeCheck:
-    # Each table is sized before its first atom is made, at 384 bytes an
-    # atom plus its mask as an int (4 bytes per 30 bits) and twice packed
-    # (ceil(n/8) bytes).  Under a 1,000-byte budget, so that a builder that
-    # enumerated first would still finish; `test_cli` runs the real sizes.
+    # Each table is sized before its first atom is made, by one of the two
+    # charges in `dist`: a Bernoulli atom at 384 bytes plus its mask as an
+    # int (4 bytes per 30 bits) and twice packed (ceil(n/8) bytes), a nonneg
+    # atom at 384 bytes plus 96 a value.  Under a 1,000-byte budget, so that
+    # a builder that enumerated first would still finish; `test_cli` runs
+    # the real sizes.
     CASES = (
         (one_hot_uniform, (100,), "the table of 100 atoms over 100 variables needs 42600 bytes"),
         (conjectured_extremal, (40,), "the table of 781 atoms over 40 variables needs 313962 bytes"),
         (comonotone, (10_000, 0.5), "the table of 2 atoms over 10000 variables needs 8440 bytes"),
         (affine_hash, (1, 37, 1), "the table of 1369 atoms over 1 variables needs 533910 bytes"),
-        (affine_hash_values, (1, 37, [[1.0] * 37]), "the 1369 x 1 value table needs 10952 bytes"),
+        (affine_hash_values, (1, 37, [[1.0] * 37]), "the 1369 x 1 value table needs 657120 bytes"),
+        (product, (MarginalVector([0.5] * 3),), "the table of 8 atoms over 3 variables needs 3120 bytes"),
+        (expand_exchangeable, (3, [0.25, 0.0, 0.75, 0.0]),
+         "the table of 4 atoms over 3 variables needs 1560 bytes"),
+        (permute_variables, (one_hot_uniform(3), [2, 0, 1]),
+         "the table of 3 atoms over 3 variables needs 1170 bytes"),
+        (bernoulli_embedding, (one_hot_uniform(3),), "the 3 x 3 value table needs 2016 bytes"),
     )
 
     def test_over_the_budget_is_refused(self, monkeypatch):
@@ -279,18 +291,45 @@ class TestSizeCheck:
         with pytest.raises(InvalidDistributionError, match="too large"):
             conjectured_extremal(10)
 
+    def test_largest_product_in_the_budget_is_built(self, monkeypatch):
+        # The budget admits the full table over 21 variables, 826 MB, and
+        # refuses it over 22, 1.65 GB, before any atom is made; `report`
+        # summarizes a full-support law up to the same n.  Building n = 21
+        # would take about 650 MB, so only its charge is checked here.
+        dist._check_table(21, 1 << 21)
+        want = "4194304 atoms over 22 variables needs 1652555776 bytes"
+        with pytest.raises(InvalidDistributionError, match=want):
+            product(MarginalVector([0.5] * 22))
+        # At a budget of exactly the 10-variable figure, n = 10 is built.
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", (4 + 2 * 2 + 384) << 10)
+        assert len(product(MarginalVector([0.5] * 10)).atoms) == 1 << 10
+        with pytest.raises(InvalidDistributionError, match="2048 atoms over 11 variables"):
+            product(MarginalVector([0.5] * 11))
+
     @pytest.mark.parametrize("builder,args", [
         (conjectured_extremal, (40,)), (conjectured_extremal, (300,)),
         (affine_hash, (7, 101, 30)), (affine_hash, (60, 61, 20)),
         (one_hot_uniform, (50,)), (one_hot_uniform, (2000,)),
+        *((product, (MarginalVector([0.05 + 0.9 * i / n for i in range(n)]),)) for n in (10, 14, 17)),
+        *((expand_exchangeable, (n, exchangeable_optimum(n, p).weights_exact))
+          for n, p in ((17, Fraction(1, 8)), (20, Fraction(2, 19)), (16, Fraction(1, 2)))),
+        (permute_variables, (conjectured_extremal(40), [(7 * i) % 40 for i in range(40)])),
+        (permute_variables, (one_hot_uniform(2000), [(7 * i) % 2000 for i in range(2000)])),
+        *((affine_hash_values, (n, q, [[float(1 + (i * q + j) % 997) for j in range(q)]
+                                       for i in range(n)]))
+          for n, q in ((14, 29), (3, 101), (60, 61))),
+        (bernoulli_embedding, (conjectured_extremal(40),)),
+        (bernoulli_embedding, (one_hot_uniform(2000),)),
     ])
     def test_checked_figure_bounds_the_peak(self, monkeypatch, builder, args):
         # The peaks are 0.05-0.89 of the checked figure on CPython 3.11 and
-        # numpy 2.4; the tightest is conjectured_extremal(300), at 0.89.  The
-        # per-atom charge, constructions.ATOM_OBJECT_BYTES, was calibrated
-        # there: if a new Python or numpy fails this case, re-measure it.
+        # numpy 2.4; the tightest are conjectured_extremal(300), at 0.89,
+        # expand_exchangeable(16, ...), at 0.87, and affine_hash_values(3,
+        # 101), at 0.85.  The charges' figures, dist.ATOM_OBJECT_BYTES and
+        # dist.VALUE_BYTES, were calibrated there: if a new Python or numpy
+        # fails a case, re-measure them.
         checked = []
-        monkeypatch.setattr(constructions, "_check_budget", lambda what, nbytes: checked.append(nbytes))
+        monkeypatch.setattr(dist, "_check_budget", lambda what, nbytes: checked.append(nbytes))
         gc.collect()
         tracemalloc.start()
         try:

@@ -34,6 +34,7 @@ from maxdecouple import continuous, dist
 from maxdecouple.bounds import DEFAULT_COVARIANCE_TOL, holds
 from maxdecouple.cli import EXIT_OK, main
 from maxdecouple.continuous import ContinuousCheck
+from maxdecouple.errors import InvariantError
 from test_dist import random_sparse_joint
 
 
@@ -250,7 +251,7 @@ class TestAffineHashValues:
 
 class TestLayerCake:
     def test_randomized_tail_integral_identity(self):
-        # The only way to see the identity fail is a RuntimeError from the
+        # The only way to see the identity fail is an InvariantError from the
         # built-in cross-check; also recompute independently here.
         rng = np.random.default_rng(56)
         for _ in range(1000):
@@ -286,7 +287,7 @@ class TestLayerCake:
             "_layer_cake_expected_max",
             lambda joint, grid: layer_cake(joint, grid) * (1 + 1e-9),
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InvariantError, match="tail-integral cross-check failed"):
             expected_max(NonnegJoint(2, [((1e9, 2e9), 0.5), ((3e9, 0.0), 0.5)]))
 
 

@@ -442,6 +442,19 @@ class TestPermuteVariables:
         swapped = permute_variables(j, [1, 0])
         assert dict(swapped.atoms) == {0b10: 0.3, 0b01: 0.2, 0b11: 0.5}
 
+    def test_moves_each_bit_to_its_new_variable(self):
+        # Wide masks over n not a multiple of 8, masks narrower than n, and
+        # a permutation given as a numpy array.
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 8, 9, 30, 61, 200):
+            for high in (n, max(1, n // 3)):
+                masks = {int(''.join(map(str, rng.integers(0, 2, high))), 2) for _ in range(20)}
+                joint = JointBernoulli(n, {m: 1 / len(masks) for m in masks})
+                perm = rng.permutation(n)
+                moved = {sum(1 << int(perm[i]) for i in range(n) if m >> i & 1): p
+                         for m, p in joint.atoms}
+                assert dict(permute_variables(joint, perm).atoms) == moved
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             permute_variables(JointBernoulli(2, {0: 1.0}), [0, 0])

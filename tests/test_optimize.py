@@ -32,6 +32,7 @@ from maxdecouple import (
     product,
 )
 from maxdecouple import optimize
+from maxdecouple.errors import InvariantError
 from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES, LpSolution
 
 
@@ -566,7 +567,7 @@ class TestCertificate:
                     fault = optimize._certificate_fault(n, p, mode, k, solution)
                     assert fault is not None and reason in fault, (n, p, mode, fault)
                     named = f"n={n}, p={p}, mode={mode}"
-                    with pytest.raises(optimize.CertificateError, match=named):
+                    with pytest.raises(InvariantError, match=named):
                         full_optimum(n, p, mode)
 
     def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):

@@ -7,10 +7,13 @@ from maxdecouple import cli, constructions, dist, optimize
 # `JointBernoulli.summary`, the sweep prints the p = 1/(n-1) ratio, and the
 # float atom-level LP and its HiGHS solve live in the tests (`highs_lp`),
 # replaced at runtime by `full_optimum`'s exact certificate; the `construct`
-# command calls the family builders through `cli.FAMILY_BY_FLAG`.
+# command calls the family builders through `cli.FAMILY_BY_FLAG`; a table's
+# size is charged in bytes (`dist._check_table`), not capped in variables;
+# a failed certificate raises `errors.InvariantError`.
 REMOVED = (
     "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
     "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
+    "DENSE_VARIABLE_LIMIT", "CertificateError",
 )
 
 
