@@ -4,14 +4,16 @@ exact pairwise-independent families.
 All builders return validated `JointBernoulli` tables, charged by
 `dist._check_table` before they are enumerated where they can be large.
 Where a mass is spread evenly and its total must survive floating point
-(one_hot_uniform; `optimize.expand_exchangeable`), `_even_spread` gives the
-last atom the residual total - (partial sum), perturbing no marginal by
-more than one rounding step; conjectured_extremal keeps equal masses.  The affine-hash
-families here and in `continuous` share one cell list, `_affine_cells`.
+(one_hot_uniform; `optimize.expand_exchangeable`), `_even_spread` cuts it
+into whole quanta, so that every sum of the shares is exact and they add
+up to the total exactly; conjectured_extremal keeps equal masses.  The
+affine-hash families here and in `continuous` share one cell list,
+`_affine_cells`.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -44,16 +46,16 @@ def _affine_cells(n: int, q: int) -> Iterator[tuple[int, ...]]:
 
 
 def _even_spread(masks: Sequence[int], total: float) -> dict[int, float]:
-    """`total` in equal shares over `masks`; the last mask takes the
-    residual, total minus the other shares summed left to right."""
-    share = total / len(masks)
-    atoms = {}
-    running = 0.0
-    for mask in masks[:-1]:
-        atoms[mask] = share
-        running += share
-    atoms[masks[-1]] = total - running
-    return atoms
+    """`total` over the A `masks` in whole quanta q = ulp(total): mask k
+    takes floor((k + 1) N/A) - floor(k N/A) of the N = total/q quanta.
+    Every sum of shares, in any order, is then a multiple of q no larger
+    than total, so it is exact: the shares add up to `total` exactly, in
+    a left-to-right sum and in math.fsum alike, and each is within one
+    quantum of total/A."""
+    quantum, size = math.ulp(total), len(masks)
+    count = int(total / quantum)
+    return {mask: ((k + 1) * count // size - k * count // size) * quantum
+            for k, mask in enumerate(masks)}
 
 
 def one_hot_uniform(n: int) -> JointBernoulli:

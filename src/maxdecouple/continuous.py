@@ -7,23 +7,27 @@ P(max > t) over t.  With finite support that integral is an exact finite
 sum over the sorted distinct support values (left endpoints, since the
 indicators use strict '> t'), so no quadrature is involved anywhere.  A
 joint's values are read into one atoms x n float array at load, checked
-there with its weights, and kept.  No Bernoulli joint or summary is built:
+there with its weights, and kept; the atom tuples are built only on first
+use.  No Bernoulli joint or summary is built:
 each joint is swept once, on first use, in closed form over the positions
 of its values in the grid, keeping three scalars per threshold: P(max > t),
 its independent counterpart and the largest excess.
 
 The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
-threshold, up to `main_lower_check`'s tolerance DEFAULT_COVARIANCE_TOL, so on
-a 0/1 joint the two tests agree.  Survival functions of finitely supported
-laws are piecewise constant between support points, so checking support
-thresholds only is equivalent to checking all t > 0.  `affine_hash_values`
-enumerates the hash cells of `constructions.affine_hash`.
+threshold.  Every verdict and that test take their slack from
+`dist._summed_slack`, with the roundings counted by `bounds._upper_terms`
+and `bounds._excess_terms` for the joint's atoms, variables and thresholds.
+A Bernoulli joint counts as one threshold, so on a 0/1 joint the orthant
+test and the upper verdict take the slacks of their Bernoulli twins.
+Survival functions of finitely supported laws are piecewise constant
+between support points, so checking support thresholds only is equivalent
+to checking all t > 0.  `affine_hash_values` enumerates the hash cells of
+`constructions.affine_hash`.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -31,11 +35,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DEFAULT_COVARIANCE_TOL, PINELIS_CONSTANT, holds
+from .bounds import PINELIS_CONSTANT, _excess_terms, _upper_terms, holds
 from .constructions import _affine_cells
 from .dist import JointBernoulli, _blocks, _check_number, _check_unit_mass, _check_values
 from .dist import _check_variable_count, _first, _first_invalid, _float_array, _gather
-from .dist import _read_document
+from .dist import _read_document, _summed_slack
 from .errors import InvalidDistributionError, InvariantError
 
 
@@ -62,13 +66,13 @@ def _check_fields(rows: list, probs: list) -> None:
 class NonnegJoint:
     """Finite-support joint law of n nonnegative real variables.
 
-    Atoms are (value-vector, probability) pairs, kept in construction order,
-    and as the arrays `_values` (atoms x n) and `_weights`; all summations
-    walk that order, so results are deterministic.
+    The atoms are kept in construction order as the arrays `_values`
+    (atoms x n) and `_weights`; `atoms` pairs them as (value-vector,
+    probability) tuples on first use.  All summations walk that order, so
+    results are deterministic.  Two joints are equal when their atoms are.
     """
 
     n: int
-    atoms: tuple[tuple[tuple[float, ...], float], ...]
 
     def __init__(self, n: int, atoms: Sequence[tuple[Sequence[float], float]]):
         pairs = list(atoms)
@@ -98,15 +102,20 @@ class NonnegJoint:
             _check_finite_nonneg(weights[idx].item(), f"atoms[{idx}].p")
         if not rows:
             raise InvalidDistributionError("atom list must be nonempty")
-        probs = weights.tolist()
-        _check_unit_mass(probs)
+        _check_unit_mass(weights.tolist())
         values = flat.reshape(len(rows), n)
         values.setflags(write=False)
         weights.setflags(write=False)
-        atoms = tuple(zip(map(tuple, values.tolist()), probs))
-        for name, value in (("n", int(n)), ("atoms", atoms),
-                            ("_values", values), ("_weights", weights)):
+        for name, value in (("n", int(n)), ("_values", values), ("_weights", weights)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[tuple[float, ...], float], ...]:
+        """(value-vector, probability) pairs in construction order."""
+        return tuple(zip(map(tuple, self._values.tolist()), self._weights.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NonnegJoint) and (self.n, self.atoms) == (other.n, other.atoms)
 
     @cached_property
     def _thresholds(self) -> "_ThresholdSweep":
@@ -213,21 +222,22 @@ def _layer_cake_expected_max(joint: NonnegJoint, grid: list[float]) -> float:
 
 
 def expected_max(joint: NonnegJoint) -> float:
-    """E[max_i X_i], as the direct atom sum.
+    """E[max_i X_i], as the direct atom sum: each row's maximum times its
+    weight, summed left to right.
 
     Also evaluates the tail-integral form (sum over support thresholds of
     interval length times P(max > t)) and insists the two agree, raising
     InvariantError if not: a mismatch can only be an internal bug, never a
-    property of the input.  Each sum
-    rounds once per atom or grid interval, by at most an ulp of the largest
-    value, so the slack is four ulps of that value per atom and grid point.
+    property of the input.  The slack is `_summed_slack` of
+    2 atoms + grid points roundings, in units of the largest value G: the
+    direct sum is within atoms u G, and the tail integral within
+    (atoms + thresholds + 1) u G, as each P(max > t) sums the atoms and
+    each interval's length, term and addition round once.
     """
-    direct = 0.0
-    for vec, prob in joint.atoms:
-        direct += prob * max(vec)
+    direct = float(np.cumsum(np.append(0.0, joint._weights * joint._values.max(axis=1)))[-1])
     grid = joint._thresholds.grid
     layered = _layer_cake_expected_max(joint, grid)
-    slack = 4 * sys.float_info.epsilon * grid[-1] * (len(joint.atoms) + len(grid))
+    slack = _summed_slack(2 * len(joint._weights) + len(grid)) * grid[-1]
     if abs(direct - layered) > slack:
         raise InvariantError(
             f"tail-integral cross-check failed: direct={direct!r} layered={layered!r}"
@@ -245,13 +255,17 @@ def expected_max_independent(joint: NonnegJoint) -> float:
 
 
 def pairwise_orthant_ok(joint: NonnegJoint) -> bool:
-    """Thresholded negative-dependence test, at `main_lower_check`'s tolerance.
+    """Thresholded negative-dependence test.
 
-    True iff P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) + DEFAULT_COVARIANCE_TOL
-    for every pair i != j and every support threshold t (support thresholds
-    suffice: both sides are constant between consecutive support values).
+    True iff P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) + tau for every
+    pair i != j and every support threshold t (support thresholds suffice:
+    both sides are constant between consecutive support values), with tau
+    `_summed_slack` of `bounds._excess_terms` over the joint's atoms and
+    thresholds: on a 0/1 joint, `main_lower_check`'s tau.
     """
-    return all(excess <= DEFAULT_COVARIANCE_TOL for excess in joint._thresholds.max_excess)
+    sweep = joint._thresholds
+    tau = _summed_slack(_excess_terms(len(joint._weights), len(sweep.grid) - 1))
+    return all(excess <= tau for excess in sweep.max_excess)
 
 
 def decoupling_check_cont(joint: NonnegJoint) -> ContinuousCheck:
@@ -259,12 +273,20 @@ def decoupling_check_cont(joint: NonnegJoint) -> ContinuousCheck:
 
     upper_holds must be True for every input (no dependence assumption);
     lower_holds is guaranteed only when pairwise_ok is True, but its raw
-    value is reported either way.
+    value is reported either way.  Both take `_summed_slack` of
+    `bounds._upper_terms` over the thresholds, in units of the largest
+    value G (or 1), and the lower one n (n - 1) tau more, tau the orthant
+    test's: at each threshold, as in `main_lower_check`, a passed test
+    bounds P(max X~ > t)/2 - P(max X > t) by n (n - 1) tau exactly, and
+    the intervals add up to G.
     """
     emax = expected_max(joint)
     emax_ind = expected_max_independent(joint)
-    upper = holds(emax, PINELIS_CONSTANT * emax_ind)
-    lower = holds(0.5 * emax_ind, emax)
+    atoms, n, grid = len(joint._weights), joint.n, joint._thresholds.grid
+    slack = _summed_slack(_upper_terms(atoms, n, len(grid) - 1))
+    tau = _summed_slack(_excess_terms(atoms, len(grid) - 1))
+    upper = holds(emax, PINELIS_CONSTANT * emax_ind, slack, grid[-1])
+    lower = holds(0.5 * emax_ind, emax, slack + n * (n - 1) * tau, grid[-1])
     return ContinuousCheck(emax, emax_ind, upper, pairwise_orthant_ok(joint), lower)
 
 

@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import InvalidDistributionError
 
-# Tolerance on |total mass - 1| for any probability table.
+# Tolerance on |total mass - 1| for any probability table, and the floor of
+# the one slack rule, `_summed_slack`.
 NORMALIZATION_TOL = 1e-12
 
 # Bytes one summary may allocate: the atoms x n bit table, then the atom x
@@ -66,7 +67,8 @@ ATOM_OBJECT_BYTES = 384
 # builder's rows, in the load path's flat list and float64 array, and its
 # float object and tuple slot in `NonnegJoint.atoms`.  Tracemalloc puts
 # them at 56-65 bytes; the rest covers a nonneg atom's objects, which come
-# to about 370 bytes, near ATOM_OBJECT_BYTES.
+# to about 370 bytes, near ATOM_OBJECT_BYTES.  The load no longer builds
+# `atoms` (it is made on first use), so the figure over-charges a load.
 VALUE_BYTES = 96
 
 # Bytes numpy's buffered ufunc loop may hold while it casts an operand, as
@@ -329,10 +331,22 @@ class JointSummary(NamedTuple):
     max_abs_excess: float
 
 
-def _summed_slack(atoms: int) -> float:
-    """How far a left-to-right sum of a valid table's `atoms` weights can
-    pass 1: NORMALIZATION_TOL of mass, plus an ulp (2^-52) per addition."""
-    return NORMALIZATION_TOL + atoms * 2.0**-52
+def _summed_slack(terms: int) -> float:
+    """The package's one slack rule: how far, relative to max(1, magnitude),
+    a computed value may miss its exact value after `terms` roundings.
+
+    Each rounding moves a value by at most u = 2^-53 of its magnitude, and
+    k of them by at most gamma_k = k u / (1 - k u), which is at most
+    k 2^-52 while k u <= 1/2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sections 3.1 and 4.2; a left-to-right sum of k + 1 terms
+    rounds k times).  So 2^-52 a term is twice the first-order bound, and
+    the spare half covers the second-order terms.  NORMALIZATION_TOL is the
+    floor: a table's true mass may miss 1 by that much, and no verdict on a
+    small joint takes less slack than that.  Every caller derives `terms`
+    from the joint in its docstring; a summed marginal, for one, may pass 1
+    by `_summed_slack(atoms)`.
+    """
+    return NORMALIZATION_TOL + terms * 2.0**-52
 
 
 def _check_budget(what: str, nbytes: int) -> None:
@@ -447,17 +461,12 @@ def moments_of_z(joint: JointBernoulli) -> tuple[float, float]:
     return joint.summary.ez, joint.summary.ez2
 
 
-def _check_tolerance(tol: float) -> None:
-    """Reject a NaN tolerance, which would fail every comparison."""
-    if math.isnan(tol):
-        raise ValueError(f"tolerance must be a number, got {tol}")
-
-
 def is_pairwise_independent(joint: JointBernoulli, tol: float) -> bool:
-    """True iff |P(X_i=1, X_j=1) - p_i p_j| <= tol for every pair i != j."""
-    _check_tolerance(tol)
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    """True iff |P(X_i=1, X_j=1) - p_i p_j| <= tol for every pair i != j.
+    A NaN `tol`, which would fail every comparison, or a negative one
+    raises ValueError."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
     return joint.summary.max_abs_excess <= tol
 
 

@@ -294,9 +294,10 @@ def expand_exchangeable(n: int, weights) -> JointBernoulli:
 
     Inverse of collapsing a joint to Hamming-weight totals; used to
     round-trip exchangeable witnesses through the atom-level toolkit.
-    Each class closes with a residual atom so the class total survives
-    float conversion exactly.  The C(n, k) atoms of the nonzero classes
-    are charged by `dist._check_table` before any is enumerated.
+    Each class is cut into whole quanta (`constructions._even_spread`),
+    so its atoms sum to the class total exactly.  The C(n, k) atoms of the
+    nonzero classes are charged by `dist._check_table` before any is
+    enumerated.
     """
     if len(weights) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} weights, got {len(weights)}")

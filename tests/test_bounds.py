@@ -18,6 +18,7 @@ from maxdecouple import (
     InvalidDistributionError,
     JointBernoulli,
     MarginalVector,
+    bernoulli_embedding,
     comonotone,
     conjectured_extremal,
     eta_lower_check,
@@ -25,6 +26,7 @@ from maxdecouple import (
     g_function,
     main_lower_check,
     one_hot_uniform,
+    pairwise_orthant_ok,
     paley_zygmund_lower,
     pinelis_upper_check,
     prob_hit,
@@ -118,16 +120,6 @@ class TestMainLower:
     def test_comonotone_not_applicable(self):
         check = main_lower_check(comonotone(8, 1e-3))
         assert not check.applicable
-
-    def test_rejects_nan_tolerance(self):
-        # NaN fails every comparison, so it would read "not applicable".
-        j = product(MarginalVector([0.3, 0.7]))
-        for check in (main_lower_check, full_report):
-            with pytest.raises(ValueError, match="nan"):
-                check(j, math.nan)
-        # A negative tolerance still asks for strictly negative covariance.
-        assert not main_lower_check(j, -1e-3).applicable
-        assert main_lower_check(one_hot_uniform(4), -1e-3).applicable
 
     def test_holds_whenever_applicable_randomized(self):
         rng = np.random.default_rng(103)
@@ -276,7 +268,7 @@ class TestFullReport:
         joints += [duplicate_variables(rng, random_sparse_joint(rng)) for _ in range(20)]
         for j in joints:
             full_report(j)
-            main_lower_check(j, 1e-6)
+            main_lower_check(j)
             eta_lower_check(j)
         assert calls == [(len(j.atoms), j.n) for j in joints]
 
@@ -329,10 +321,11 @@ def inflate_f(monkeypatch, factor):
 
 class TestScaleAwareVerdicts:
     def test_holds_is_relative_to_the_larger_term(self):
-        assert bounds.holds(1.0 + 0.5e-12, 1.0) and not bounds.holds(1.0 + 2e-12, 1.0)
-        assert bounds.holds(1e6 + 0.5e-6, 1e6) and not bounds.holds(1e6 + 2e-6, 1e6)
+        floor = dist._summed_slack(0)
+        assert bounds.holds(1.0 + 0.5e-12, 1.0, floor) and not bounds.holds(1.0 + 2e-12, 1.0, floor)
+        assert bounds.holds(1e6 + 0.5e-6, 1e6, floor) and not bounds.holds(1e6 + 2e-6, 1e6, floor)
         # Below 1 the slack stays absolute: G = -0.5e-12 is rounding.
-        assert bounds.holds(0.0, -0.5e-12) and not bounds.holds(0.0, -2e-12)
+        assert bounds.holds(0.0, -0.5e-12, floor) and not bounds.holds(0.0, -2e-12, floor)
 
     def test_wide_joints_are_universal_ok(self):
         # F is about 1.1e6 for the first joint; rounding alone moves it
@@ -347,6 +340,37 @@ class TestScaleAwareVerdicts:
         for j in (conjectured_extremal(3), comonotone(1500, 0.7)):
             report = full_report(j)
             assert not report.verdicts["factorization"] and not report.universal_ok
+
+    def test_slack_follows_the_length_of_the_sums(self):
+        # A small joint keeps the floor; 34,221 atoms add 2^-52 each.
+        assert dist._summed_slack(0) == dist.NORMALIZATION_TOL == 1e-12
+        assert dist._summed_slack(34_221) == pytest.approx(8.6e-12, rel=1e-2)
+        assert dist._summed_slack(3 * 2**21 + 3) < 1.5e-9
+        # A scale past both sides widens the slack, and never narrows it.
+        slack = dist._summed_slack(10)
+        assert not bounds.holds(1.0 + 1e-11, 1.0, slack)
+        assert bounds.holds(1.0 + 1e-11, 1.0, slack, scale=1e2)
+        assert bounds.holds(1e6 + 1e-7, 1e6, slack, scale=0.5)
+
+    def test_real_gap_of_1e9_still_fails(self, monkeypatch):
+        # Z is 0 or 2 on conjectured_extremal and 1 on one-hot, so
+        # Paley-Zygmund is an equality there, up to rounding.
+        for j in (conjectured_extremal(5), one_hot_uniform(3)):
+            assert full_report(j).verdicts["paley_zygmund"]
+        real = bounds.paley_zygmund_lower
+        monkeypatch.setattr(bounds, "paley_zygmund_lower", lambda j: real(j) + 1e-9)
+        for j in (conjectured_extremal(5), one_hot_uniform(3)):
+            report = full_report(j)
+            assert not report.verdicts["paley_zygmund"] and not report.universal_ok
+
+    def test_real_pair_excess_of_1e9_still_fails(self):
+        # p_1 = p_2 = 1/2 and P(X_1 = X_2 = 1) = 1/4 + 1e-9.
+        e = 1e-9
+        j = JointBernoulli(2, {0b00: 0.25 + e, 0b01: 0.25 - e, 0b10: 0.25 - e, 0b11: 0.25 + e})
+        assert j.summary.max_excess == pytest.approx(e, rel=1e-6)
+        assert not main_lower_check(j).applicable
+        assert not full_report(j).verdicts["main_lower_applicable"]
+        assert not pairwise_orthant_ok(bernoulli_embedding(j))
 
 
 def distinct_columns_joint(atoms, n):

@@ -235,6 +235,19 @@ class TestReport:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdicts"]["main_lower_applicable"] is False
 
+    def test_paley_zygmund_equality_witness_exits_zero(self, tmp_path, capsys):
+        # Z is 0 or 3 on the optimum at p = 2/(n-1), so (E Z)^2/E[Z^2] = M
+        # exactly, and rounding over tens of thousands of atoms can put the
+        # computed sides more than 1e-12 apart: 2.6e-12 at n = 80, and n = 60
+        # exited 2 under a fixed slack of 1e-12.
+        for n in (60, 80):
+            weights = exchangeable_optimum(n, Fraction(2, n - 1)).weights_exact
+            path = write_json(tmp_path / f"witness{n}.json",
+                              optimize.expand_exchangeable(n, weights).to_json_dict())
+            assert main(["report", "--in", path]) == EXIT_OK, n
+            payload = json.loads(capsys.readouterr().out)
+            assert all(payload["verdicts"].values()), payload["verdicts"]
+
     def test_wide_comonotone_exits_zero(self, tmp_path, capsys):
         # F = S*G is about 1.1e6 here, where a fixed slack of 1e-10 on the
         # factorization identity reported this valid joint as a bug.
@@ -753,8 +766,8 @@ class TestInvariantExitCode:
 
         real = bounds_mod.full_report
 
-        def poisoned(joint, tol=1e-12):
-            report = real(joint, tol)
+        def poisoned(joint):
+            report = real(joint)
             report.verdicts["pinelis"] = False
             return report
 

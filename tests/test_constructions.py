@@ -44,8 +44,22 @@ class TestOneHotUniform:
             assert one_hot_uniform(n).atoms == expand_exchangeable(n, weights).atoms
 
     def test_hit_probability_exactly_one(self):
-        for n in range(1, 25):
+        for n in range(1, 201):
             assert prob_hit(one_hot_uniform(n)) == 1.0
+
+    def test_spread_sums_exactly_where_the_charge_admits(self):
+        # A residual against the running float sum missed the exact total by
+        # -1.0e-12 at n = 40,000, and at n = 105 by 1.02e-12 in the class of
+        # three-hot masks, so both builders refused their own tables.
+        assert math.fsum(one_hot_uniform(40_000).probs) == 1.0
+        weights = exchangeable_optimum(105, Fraction(2, 104)).weights_exact
+        joint = expand_exchangeable(105, weights)
+        classes = {}
+        for mask, p in joint.atoms:
+            classes.setdefault(mask.bit_count(), []).append(p)
+        totals = {k: math.fsum(probs) for k, probs in classes.items()}
+        assert totals == {k: float(w) for k, w in enumerate(weights) if w}
+        assert is_pairwise_independent(joint, 1e-14)
 
     def test_ten_variables_independent_version(self):
         j = one_hot_uniform(10)

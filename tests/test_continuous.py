@@ -31,7 +31,7 @@ from maxdecouple import (
     MarginalVector,
 )
 from maxdecouple import continuous, dist
-from maxdecouple.bounds import DEFAULT_COVARIANCE_TOL, holds
+from maxdecouple.bounds import holds
 from maxdecouple.cli import EXIT_OK, main
 from maxdecouple.continuous import ContinuousCheck
 from maxdecouple.errors import InvariantError
@@ -345,10 +345,25 @@ class TestOrthantAgainstOracle:
                 tables = [[float(v) for v in rng.integers(0, 3, size=q)] for _ in range(n)]
                 joint = affine_hash_values(n, q, tables)
             got = pairwise_orthant_ok(joint)
-            want = oracles.oracle_pairwise_orthant_ok(list(joint.atoms), DEFAULT_COVARIANCE_TOL)
+            want = oracles.oracle_pairwise_orthant_ok(list(joint.atoms), orthant_tau(joint))
             assert got == want
             verdicts.append(got)
         assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    def test_rounding_heavy_independent_law_passes(self):
+        # Two independent fair coins, whose (1, 1) cell comes in 100,000
+        # pieces just under half an ulp of 1/4, after a (1, 0) atom of 1/4:
+        # P(X_1 > 0) loses every piece, P(X_1 > 0, X_2 > 0) none, so the
+        # computed excess passes the floor though the exact one is 0.
+        k, eps = 100_000, 2.0**-55 - 2.0**-60
+        atoms = [((1.0, 0.0), 0.25), *[((1.0, 1.0), eps)] * k,
+                 ((1.0, 1.0), 0.25 - k * eps), ((0.0, 1.0), 0.25), ((0.0, 0.0), 0.25)]
+        joint = NonnegJoint(2, atoms)
+        assert Fraction(0.25 - k * eps) + k * Fraction(eps) == Fraction(1, 4)  # every cell 1/4
+        (excess,) = joint._thresholds.max_excess
+        assert dist.NORMALIZATION_TOL < excess <= orthant_tau(joint) - dist.NORMALIZATION_TOL
+        assert pairwise_orthant_ok(joint)
+        assert decoupling_check_cont(joint).universal_ok
 
     def test_sweep_makes_no_summarize_call(self, monkeypatch):
         def refuse(bits, weights):
@@ -485,6 +500,12 @@ def exact_max_excess(joint):
     return out
 
 
+def orthant_tau(joint):
+    """The orthant test's slack: the rule at 3 atoms + thresholds + 2."""
+    cuts = len({0.0}.union(*(values for values, _ in joint.atoms))) - 1
+    return dist._summed_slack(3 * len(joint.atoms) + cuts + 2)
+
+
 def reference_check(joint):
     """The continuous check from one threshold at a time: the marginals
     summed over the atoms in order, and the Bernoulli summary of the
@@ -504,9 +525,14 @@ def reference_check(joint):
         emax += prob * max(vec)
     for t, t_next, s in zip(grid, grid[1:], hit_independent):
         emax_ind += (t_next - t) * s
+    # Both verdicts take the rule at 3 (atoms + 2n) + 2 thresholds + 6, in
+    # units of the largest value; the lower one n (n - 1) tau more.
+    n, tau = joint.n, orthant_tau(joint)
+    slack = dist._summed_slack(3 * (len(weights) + 2 * n) + 2 * (len(grid) - 1) + 6)
     return ContinuousCheck(
-        emax, emax_ind, holds(emax, PINELIS_CONSTANT * emax_ind),
-        all(e <= DEFAULT_COVARIANCE_TOL for e in excess), holds(0.5 * emax_ind, emax),
+        emax, emax_ind, holds(emax, PINELIS_CONSTANT * emax_ind, slack, grid[-1]),
+        all(e <= tau for e in excess),
+        holds(0.5 * emax_ind, emax, slack + n * (n - 1) * tau, grid[-1]),
     )
 
 

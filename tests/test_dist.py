@@ -348,7 +348,8 @@ class TestColumnClasses:
             for tol in (1e-12, 1e-6):
                 expect = all(abs(g) <= tol for g in gaps)
                 assert is_pairwise_independent(j, tol) == expect
-            assert main_lower_check(j).applicable == all(g <= 1e-12 for g in gaps)
+            tau = dist._summed_slack(3 * len(j.masks) + 3)
+            assert main_lower_check(j).applicable == all(g <= tau for g in gaps)
 
     def test_classes_follow_first_appearance(self):
         j = JointBernoulli(5, {0b00000: 0.5, 0b10110: 0.25, 0b01001: 0.25})

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import inspect
+
 import maxdecouple
-from maxdecouple import cli, constructions, dist, optimize
+from maxdecouple import bounds, cli, constructions, dist, optimize
 
 # Names the package no longer defines: pair data lives in
 # `JointBernoulli.summary`, the sweep prints the p = 1/(n-1) ratio, and the
@@ -9,11 +11,13 @@ from maxdecouple import cli, constructions, dist, optimize
 # replaced at runtime by `full_optimum`'s exact certificate; the `construct`
 # command calls the family builders through `cli.FAMILY_BY_FLAG`; a table's
 # size is charged in bytes (`dist._check_table`), not capped in variables;
-# a failed certificate raises `errors.InvariantError`.
+# a failed certificate raises `errors.InvariantError`; every slack comes
+# from `dist._summed_slack`.
 REMOVED = (
     "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
     "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
-    "DENSE_VARIABLE_LIMIT", "CertificateError",
+    "DENSE_VARIABLE_LIMIT", "CertificateError", "VERDICT_SLACK", "DEFAULT_COVARIANCE_TOL",
+    "_check_tolerance",
 )
 
 
@@ -24,8 +28,10 @@ def test_all_lists_only_defined_names():
 
 
 def test_removed_names_are_gone():
-    for module in (maxdecouple, cli, constructions, dist, optimize):
+    for module in (maxdecouple, bounds, cli, constructions, dist, optimize):
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+    for check in (bounds.main_lower_check, bounds.full_report):
+        assert list(inspect.signature(check).parameters) == ["joint"]
     gone = ("FullLpProblem", "PRICING_TOLERANCE", "WITNESS_ATOM_FLOOR", "_seed_columns")
     assert [name for name in gone if name in vars(optimize)] == []
     assert "_FAMILIES" not in vars(constructions)
