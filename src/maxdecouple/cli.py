@@ -164,6 +164,16 @@ def _cmd_report(args) -> int:
     return EXIT_OK if result.universal_ok else EXIT_INVARIANT
 
 
+def _as_usage(call, *args, **kwargs):
+    """`call(*args, **kwargs)`, with the ValueError a library function
+    raises for its arguments (InvalidDistributionError among them, for a
+    size over the budget) turned into a usage error."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
 def _cmd_construct(args) -> int:
     params = {name: getattr(args, name) for _, used in FAMILY_BY_FLAG.values() for name in used}
     if args.p is not None:
@@ -177,10 +187,7 @@ def _cmd_construct(args) -> int:
                          ("does not use", [name for name in given if name not in names])):
         if wrong:
             raise UsageError(f"family '{args.family}' {fault} parameter(s): {', '.join(wrong)}")
-    try:
-        joint = builder(*(params[name] for name in names))
-    except ValueError as exc:  # InvalidDistributionError among them
-        raise UsageError(str(exc))
+    joint = _as_usage(builder, *(params[name] for name in names))
     limit = sys.get_int_max_str_digits()
     if limit and joint.masks[-1] >= 10**limit:
         raise OutputError(
@@ -191,14 +198,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if not 3 <= args.n_min <= args.n_max:
-        raise UsageError(f"need 3 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    # 'full' also certifies each row over all 2^n atoms, at small n.
-    if args.reduction == "full" and args.n_max > optimize.FULL_VARIABLE_LIMIT:
-        raise UsageError(f"full reduction supports n <= {optimize.FULL_VARIABLE_LIMIT}")
-    rows = optimize.conjecture_sweep(
-        args.n_min, args.n_max, MODE_BY_FLAG[args.mode], reduction=args.reduction
-    )
+    # 'full' also certifies each row over all 2^n atoms, as far as the
+    # budget admits; the rows are all made before any is written.
+    rows = _as_usage(optimize.conjecture_sweep, args.n_min, args.n_max,
+                     MODE_BY_FLAG[args.mode], reduction=args.reduction)
     _emit(args.out, _csv(SWEEP_COLUMNS, rows))
     return EXIT_OK
 

@@ -349,10 +349,19 @@ def _summed_slack(terms: int) -> float:
     return NORMALIZATION_TOL + terms * 2.0**-52
 
 
+def _size(count: int) -> str:
+    """`count` in decimal, or by its power of two where the decimal is past
+    Python's int/str digit limit (past about 2^14280 at the default limit)."""
+    try:
+        return str(count)
+    except ValueError:  # name the power of two at or below it
+        return f"{'over ' if count & (count - 1) else ''}2^{count.bit_length() - 1}"
+
+
 def _check_budget(what: str, nbytes: int) -> None:
     if nbytes > SUMMARY_BUDGET:
         raise InvalidDistributionError(
-            f"joint too large to summarize: {what} needs {nbytes} bytes, "
+            f"joint too large to summarize: {what} needs {_size(nbytes)} bytes, "
             f"over the budget of {SUMMARY_BUDGET} bytes"
         )
 
@@ -363,7 +372,7 @@ def _check_table(n: int, atoms: int) -> None:
     three times, as an int (30 bits in 4 bytes), as the bytes `_load` packs
     and in the packed table, and ATOM_OBJECT_BYTES for its Python objects."""
     per_atom = 4 * ((n + 29) // 30) + 2 * ((n + 7) // 8) + ATOM_OBJECT_BYTES
-    _check_budget(f"the table of {atoms} atoms over {n} variables", atoms * per_atom)
+    _check_budget(f"the table of {_size(atoms)} atoms over {n} variables", atoms * per_atom)
 
 
 def _check_values(n: int, atoms: int) -> None:

@@ -11,8 +11,10 @@ Two routes to the same optimum, both exact:
   full          the same optimum, proven optimal for the linear program
                 with one variable per atom of {0,1}^n (2^n variables) by
                 an LP-duality certificate checked in integers and
-                rationals over every atom (see `full_optimum`); capped at
-                n <= 16.
+                rationals over every atom (see `full_optimum`).  Its
+                2^n-atom arrays are charged against `dist.SUMMARY_BUDGET`
+                before they are made, which admits n <= 25, and its rows
+                are counted a budget's block at a time.
 
 The two routes must agree, which is one of the package's verification
 properties.  The sweep's ratio of the optimum to P(Z~ > 0) at p = 1/(n-1)
@@ -30,17 +32,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, pairwise, repeat
 
 import numpy as np
 
 from .constructions import _even_spread
-from .dist import JointBernoulli, _check_table
+from .dist import JointBernoulli, _blocks, _check_budget, _check_table
 from .errors import InvariantError
 
 MODES = ("pairwise_equality", "negative_covariance")
 
-FULL_VARIABLE_LIMIT = 16
+# Bytes per atom of the certificate's 2^n-atom arrays at the larger of its
+# two stages: the dual stage's c, reduced costs and `_reduced_costs`' totals
+# and links, all int64, then `_hamming_weights`, its class tests and the
+# used classes' masks.  Tracemalloc puts them at 28 and at most 13 bytes an
+# atom from n = 12 on (CPython 3.11, numpy 2.4); the first are freed before
+# the second are made.  The rows of the used masks are charged apart, a
+# block at a time (`_certificate_fault`).
+CERTIFICATE_ATOM_BYTES = 32
 
 _ZERO = Fraction(0)
 
@@ -213,12 +222,12 @@ def _certificate_fault(
     By weak duality the objective is then the minimum over all atoms.
     """
     duals, scale = _certificate_dual(n, k)
-    c = np.full(1 << n, scale, dtype=np.int64)
-    c[0] = 0
-    reduced = _reduced_costs(n, c, duals)
+    # The objective c is 0 on the zero atom and scale on every other.
+    reduced = _reduced_costs(n, np.repeat(np.int64([0, scale]), [1, (1 << n) - 1]), duals)
     worst = int(reduced.argmin())
     if reduced[worst] < 0:
         return f"atom {worst} has reduced cost {reduced[worst]}/{scale} < 0"
+    del reduced  # so that the two stages' 2^n-atom arrays do not add up
     upper = mode == "negative_covariance"  # the pair rows are <= rows
     if upper and (duals[1 + n :] > 0).any():
         return "a pair row's dual is positive"
@@ -226,14 +235,22 @@ def _certificate_fault(
     if min(weights) < 0:
         return "a witness weight is negative"
     used = [z for z, w in enumerate(weights) if w]
-    weight = _hamming_weights(n)
-    classes = [np.flatnonzero(weight == z) for z in used]
-    starts = np.cumsum([0] + [masks.size for masks in classes[:-1]])
-    rows = _constraint_rows(n, np.concatenate(classes))
-    counts = np.add.reduceat(rows, starts, axis=1, dtype=np.int64)
-    pairs = n * (n - 1) // 2
-    if counts.shape[0] != 1 + n + pairs:
-        return f"the program has {counts.shape[0]} rows, not {1 + n + pairs}"
+    # The used classes' masks, class by class; the weights go once they are made.
+    masks = np.concatenate([np.flatnonzero(w == z) for w in [_hamming_weights(n)] for z in used])
+    kind = np.repeat([0, 1, 2], [1, n, n * (n - 1) // 2])  # each row's kind: mass, marginal, pair
+    counts = np.zeros((len(kind), len(used)), dtype=np.int64)
+    # The used classes' spans of masks, in order.  The classes a block
+    # meets, i on, are consecutive and cover it, so one reduceat at their
+    # starts, clipped to the block, adds its counts.  A mask's rows cost
+    # 1 + 8 bytes each, as booleans and as reduceat's int64 copy of them.
+    spans = list(pairwise(accumulate((math.comb(n, z) for z in used), initial=0)))
+    for at in _blocks(f"a column of {len(kind)} rows", 0, masks.size, 9 * len(kind)):
+        rows = _constraint_rows(n, masks[at])
+        if rows.shape[0] != len(kind):
+            return f"the program has {rows.shape[0]} rows, not {len(kind)}"
+        i = sum(hi <= at.start for _, hi in spans)
+        cuts = [max(lo - at.start, 0) for lo, _ in spans[i:] if lo < at.stop]
+        counts[:, i : i + len(cuts)] += np.add.reduceat(rows, cuts, axis=1, dtype=np.int64)
     # In integers over one denominator: class z's atoms each carry
     # w_z / C(n, z) = share_z / common, and row kind e's right-hand side is
     # p^e = a^e / b^e.
@@ -241,7 +258,6 @@ def _certificate_fault(
     denominators = [weights[z].denominator * math.comb(n, z) for z in used]
     common = math.lcm(*denominators)
     shares = [weights[z].numerator * (common // d) for z, d in zip(used, denominators)]
-    kind = np.repeat([0, 1, 2], [1, n, pairs])
     # Rows of one kind with the same counts per class have the same total.
     for row, *count in dict.fromkeys(map(tuple, np.column_stack([kind, counts]).tolist())):
         total = sum(share * c for share, c in zip(shares, count))
@@ -266,7 +282,11 @@ def full_optimum(
     """Exact minimum of P(Z > 0) over all joints on {0,1}^n: the atom-level
     program q_x >= 0, sum q = 1, marginals p, pair moments p^2 (upper
     bounds in negative_covariance mode), minimizing the mass off the zero
-    atom.  Capped at n <= FULL_VARIABLE_LIMIT.
+    atom.  The certificate's 2^n-atom arrays are charged against the
+    budget first, CERTIFICATE_ATOM_BYTES an atom, so a refused n allocates
+    nothing: at 1 GiB it admits n <= 25 and refuses n = 26, whatever p.
+    Past n = 2^16 the figure is charged as just over its value there, far
+    over any budget, so that no n/8-byte integer is built for it.
 
     Returns `exchangeable_optimum(n, p, mode)` once `_certificate_fault`
     has proven it optimal for the program over every atom: the closed
@@ -276,10 +296,10 @@ def full_optimum(
     InvariantError, naming n, p and mode, if the certificate fails.
     """
     p = _check_common(n, p, mode)
-    if n > FULL_VARIABLE_LIMIT:
-        raise ValueError(
-            f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
-        )
+    # A figure cut at n = 2^16 is a lower bound; its low bit makes `_size` say "over".
+    shift = min(n, 1 << 16)
+    nbytes = CERTIFICATE_ATOM_BYTES << shift | (n > shift)
+    _check_budget(f"the LP certificate over 2^{n} atoms", nbytes)
     solution = _exchangeable(n, p)
     fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
     if fault is not None:
@@ -325,8 +345,9 @@ def conjecture_sweep(
     """Tabulate the optimal ratio against the candidate family's ratio.
 
     `reduction` is "exchangeable" (closed form) or "full" (the closed form
-    certified over all 2^n atoms by `full_optimum`, n <= 16); both print
-    the same rows.
+    certified over all 2^n atoms by `full_optimum`); both print the same
+    rows.  A full sweep raises at the first n the budget refuses, having
+    returned no row.
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  lp_ratio tends to
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
@@ -337,14 +358,11 @@ def conjecture_sweep(
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
     if reduction not in ("exchangeable", "full"):
         raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
+    route = full_optimum if reduction == "full" else exchangeable_optimum
     rows = []
     running_inf = float("inf")
     for n in range(n_min, n_max + 1):
-        p = Fraction(1, n - 1)
-        if reduction == "full":
-            solution = full_optimum(n, p, mode)
-        else:
-            solution = exchangeable_optimum(n, p, mode)
+        solution = route(n, Fraction(1, n - 1), mode)
         mtilde = _calibration_mtilde(n)
         ratio = solution.objective / mtilde
         construction_ratio = (0.5 + 0.5 / (n - 1)) / mtilde
@@ -352,7 +370,7 @@ def conjecture_sweep(
         rows.append(
             {
                 "n": n,
-                "p": float(p),
+                "p": 1 / (n - 1),
                 "mtilde": mtilde,
                 "lp_objective": solution.objective,
                 "lp_ratio": ratio,

@@ -290,8 +290,13 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
                 )
                 if mode == "pairwise_equality":
                     witness = optimize.expand_exchangeable(n, exch.weights_exact)
+                    # Each class's atoms sum exactly to its float total, which
+                    # rounds the exact weight once (at most n + 1 of them);
+                    # prob_hit sums the atoms left to right, fewer roundings
+                    # than there are atoms; the objective rounds once.
+                    roundtrip = _summed_slack(len(witness.masks) + n + 2)
                     tallies["lp-witness-roundtrip"].record(
-                        abs(prob_hit(witness) - exch.objective) <= 1e-9
+                        bounds.holds(abs(prob_hit(witness) - exch.objective), 0.0, roundtrip)
                         and is_pairwise_independent(witness, NORMALIZATION_TOL),
                         tag,
                     )
@@ -300,9 +305,14 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
                     half = 0.5 * prob_hit_independent(
                         MarginalVector((float(p),) * n)
                     )
+                    # pz rounds p, s, s^2, s + s^2 and the quotient: 5 times.
+                    # In half, p's rounding moves 1 - P by at most u, as
+                    # n p (1 - p)^(n-1) <= 1; 1 - p's enters n times, and the
+                    # n - 1 products and 1 - P round once each: 2n + 1 in all.
+                    # The objective rounds once more.
                     tallies["lp-objective-bound-consistency"].record(
-                        exch.objective >= pz - 1e-9
-                        and exch.objective >= half - 1e-9,
+                        bounds.holds(pz, exch.objective, _summed_slack(2 * n + 2))
+                        and bounds.holds(half, exch.objective, _summed_slack(2 * n + 2)),
                         tag,
                     )
             eq = optimize.exchangeable_optimum(n, p)

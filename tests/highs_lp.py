@@ -23,7 +23,12 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from maxdecouple import optimize
-from maxdecouple.optimize import FULL_VARIABLE_LIMIT, _check_common
+from maxdecouple.optimize import _check_common
+
+# The largest n the oracle builds: `ExtremalLp` materializes all 2^n
+# columns as float CSR (about 54 MB at n = 16), and the tests compare the
+# package against it up to here.
+FULL_VARIABLE_LIMIT = 16
 
 # Witness atoms below this are dropped as solver dust.  Crossover returns a
 # basic solution, so every atom off the basis is zero up to rounding; the

@@ -377,6 +377,8 @@ class TestConstruct:
             "comonotone --n 10000000000 --eps 0.5": "2 atoms over 10000000000 variables",
             "affine-hash --n 1 --q 100003 --m 1": "10000600009 atoms over 1 variables",
             "product --p " + ",".join(["0.5"] * 22): "4194304 atoms over 22 variables",
+            # Past Python's int/str digit limit, a size is named by its power of two.
+            "product --p " + ",".join(["0.5"] * 15000): "2^15000 atoms over 15000 variables",
         }
         script = textwrap.dedent("""
             import resource, sys
@@ -447,9 +449,22 @@ class TestSearch:
         assert main(["search", "--n-min", "3", "--n-max", "4", "--mode", "negcov"]) == EXIT_OK
         capsys.readouterr()
 
-    def test_full_reduction_cap_is_usage_error(self, capsys):
-        code = main(["search", "--n-min", "3", "--n-max", "20", "--reduction", "full"])
-        assert code == EXIT_USAGE
+    def test_full_reduction_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # The certificate's charge refuses the sweep at its first n over the
+        # budget, here 16 MB (n = 20, not 26, to keep the test small), and
+        # the rows made before it are neither printed nor written.  An n
+        # far past any budget is refused without building its byte count.
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
+        out = tmp_path / "sweep.csv"
+        huge = ["--n-min", str(10**12), "--n-max", str(10**12)]
+        for flags, atoms in ((["--n-min", "3", "--n-max", "40"], "2^20 atoms"),
+                             (["--n-min", "3", "--n-max", "40", "--out", str(out)], "2^20 atoms"),
+                             (huge, f"2^{10**12} atoms needs over 2^65541 bytes")):
+            assert main(["search", *flags, "--reduction", "full"]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == "" and "too large" in captured.err
+            assert atoms in captured.err
+        assert not out.exists()
 
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["search", "--n-min", "5", "--n-max", "4"]) == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -298,6 +299,13 @@ class TestSizeCheck:
             want = f"^joint too large to summarize: {what}, over the budget of 1000 bytes$"
             with pytest.raises(InvalidDistributionError, match=want):
                 builder(*args)
+
+    def test_refusal_names_any_size(self):
+        # 2^15000 and its byte count are past Python's int/str digit limit
+        # as decimals, so they are named by their powers of two.
+        want = "the table of 2^15000 atoms over 15000 variables needs over 2^15012 bytes"
+        with pytest.raises(InvalidDistributionError, match=re.escape(want)):
+            product(MarginalVector([0.5] * 15000))
 
     def test_largest_table_in_the_budget_is_built(self, monkeypatch):
         monkeypatch.setattr(dist, "SUMMARY_BUDGET", (4 + 2 * 2 + 384) * (math.comb(9, 2) + 1))

@@ -2,6 +2,7 @@
 certificate, the HiGHS oracle and its agreement with them, and the sweep
 table."""
 
+import gc
 import math
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import highs_lp
 import oracles
-from highs_lp import build_full_lp, solve
+from highs_lp import FULL_VARIABLE_LIMIT, build_full_lp, solve
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
     JointBernoulli,
@@ -31,9 +32,9 @@ from maxdecouple import (
     prob_hit_independent,
     product,
 )
-from maxdecouple import optimize
+from maxdecouple import dist, optimize
 from maxdecouple.errors import InvariantError
-from maxdecouple.optimize import FULL_VARIABLE_LIMIT, MODES, LpSolution
+from maxdecouple.optimize import MODES, LpSolution
 
 
 def assert_basic_optimum(full, objective, n, p, mode, tol):
@@ -123,8 +124,11 @@ class TestBuilders:
                 assert rows.tolist() == expected, (n, masks.tolist())
 
     def test_full_lp_rejects_large_n(self):
-        with pytest.raises(ValueError, match="exceeds 16"):
-            full_optimum(FULL_VARIABLE_LIMIT + 1, 0.5)
+        # The certificate's charge refuses 2^26 atoms at the 1 GiB budget;
+        # past n = 2^16 its figure is a lower bound, so no huge integer is built.
+        for n in (26, 40, 15000, 10**12):
+            with pytest.raises(ValueError, match=f"too large.* 2\\^{n} atoms"):
+                full_optimum(n, 0.5)
         with pytest.raises(ValueError):
             build_full_lp(FULL_VARIABLE_LIMIT + 1, 0.5)
 
@@ -476,10 +480,15 @@ class TestCertificate:
     def test_certificate_holds_exactly(self):
         # Dual objective b . y, the closed form and 1 - w_0 are one
         # Fraction, with the dual's sign right for the <= rows, on every
-        # grid point up to the cap: p in {0, j/10, 1/(n-1), 2/(n-1), 1}.
-        for n in range(2, FULL_VARIABLE_LIMIT + 1):
+        # grid point up to the oracle's cap: p in {0, j/10, 1/(n-1),
+        # 2/(n-1), 1}; past it, at n = 18 and 20, on p in {3/10, 1/2,
+        # 1/(n-1), 2/(n-1)}.  Everywhere it is the exchangeable optimum.
+        for n in [*range(2, FULL_VARIABLE_LIMIT + 1), 18, 20]:
             pairs = math.comb(n, 2)
-            grid = [Fraction(j, 10) for j in range(11)]
+            if n <= FULL_VARIABLE_LIMIT:
+                grid = [Fraction(j, 10) for j in range(11)]
+            else:
+                grid = [Fraction(3, 10), Fraction(1, 2)]
             for p in dict.fromkeys(grid + [Fraction(1, n - 1), min(Fraction(2, n - 1), 1)]):
                 k = optimize._closed_form_k(n, p)
                 duals, scale = optimize._certificate_dual(n, k)
@@ -490,6 +499,7 @@ class TestCertificate:
                 for mode in MODES:
                     solution = full_optimum(n, p, mode)
                     case = (n, p, mode)
+                    assert solution == exchangeable_optimum(n, p, mode), case
                     assert solution.objective_exact == dual_objective, case
                     assert solution.objective_exact == 1 - solution.weights_exact[0], case
                     assert solution.objective == float(dual_objective), case
@@ -546,6 +556,9 @@ class TestCertificate:
                 assert fault is not None and fault.startswith(f"a {row} row"), (n, p, mode)
 
     def test_dropped_pair_row_fails(self, monkeypatch):
+        self.assert_dropped_pair_row_named(monkeypatch, self.cases())
+
+    def assert_dropped_pair_row_named(self, monkeypatch, cases):
         # Either side: a dual that puts no multiplier on pair (0, 1) prices
         # the support's atoms below zero, and a row builder that loses the
         # last pair row no longer describes the program.
@@ -562,13 +575,69 @@ class TestCertificate:
         ):
             with monkeypatch.context() as m:
                 m.setattr(optimize, *patch)
-                for n, p, mode, solution in self.cases():
+                for n, p, mode, solution in cases:
                     k = optimize._closed_form_k(n, p)
                     fault = optimize._certificate_fault(n, p, mode, k, solution)
                     assert fault is not None and reason in fault, (n, p, mode, fault)
                     named = f"n={n}, p={p}, mode={mode}"
                     with pytest.raises(InvariantError, match=named):
                         full_optimum(n, p, mode)
+
+    def test_rows_are_counted_in_blocks(self, monkeypatch):
+        # The sweep's sizes count their rows in one block.  At a 16 MB
+        # budget the rows of n = 18, p = 1/2 (92,379 masks of 172 rows,
+        # 1,548 bytes each) take nine blocks, two of which meet two
+        # classes: the certificate still holds, and every injected fault is
+        # still named.
+        blocks = []
+        real_rows = optimize._constraint_rows
+
+        def counted_rows(n, masks):
+            blocks.append(masks.size)
+            return real_rows(n, masks)
+
+        half = Fraction(1, 2)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_constraint_rows", counted_rows)
+            for n in range(3, 13):
+                for mode in MODES:
+                    blocks.clear()
+                    full_optimum(n, Fraction(1, n - 1), mode)
+                    assert len(blocks) == 1, (n, mode)
+            m.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
+            for mode in MODES:
+                blocks.clear()
+                assert full_optimum(18, half, mode) == exchangeable_optimum(18, half, mode)
+                step = (1 << 24) // 1548
+                assert blocks == [step] * 8 + [92379 - 8 * step], mode
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
+        cases = [(18, half, mode, exchangeable_optimum(18, half, mode)) for mode in MODES]
+        self.assert_dropped_pair_row_named(monkeypatch, cases)
+
+    def test_charges_bound_the_peak(self, monkeypatch):
+        # The tracemalloc peak is within the 2^n-atom charge plus the rows
+        # of the used masks, which fit one block here.  On CPython 3.11 and
+        # numpy 2.4 the peaks are 0.82-0.95 of that bound; if a new Python
+        # or numpy fails a case, re-measure CERTIFICATE_ATOM_BYTES.
+        charged = []
+        monkeypatch.setattr(dist, "_check_budget", lambda what, nbytes: charged.append(nbytes))
+        monkeypatch.setattr(optimize, "_check_budget", dist._check_budget)
+        for n in (16, 18):
+            for p in (Fraction(1, n - 1), Fraction(1, 2)):
+                weights = exchangeable_optimum(n, p).weights_exact
+                used = sum(math.comb(n, z) for z, w in enumerate(weights) if w)
+                charged.clear()
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    full_optimum(n, p)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                atoms, row = charged
+                assert atoms == optimize.CERTIFICATE_ATOM_BYTES << n
+                assert row == 9 * (1 + n + math.comb(n, 2)) and used * row <= dist.SUMMARY_BUDGET
+                assert peak <= atoms + used * row, (n, p, peak / (atoms + used * row))
 
     def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):
         # A lone positive pair dual keeps every reduced cost >= 0, so only

@@ -10,14 +10,15 @@ from maxdecouple import bounds, cli, constructions, dist, optimize
 # float atom-level LP and its HiGHS solve live in the tests (`highs_lp`),
 # replaced at runtime by `full_optimum`'s exact certificate; the `construct`
 # command calls the family builders through `cli.FAMILY_BY_FLAG`; a table's
-# size is charged in bytes (`dist._check_table`), not capped in variables;
+# size is charged in bytes (`dist._check_table`), not capped in variables,
+# and so is the full route's certificate (`optimize.full_optimum`);
 # a failed certificate raises `errors.InvariantError`; every slack comes
 # from `dist._summed_slack`.
 REMOVED = (
     "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
     "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
     "DENSE_VARIABLE_LIMIT", "CertificateError", "VERDICT_SLACK", "DEFAULT_COVARIANCE_TOL",
-    "_check_tolerance",
+    "_check_tolerance", "FULL_VARIABLE_LIMIT",
 )
 
 
