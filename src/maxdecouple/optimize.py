@@ -45,10 +45,10 @@ MODES = ("pairwise_equality", "negative_covariance")
 # Bytes per atom of the certificate's 2^n-atom arrays at the larger of its
 # two stages: the dual stage's c, reduced costs and `_reduced_costs`' totals
 # and links, all int64, then `_hamming_weights`, its class tests and the
-# used classes' masks.  Tracemalloc puts them at 28 and at most 13 bytes an
-# atom from n = 12 on (CPython 3.11, numpy 2.4); the first are freed before
-# the second are made.  The rows of the used masks are charged apart, a
-# block at a time (`_certificate_fault`).
+# used classes' masks.  Tracemalloc puts them at 26-28 and at most 11 bytes
+# an atom from n = 12 on (CPython 3.11, numpy 2.4); the first are freed
+# before the second are made.  The rows of the used masks are charged
+# apart, a block at a time (`_certificate_fault`).
 CERTIFICATE_ATOM_BYTES = 32
 
 _ZERO = Fraction(0)
@@ -66,8 +66,7 @@ class LpSolution:
 
 
 def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     p = Fraction(p)
     if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"marginal p must lie in [0, 1], got {p}")
@@ -76,10 +75,28 @@ def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
     return p
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _closed_form(n: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """`exchangeable_optimum` at p = a/b in lowest terms, in integers:
+    (k, at_k, above_k, scale), with w_k = at_k / scale and
+    w_(k+1) = above_k / scale, the formulas of its docstring.  k is
+    1 + floor(2 S2 / S1) = 1 + floor((n - 1) p), and (0, 0, 0, 1) at
+    p = 0, where all mass is on Z = 0."""
+    if a == 0:
+        return 0, 0, 0, 1
+    k = 1 + (n - 1) * a // b
+    at_k = n * a * (k * b - (n - 1) * a) * (k + 1)
+    above_k = n * a * ((n - 1) * a - (k - 1) * b) * k
+    return k, at_k, above_k, k * (k + 1) * b * b
+
+
 def _closed_form_k(n: int, p: Fraction) -> int:
-    """The k of `exchangeable_optimum`, 1 + floor(2 S2 / S1), which is
-    1 + floor((n - 1) p); 0 at p = 0, where all mass is on Z = 0."""
-    return 0 if p == 0 else 1 + (n - 1) * p.numerator // p.denominator
+    """The k of `exchangeable_optimum` at a checked p."""
+    return _closed_form(n, p.numerator, p.denominator)[0]
 
 
 @cache
@@ -95,26 +112,43 @@ def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
     """The atom-level program's 0/1 rows over the atoms `masks`, a boolean
     (1 + n + C(n, 2)) x len(masks) array: row 0 sums the mass, row 1 + i
     the atoms with bit i set, then the pair rows in `np.triu_indices`
-    order, each the atoms with both bits set."""
-    bits = (masks & (1 << np.arange(n))[:, None]) != 0
+    order, each the atoms with both bits set.  The rows are filled in
+    place: the bits are unpacked from the masks' little-endian bytes, and
+    each pair row is a copy of its first bit's row ANDed with its
+    second's, whose gathered copy is the one temporary as large as the
+    pair rows."""
+    rows = np.empty((1 + n + n * (n - 1) // 2, masks.size), dtype=bool)
+    rows[0] = True
+    bits, pairs = rows[1 : 1 + n], rows[1 + n :]
+    octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    bits[...] = np.unpackbits(octets.T, axis=0, count=n, bitorder="little")
     first, second = _pair_indices(n)
-    return np.vstack([np.ones((1, masks.size), dtype=bool), bits, bits[first] & bits[second]])
+    np.take(bits, first, axis=0, out=pairs, mode="clip")
+    pairs &= bits[second]
+    return rows
 
 
 def _reduced_costs(n: int, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
     """c - A^T y over all 2^n atoms, for duals y in `_constraint_rows` order,
-    in the duals' dtype and in closed form: c_x - y_0 - sum_{i in x} y_i -
-    sum_{i<j in x} y_ij.  The sums extend one bit at a time, with no BLAS
-    call: the mask r + 2^b, r below 2^b, adds y_b and link_b(r) to the sum
-    of r, where link_j(r) = sum_{i in r} y_ij.  The links of the bits
-    j > b extend the same way, all at once, so each bit costs two
-    concatenations and at most 2^(n-1) links are held."""
+    in closed form: c_x - y_0 - sum_{i in x} y_i - sum_{i<j in x} y_ij,
+    with the sums in the duals' dtype.  The sums extend one bit at a time,
+    with no BLAS call: the mask r + 2^b, r below 2^b, adds y_b and then
+    link_b(r) to the sum of r, where link_j(r) = sum_{i in r} y_ij.  So
+    one 2^n array of totals is filled in place, its upper half from its
+    lower half, bit by bit; an atom's sum starts at y_0 and adds, for its
+    bits b in ascending order, y_b and then link_b, each link summed over
+    i in ascending order.  The links of the bits j > b extend the same
+    way, all at once, by one concatenation a bit, so at most 2^(n-1)
+    links are held."""
     pair = np.zeros((n, n), dtype=duals.dtype)
     pair[_pair_indices(n)] = duals[1 + n :]
-    total = duals[:1]
+    total = np.empty(1 << n, dtype=duals.dtype)
+    total[0] = duals[0]
     link = np.zeros((n, 1), dtype=duals.dtype)  # row j - b holds link_j
     for b in range(n):
-        total = np.concatenate([total, total + duals[1 + b] + link[0]])
+        upper = total[1 << b : 2 << b]
+        np.add(total[: 1 << b], duals[1 + b], out=upper)
+        np.add(upper, link[0], out=upper)
         link = np.concatenate([link[1:], link[1:] + pair[b, b + 1 :, None]], axis=1)
     return c - total
 
@@ -169,18 +203,12 @@ def _exchangeable(n: int, p: Fraction) -> LpSolution:
     """`exchangeable_optimum` at a checked p, in integers."""
     if n < 2:
         raise ValueError(f"exchangeable reduction needs n >= 2, got {n}")
+    k, at_k, above_k, scale = _closed_form(n, p.numerator, p.denominator)
     weights = [_ZERO] * (n + 1)
-    a, b = p.numerator, p.denominator
-    if a == 0:
-        weights[0] = Fraction(1)
-        return LpSolution(0.0, _ZERO, tuple(weights))
-    k = _closed_form_k(n, p)
-    scale = k * (k + 1) * b * b
-    at_k = n * a * (k * b - (n - 1) * a) * (k + 1)
-    above_k = n * a * ((n - 1) * a - (k - 1) * b) * k
     weights[0] = Fraction(scale - at_k - above_k, scale)
-    weights[k] = Fraction(at_k, scale)
-    if above_k:  # zero where (n - 1) p is an integer, p = 1 and k = n among them
+    if at_k:  # zero only at p = 0
+        weights[k] = Fraction(at_k, scale)
+    if above_k:  # zero where (n - 1) p is an integer, p = 0 and p = 1 among them
         weights[k + 1] = Fraction(above_k, scale)
     # int / int rounds correctly, so it is float(objective_exact).
     objective = (at_k + above_k) / scale
@@ -195,8 +223,7 @@ def _certificate_dual(n: int, k: int) -> tuple[np.ndarray, int]:
     pairs = n * (n - 1) // 2
     if k == 0:
         return np.zeros(1 + n + pairs, dtype=np.int64), 1
-    duals = np.concatenate([[0], np.full(n, 2 * k), np.full(pairs, -2)])
-    return duals.astype(np.int64), k * (k + 1)
+    return np.repeat(np.int64([0, 2 * k, -2]), [1, n, pairs]), k * (k + 1)
 
 
 def _certificate_fault(
@@ -220,6 +247,12 @@ def _certificate_fault(
     - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`,
       with b . y one integer over scale * denominator(p)^2.
     By weak duality the objective is then the minimum over all atoms.
+
+    The rows of the used classes' masks are made in `dist._blocks`, each
+    mask charged 2 bytes a row, which bounds the rows and the temporary
+    bits of their pair rows (tracemalloc: 1.86-1.90 bytes a row entry at
+    n = 12-20, p = 1/2).  Each class's rows are counted by a buffered
+    int64 sum, with no int64 copy of the booleans.
     """
     duals, scale = _certificate_dual(n, k)
     # The objective c is 0 on the zero atom and scale on every other.
@@ -232,25 +265,26 @@ def _certificate_fault(
     if upper and (duals[1 + n :] > 0).any():
         return "a pair row's dual is positive"
     weights = solution.weights_exact
-    if min(weights) < 0:
+    if min(w.numerator for w in weights) < 0:
         return "a witness weight is negative"
     used = [z for z, w in enumerate(weights) if w]
     # The used classes' masks, class by class; the weights go once they are made.
     masks = np.concatenate([np.flatnonzero(w == z) for w in [_hamming_weights(n)] for z in used])
-    kind = np.repeat([0, 1, 2], [1, n, n * (n - 1) // 2])  # each row's kind: mass, marginal, pair
-    counts = np.zeros((len(kind), len(used)), dtype=np.int64)
-    # The used classes' spans of masks, in order.  The classes a block
-    # meets, i on, are consecutive and cover it, so one reduceat at their
-    # starts, clipped to the block, adds its counts.  A mask's rows cost
-    # 1 + 8 bytes each, as booleans and as reduceat's int64 copy of them.
+    # Per row: its kind (0 mass, 1 marginal, 2 pair), then its count in each used class.
+    counts = np.zeros((1 + n + n * (n - 1) // 2, 1 + len(used)), dtype=np.int64)
+    counts[1 : 1 + n, 0], counts[1 + n :, 0] = 1, 2
+    # The used classes' spans of masks, in order; each span a block meets adds its rows' counts.
     spans = list(pairwise(accumulate((math.comb(n, z) for z in used), initial=0)))
-    for at in _blocks(f"a column of {len(kind)} rows", 0, masks.size, 9 * len(kind)):
+    height = len(counts)
+    for at in _blocks(f"a column of {height} rows", 0, masks.size, 2 * height):
         rows = _constraint_rows(n, masks[at])
-        if rows.shape[0] != len(kind):
-            return f"the program has {rows.shape[0]} rows, not {len(kind)}"
-        i = sum(hi <= at.start for _, hi in spans)
-        cuts = [max(lo - at.start, 0) for lo, _ in spans[i:] if lo < at.stop]
-        counts[:, i : i + len(cuts)] += np.add.reduceat(rows, cuts, axis=1, dtype=np.int64)
+        if rows.shape[0] != height:
+            return f"the program has {rows.shape[0]} rows, not {height}"
+        for column, (lo, hi) in enumerate(spans, 1):
+            lo, hi = max(lo, at.start) - at.start, min(hi, at.stop) - at.start
+            if lo < hi:
+                counts[:, column] += np.add.reduce(rows[:, lo:hi], axis=1, dtype=np.int64)
+        del rows  # so that two blocks' rows are never held at once
     # In integers over one denominator: class z's atoms each carry
     # w_z / C(n, z) = share_z / common, and row kind e's right-hand side is
     # p^e = a^e / b^e.
@@ -259,7 +293,7 @@ def _certificate_fault(
     common = math.lcm(*denominators)
     shares = [weights[z].numerator * (common // d) for z, d in zip(used, denominators)]
     # Rows of one kind with the same counts per class have the same total.
-    for row, *count in dict.fromkeys(map(tuple, np.column_stack([kind, counts]).tolist())):
+    for row, *count in dict.fromkeys(map(tuple, counts.tolist())):
         total = sum(share * c for share, c in zip(shares, count))
         scaled, rhs = total * b**row, a**row * common
         if scaled != rhs and not (upper and row == 2 and scaled < rhs):
@@ -274,6 +308,15 @@ def _certificate_fault(
             f"closed form {solution.objective_exact}"
         )
     return None
+
+
+def _charge_certificate(n: int) -> None:
+    """Charge the certificate's 2^n-atom arrays against the budget, one
+    integer comparison: `full_optimum`'s docstring gives the figure."""
+    # A figure cut at n = 2^16 is a lower bound; its low bit makes `_size` say "over".
+    shift = min(n, 1 << 16)
+    nbytes = CERTIFICATE_ATOM_BYTES << shift | (n > shift)
+    _check_budget(f"the LP certificate over 2^{n} atoms", nbytes)
 
 
 def full_optimum(
@@ -296,10 +339,7 @@ def full_optimum(
     InvariantError, naming n, p and mode, if the certificate fails.
     """
     p = _check_common(n, p, mode)
-    # A figure cut at n = 2^16 is a lower bound; its low bit makes `_size` say "over".
-    shift = min(n, 1 << 16)
-    nbytes = CERTIFICATE_ATOM_BYTES << shift | (n > shift)
-    _check_budget(f"the LP certificate over 2^{n} atoms", nbytes)
+    _charge_certificate(n)
     solution = _exchangeable(n, p)
     fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
     if fault is not None:
@@ -346,8 +386,12 @@ def conjecture_sweep(
 
     `reduction` is "exchangeable" (closed form) or "full" (the closed form
     certified over all 2^n atoms by `full_optimum`); both print the same
-    rows.  A full sweep raises at the first n the budget refuses, having
-    returned no row.
+    rows.  The exchangeable route takes each row's objective straight from
+    the integer kernel `_closed_form`, the correctly rounded float of
+    `exchangeable_optimum(n, 1/(n-1), mode).objective`, and checks the mode
+    once.  A full sweep charges every n's certificate before it makes its
+    first row, so a sweep the budget refuses raises at its first refused n
+    at once, having made and returned no row.
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  lp_ratio tends to
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
@@ -358,13 +402,22 @@ def conjecture_sweep(
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
     if reduction not in ("exchangeable", "full"):
         raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
-    route = full_optimum if reduction == "full" else exchangeable_optimum
+    _check_mode(mode)
+    full = reduction == "full"
+    if full:
+        # The charge grows with n, so this stops at the first refused n.
+        for n in range(n_min, n_max + 1):
+            _charge_certificate(n)
     rows = []
     running_inf = float("inf")
     for n in range(n_min, n_max + 1):
-        solution = route(n, Fraction(1, n - 1), mode)
+        if full:
+            objective = full_optimum(n, Fraction(1, n - 1), mode).objective
+        else:
+            _, at_k, above_k, scale = _closed_form(n, 1, n - 1)
+            objective = (at_k + above_k) / scale
         mtilde = _calibration_mtilde(n)
-        ratio = solution.objective / mtilde
+        ratio = objective / mtilde
         construction_ratio = (0.5 + 0.5 / (n - 1)) / mtilde
         running_inf = min(running_inf, ratio)
         rows.append(
@@ -372,7 +425,7 @@ def conjecture_sweep(
                 "n": n,
                 "p": 1 / (n - 1),
                 "mtilde": mtilde,
-                "lp_objective": solution.objective,
+                "lp_objective": objective,
                 "lp_ratio": ratio,
                 "construction_ratio": construction_ratio,
                 "gap": construction_ratio - ratio,

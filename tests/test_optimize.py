@@ -33,7 +33,7 @@ from maxdecouple import (
     product,
 )
 from maxdecouple import dist, optimize
-from maxdecouple.errors import InvariantError
+from maxdecouple.errors import InvalidDistributionError, InvariantError
 from maxdecouple.optimize import MODES, LpSolution
 
 
@@ -383,6 +383,35 @@ class TestMinRatioAndSweep:
         ):
             with pytest.raises(ValueError):
                 conjecture_sweep(n_min, n_max, reduction=reduction)
+        for reduction in ("exchangeable", "full"):
+            with pytest.raises(ValueError, match="mode must be one of"):
+                conjecture_sweep(3, 5, "equality", reduction=reduction)
+
+    def test_sweep_objective_is_the_exchangeable_optimum(self):
+        # The sweep's integer kernel gives the float of the Fraction route,
+        # bit for bit, in both modes.
+        for mode in MODES:
+            rows = conjecture_sweep(3, 600, mode, reduction="exchangeable")
+            for row in rows:
+                n = row["n"]
+                expected = exchangeable_optimum(n, Fraction(1, n - 1), mode).objective
+                assert row["lp_objective"] == expected, (n, mode)
+
+    def test_refused_full_sweep_makes_no_row(self, monkeypatch):
+        # Every n is charged before the first certificate, so a sweep past
+        # the budget runs none; the message names the first refused n.
+        calls = []
+        real = optimize._certificate_fault
+        monkeypatch.setattr(
+            optimize, "_certificate_fault", lambda *args: calls.append(args) or real(*args)
+        )
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
+        for n_min, n_max in ((3, 40), (19, 20), (3, 10**12)):
+            with pytest.raises(InvalidDistributionError, match=r"too large.*2\^20 atoms"):
+                conjecture_sweep(n_min, n_max, reduction="full")
+        assert calls == []
+        assert len(conjecture_sweep(3, 19, reduction="full")) == 17
+        assert len(calls) == 17
 
 
 class TestNegativeCovarianceMode:
@@ -504,6 +533,36 @@ class TestCertificate:
                     assert solution.objective_exact == 1 - solution.weights_exact[0], case
                     assert solution.objective == float(dual_objective), case
 
+    def test_reduced_costs_match_loop_oracle(self):
+        # Bit for bit against one Python sum per atom in the same order:
+        # y_0, then for each bit b in ascending order y_b and then the pair
+        # duals y_ib of the lower bits i, summed from zero.
+        rng = np.random.default_rng(23)
+        for n in range(1, 11):
+            rows = 1 + n + math.comb(n, 2)
+            pair = dict(zip(zip(*np.triu_indices(n, 1)), range(1 + n, rows)))
+            for duals in (
+                rng.integers(-(10**6), 10**6, size=rows),
+                rng.normal(size=rows) * 10.0 ** rng.integers(-3, 4, size=rows),
+            ):
+                c = rng.permutation(1 << n).astype(duals.dtype)
+                got = optimize._reduced_costs(n, c, duals)
+                assert got.dtype == duals.dtype, n
+                y = duals.tolist()
+                zero = type(y[0])(0)
+                expected = []
+                for mask in range(1 << n):
+                    bits = [b for b in range(n) if mask >> b & 1]
+                    total = y[0]
+                    for b in bits:
+                        link = zero
+                        for i in bits:
+                            if i < b:
+                                link += y[pair[i, b]]
+                        total = total + y[1 + b] + link
+                    expected.append(c[mask].item() - total)
+                assert got.tolist() == expected, (n, duals.dtype)
+
     def test_reduced_costs_are_integer_parabola(self):
         # Scaled by k(k+1), the atom of weight z >= 1 costs (z-k)(z-k-1) and
         # the zero atom 0: zero only on the closed form's support.
@@ -584,11 +643,11 @@ class TestCertificate:
                         full_optimum(n, p, mode)
 
     def test_rows_are_counted_in_blocks(self, monkeypatch):
-        # The sweep's sizes count their rows in one block.  At a 16 MB
-        # budget the rows of n = 18, p = 1/2 (92,379 masks of 172 rows,
-        # 1,548 bytes each) take nine blocks, two of which meet two
-        # classes: the certificate still holds, and every injected fault is
-        # still named.
+        # The sweep's sizes count their rows in one block.  At an 8 MB
+        # budget, just what the 2^18 atoms are charged, the rows of n = 18,
+        # p = 1/2 (92,379 masks of 172 rows, 344 bytes each) take four
+        # blocks, two of which meet two classes: the certificate still
+        # holds, and every injected fault is still named.
         blocks = []
         real_rows = optimize._constraint_rows
 
@@ -604,20 +663,20 @@ class TestCertificate:
                     blocks.clear()
                     full_optimum(n, Fraction(1, n - 1), mode)
                     assert len(blocks) == 1, (n, mode)
-            m.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
+            m.setattr(dist, "SUMMARY_BUDGET", 1 << 23)
             for mode in MODES:
                 blocks.clear()
                 assert full_optimum(18, half, mode) == exchangeable_optimum(18, half, mode)
-                step = (1 << 24) // 1548
-                assert blocks == [step] * 8 + [92379 - 8 * step], mode
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
+                step = (1 << 23) // 344
+                assert blocks == [step] * 3 + [92379 - 3 * step], mode
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 23)
         cases = [(18, half, mode, exchangeable_optimum(18, half, mode)) for mode in MODES]
         self.assert_dropped_pair_row_named(monkeypatch, cases)
 
     def test_charges_bound_the_peak(self, monkeypatch):
         # The tracemalloc peak is within the 2^n-atom charge plus the rows
         # of the used masks, which fit one block here.  On CPython 3.11 and
-        # numpy 2.4 the peaks are 0.82-0.95 of that bound; if a new Python
+        # numpy 2.4 the peaks are 0.74-0.81 of that bound; if a new Python
         # or numpy fails a case, re-measure CERTIFICATE_ATOM_BYTES.
         charged = []
         monkeypatch.setattr(dist, "_check_budget", lambda what, nbytes: charged.append(nbytes))
@@ -636,7 +695,7 @@ class TestCertificate:
                     tracemalloc.stop()
                 atoms, row = charged
                 assert atoms == optimize.CERTIFICATE_ATOM_BYTES << n
-                assert row == 9 * (1 + n + math.comb(n, 2)) and used * row <= dist.SUMMARY_BUDGET
+                assert row == 2 * (1 + n + math.comb(n, 2)) and used * row <= dist.SUMMARY_BUDGET
                 assert peak <= atoms + used * row, (n, p, peak / (atoms + used * row))
 
     def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):
