@@ -23,6 +23,7 @@ from .constructions import (
     affine_hash,
     comonotone,
     conjectured_extremal,
+    expand_exchangeable,
     one_hot_uniform,
     product,
     xor_parity,
@@ -52,7 +53,6 @@ from .optimize import (
     LpSolution,
     conjecture_sweep,
     exchangeable_optimum,
-    expand_exchangeable,
     full_optimum,
 )
 

@@ -3,10 +3,10 @@ exact pairwise-independent families.
 
 All builders return validated `JointBernoulli` tables, charged by
 `dist._check_table` before they are enumerated where they can be large.
-Where a mass is spread evenly and its total must survive floating point
-(one_hot_uniform; `optimize.expand_exchangeable`), `_even_spread` cuts it
-into whole quanta, so that every sum of the shares is exact and they add
-up to the total exactly; conjectured_extremal keeps equal masses.  The
+The exchangeable laws (one_hot_uniform, conjectured_extremal,
+expand_exchangeable) are built by `_hamming_law`, whose `_even_spread`
+cuts each Hamming-weight class into whole quanta, so that every sum of
+the shares is exact and they add up to the class mass exactly.  The
 affine-hash families here and in `continuous` share one cell list,
 `_affine_cells`.
 """
@@ -45,17 +45,33 @@ def _affine_cells(n: int, q: int) -> Iterator[tuple[int, ...]]:
     return (tuple((a + b * i) % q for i in range(n)) for a in range(q) for b in range(q))
 
 
-def _even_spread(masks: Sequence[int], total: float) -> dict[int, float]:
-    """`total` over the A `masks` in whole quanta q = ulp(total): mask k
-    takes floor((k + 1) N/A) - floor(k N/A) of the N = total/q quanta.
-    Every sum of shares, in any order, is then a multiple of q no larger
-    than total, so it is exact: the shares add up to `total` exactly, in
-    a left-to-right sum and in math.fsum alike, and each is within one
-    quantum of total/A."""
+def _even_spread(masks: Sequence[int], total: float) -> list[tuple[int, float]]:
+    """`total` over the A `masks` in whole quanta q = ulp(total), as
+    (mask, share) pairs: mask k takes floor((k + 1) N/A) - floor(k N/A)
+    of the N = total/q quanta.  Every sum of shares, in any order, is then
+    a multiple of q no larger than total, so it is exact: the shares add
+    up to `total` exactly, in a left-to-right sum and in math.fsum alike,
+    and each is within one quantum of total/A."""
     quantum, size = math.ulp(total), len(masks)
     count = int(total / quantum)
-    return {mask: ((k + 1) * count // size - k * count // size) * quantum
-            for k, mask in enumerate(masks)}
+    return [(mask, ((k + 1) * count // size - k * count // size) * quantum)
+            for k, mask in enumerate(masks)]
+
+
+def _hamming_law(n: int, classes: dict[int, float]) -> JointBernoulli:
+    """The exchangeable law with mass `classes[k]` on Hamming weight k,
+    spread over the C(n, k) masks of each weight by `_even_spread`, its
+    atoms charged by `dist._check_table` before any is made.  They reach
+    `JointBernoulli` as a list: a dict keyed by the C(n, 2) two-hot masks,
+    which share at most 1,891 hash values (an int hashes mod 2^61 - 1), is
+    quadratic to build."""
+    classes = {k: mass for k, mass in classes.items() if mass != 0.0}
+    _check_table(n, sum(math.comb(n, k) for k in classes))
+    atoms = []
+    for k, mass in classes.items():
+        masks = [sum(1 << i for i in bits) for bits in combinations(range(n), k)]
+        atoms += _even_spread(masks, mass)
+    return JointBernoulli(n, atoms)
 
 
 def one_hot_uniform(n: int) -> JointBernoulli:
@@ -67,8 +83,7 @@ def one_hot_uniform(n: int) -> JointBernoulli:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_table(n, n)
-    return JointBernoulli(n, _even_spread([1 << i for i in range(n)], 1.0))
+    return _hamming_law(n, {1: 1.0})
 
 
 def conjectured_extremal(n: int) -> JointBernoulli:
@@ -85,16 +100,18 @@ def conjectured_extremal(n: int) -> JointBernoulli:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    _check_table(n, n * (n - 1) // 2 + 1)
     p_zero = 0.5 - 1.0 / (2.0 * (n - 1))
-    pair_masks = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
-    # Identical mass on every two-hot mask: the true total is then
-    # p_zero + C(n,2) * pair_prob, off one from exact by a single rounding.
-    pair_prob = (1.0 - p_zero) / len(pair_masks)
-    atoms = {mask: pair_prob for mask in pair_masks}
-    if p_zero > 0.0:
-        atoms[0] = p_zero
-    return JointBernoulli(n, atoms)
+    return _hamming_law(n, {0: p_zero, 2: 1.0 - p_zero})
+
+
+def expand_exchangeable(n: int, weights) -> JointBernoulli:
+    """Spread each weight class uniformly over its masks (`_hamming_law`):
+    `weights[k]` is the mass on Hamming weight k, k = 0..n.  The inverse
+    of collapsing a joint to Hamming-weight totals; used to round-trip
+    exchangeable witnesses through the atom-level toolkit."""
+    if len(weights) != n + 1:
+        raise ValueError(f"need n+1 = {n + 1} weights, got {len(weights)}")
+    return _hamming_law(n, {k: float(w) for k, w in enumerate(weights)})
 
 
 def comonotone(n: int, eps: float) -> JointBernoulli:

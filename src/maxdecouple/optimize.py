@@ -22,8 +22,10 @@ tends to e/(2(e-1)), which is not the best lower constant: at p = 2/(n-1)
 the optimum, also pairwise independent, has Z in {0, 3} and a ratio below
 e/(2(e-1)) from n = 17 on.
 
-The module uses numpy only.  The tests keep a floating-point HiGHS solve
-of the atom-level program as an independent oracle.
+The module uses numpy only and builds no joint (an optimum's weights
+become one through `constructions.expand_exchangeable`).  The tests keep
+a floating-point HiGHS solve of the atom-level program as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 
 import numpy as np
 
-from .constructions import _even_spread
-from .dist import JointBernoulli, _blocks, _check_budget, _check_table
+from .dist import _blocks, _check_budget
 from .errors import InvariantError
 
 MODES = ("pairwise_equality", "negative_covariance")
@@ -347,29 +348,6 @@ def full_optimum(
             f"the full LP certificate fails at n={n}, p={p}, mode={mode}: {fault}"
         )
     return solution
-
-
-def expand_exchangeable(n: int, weights) -> JointBernoulli:
-    """Spread each weight class uniformly over its masks.
-
-    Inverse of collapsing a joint to Hamming-weight totals; used to
-    round-trip exchangeable witnesses through the atom-level toolkit.
-    Each class is cut into whole quanta (`constructions._even_spread`),
-    so its atoms sum to the class total exactly.  The C(n, k) atoms of the
-    nonzero classes are charged by `dist._check_table` before any is
-    enumerated.
-    """
-    if len(weights) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} weights, got {len(weights)}")
-    classes = [(k, float(w)) for k, w in enumerate(weights) if float(w) != 0.0]
-    _check_table(n, sum(math.comb(n, k) for k, _ in classes))
-    atoms: dict[int, float] = {}
-    for k, target in classes:
-        masks = [
-            sum(1 << i for i in bits) for bits in combinations(range(n), k)
-        ]
-        atoms.update(_even_spread(masks, target))
-    return JointBernoulli(n, atoms)
 
 
 def _calibration_mtilde(n: int) -> float:

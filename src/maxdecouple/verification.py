@@ -22,6 +22,7 @@ from .constructions import (
     affine_hash,
     comonotone,
     conjectured_extremal,
+    expand_exchangeable,
     one_hot_uniform,
     product,
     xor_parity,
@@ -289,7 +290,7 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
                     full is not None and full.objective_exact == exch.objective_exact, tag
                 )
                 if mode == "pairwise_equality":
-                    witness = optimize.expand_exchangeable(n, exch.weights_exact)
+                    witness = expand_exchangeable(n, exch.weights_exact)
                     # Each class's atoms sum exactly to its float total, which
                     # rounds the exact weight once (at most n + 1 of them);
                     # prob_hit sums the atoms left to right, fewer roundings

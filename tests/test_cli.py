@@ -17,7 +17,7 @@ import pytest
 
 from maxdecouple import (
     JointBernoulli, MarginalVector, NonnegJoint, affine_hash, affine_hash_values, cli, comonotone,
-    conjectured_extremal, one_hot_uniform, product, xor_parity,
+    conjectured_extremal, expand_exchangeable, one_hot_uniform, product, xor_parity,
 )
 from maxdecouple import dist, optimize
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
@@ -243,7 +243,7 @@ class TestReport:
         for n in (60, 80):
             weights = exchangeable_optimum(n, Fraction(2, n - 1)).weights_exact
             path = write_json(tmp_path / f"witness{n}.json",
-                              optimize.expand_exchangeable(n, weights).to_json_dict())
+                              expand_exchangeable(n, weights).to_json_dict())
             assert main(["report", "--in", path]) == EXIT_OK, n
             payload = json.loads(capsys.readouterr().out)
             assert all(payload["verdicts"].values()), payload["verdicts"]
