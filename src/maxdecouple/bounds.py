@@ -20,7 +20,8 @@ Every check reads the joint's cached `summary` (`dist.JointSummary`), so a
 report scans the atom table once, however many checks it runs.  Every
 verdict, and the negative-covariance test, takes its slack from the one
 rule `dist._summed_slack`, with the roundings each check derives below from
-the joint's atoms and variables n; u = 2^-53 and F = NORMALIZATION_TOL, the
+the joint's atoms and variables n, and those of a pair's excess counted by
+`dist._excess_terms`; u = 2^-53 and F = `dist._summed_slack(0)`, the
 rule's floor, throughout.
 """
 
@@ -30,7 +31,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .dist import JointBernoulli, MarginalVector, _summed_slack, prob_hit_independent
+from .dist import JointBernoulli, MarginalVector, _excess_terms, _summed_slack
+from .dist import prob_hit_independent
 
 # Optimal constant in the upper decoupling bound.  Never hard-code a decimal
 # truncation of these; all comparisons derive from math.e at full precision.
@@ -61,16 +63,6 @@ def _roundings(atoms: int, n: int) -> int:
     the marginals' errors, at most atoms u p_i each, move it by at most
     atoms u P(Z~ = 1) <= atoms u; and M~ = 1 - P rounds once more."""
     return atoms + 2 * n
-
-
-def _excess_terms(atoms: int, thresholds: int = 1) -> int:
-    """Roundings of one pair's excess E[X_i X_j] - p_i p_j, at one of
-    `thresholds` thresholds (a Bernoulli joint has one, t = 0), relative to
-    the larger of its two terms: the moment sums at most `atoms` weights,
-    and at most `thresholds` level masses more in the threshold sweep; each
-    marginal sums `atoms`; the product and the difference round once each.
-    That is 3 atoms + thresholds + 1, and one to spare."""
-    return 3 * atoms + thresholds + 2
 
 
 def _upper_terms(atoms: int, n: int, thresholds: int = 1) -> int:

@@ -17,7 +17,7 @@ The pairwise condition checked here is the thresholded analogue of negative
 covariance: P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) at every support
 threshold.  Every verdict and that test take their slack from
 `dist._summed_slack`, with the roundings counted by `bounds._upper_terms`
-and `bounds._excess_terms` for the joint's atoms, variables and thresholds.
+and `dist._excess_terms` for the joint's atoms, variables and thresholds.
 A Bernoulli joint counts as one threshold, so on a 0/1 joint the orthant
 test and the upper verdict take the slacks of their Bernoulli twins.
 Survival functions of finitely supported laws are piecewise constant
@@ -35,11 +35,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import PINELIS_CONSTANT, _excess_terms, _upper_terms, holds
+from .bounds import PINELIS_CONSTANT, _upper_terms, holds
 from .constructions import _affine_cells
 from .dist import JointBernoulli, _blocks, _check_number, _check_unit_mass, _check_values
 from .dist import _check_variable_count, _first, _first_invalid, _float_array, _gather
-from .dist import _read_document, _summed_slack
+from .dist import _column_classes, _excess_terms, _read_document, _summed_slack
 from .errors import InvalidDistributionError, InvariantError
 
 
@@ -134,11 +134,9 @@ class NonnegJoint:
         grid, ranks = np.unique(np.append(values, 0.0), return_inverse=True)
         size, cuts = len(grid), len(grid) - 1
         depth = cuts - ranks[:-1].reshape(atoms, n)
-        keys = [column.tobytes() for column in depth.T]
-        members = dict(zip(keys, range(n)))  # identical columns: any member will do
-        index = dict(zip(members, range(len(members))))
-        classes, d = np.array([index[key] for key in keys]), len(members)
-        table = np.column_stack([depth[:, list(members.values())], depth.min(axis=1)])
+        classes, first = _column_classes([column.tobytes() for column in depth.T])
+        d = len(first)
+        table = np.column_stack([depth[:, first], depth.min(axis=1)])
         # Each column's breakpoints, keyed column * size + depth.
         points = np.sort(np.append(table + np.arange(d + 1) * size, np.arange(d + 1) * size), None)
         points = points[np.append(True, points[1:] != points[:-1])]
@@ -260,7 +258,7 @@ def pairwise_orthant_ok(joint: NonnegJoint) -> bool:
     True iff P(X_i > t, X_j > t) <= P(X_i > t) P(X_j > t) + tau for every
     pair i != j and every support threshold t (support thresholds suffice:
     both sides are constant between consecutive support values), with tau
-    `_summed_slack` of `bounds._excess_terms` over the joint's atoms and
+    `_summed_slack` of `dist._excess_terms` over the joint's atoms and
     thresholds: on a 0/1 joint, `main_lower_check`'s tau.
     """
     sweep = joint._thresholds

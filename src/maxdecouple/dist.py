@@ -349,6 +349,16 @@ def _summed_slack(terms: int) -> float:
     return NORMALIZATION_TOL + terms * 2.0**-52
 
 
+def _excess_terms(atoms: int, thresholds: int = 1) -> int:
+    """Roundings of one pair's excess E[X_i X_j] - p_i p_j, at one of
+    `thresholds` thresholds (a Bernoulli joint has one, t = 0), relative to
+    the larger of its two terms: the moment sums at most `atoms` weights,
+    and at most `thresholds` level masses more in the threshold sweep; each
+    marginal sums `atoms`; the product and the difference round once each.
+    That is 3 atoms + thresholds + 1, and one to spare."""
+    return 3 * atoms + thresholds + 2
+
+
 def _size(count: int) -> str:
     """`count` in decimal, or by its power of two where the decimal is past
     Python's int/str digit limit (past about 2^14280 at the default limit)."""
@@ -390,27 +400,35 @@ def _blocks(what: str, start: int, stop: int, nbytes: int) -> Iterator[slice]:
     return (slice(at, min(at + step, stop)) for at in range(start, stop, step))
 
 
+def _column_classes(keys: list[bytes]) -> tuple[np.ndarray, list[int]]:
+    """Classes of equal `keys`, numbered by first appearance so distinct
+    columns keep their order: each column's class, each class's first column."""
+    first: dict[bytes, int] = {}
+    for column, key in enumerate(keys):
+        first.setdefault(key, column)
+    rank = dict(zip(first, range(len(first))))
+    return np.array([rank[key] for key in keys]), list(first.values())
+
+
 def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     """One scan of an atoms x n boolean table weighted by atom probability.
 
     Every sum (marginals, pair moments, P(Z > 0), E Z, E Z^2) runs left to
     right in atom order through np.cumsum, on one thread, so each equals the
-    plain loop over the table, bit for bit.  Pair data is per column class,
-    numbered by first appearance so that distinct columns keep their order;
-    the k_a variables of class a make k_a (k_a - 1) ordered pairs, each with
-    moment p_a.
+    plain loop over the table, bit for bit.  Pair data is per column class
+    (`_column_classes`); the k_a variables of class a make k_a (k_a - 1)
+    ordered pairs, each with moment p_a.
     """
     keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
-    rank = {key: a for a, key in enumerate(dict.fromkeys(keys))}
-    classes = np.array([rank[key] for key in keys])
-    atoms, d = len(weights), len(rank)
+    classes, first = _column_classes(keys)
+    atoms, d = len(weights), len(first)
     # The peak, in bytes: the column keys; the d x atoms boolean columns;
     # z, the three atom-level terms and a temporary; the pair loop's worst
     # step, which holds row block a - 1 while it builds block a (d - a
     # booleans, then floats, on each atom where class a fires, the indices
     # and weights it selects and the cast buffer of their product); and six
     # d x d matrices.
-    hits = np.array([int.from_bytes(key, "little").bit_count() for key in rank])
+    hits = np.array([int.from_bytes(keys[at], "little").bit_count() for at in first])
     cells = (d - np.arange(d)) * hits
     step = 8 * np.concatenate([[0], cells[:-1]]) + 9 * cells + 16 * hits
     _check_budget(
@@ -418,7 +436,7 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
         len(keys) * (atoms // 8 + 65) + atoms * (d + 48) + int(step.max()) + CAST_BUFFER
         + 48 * d * d,
     )
-    _, first, k = np.unique(classes, return_index=True, return_counts=True)
+    k = np.bincount(classes)
     columns = np.ascontiguousarray(bits[:, first].T)
 
     # Each atom's hit count as an exact integer row count; a float mat-vec
@@ -470,13 +488,11 @@ def moments_of_z(joint: JointBernoulli) -> tuple[float, float]:
     return joint.summary.ez, joint.summary.ez2
 
 
-def is_pairwise_independent(joint: JointBernoulli, tol: float) -> bool:
-    """True iff |P(X_i=1, X_j=1) - p_i p_j| <= tol for every pair i != j.
-    A NaN `tol`, which would fail every comparison, or a negative one
-    raises ValueError."""
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be a nonnegative number, got {tol}")
-    return joint.summary.max_abs_excess <= tol
+def is_pairwise_independent(joint: JointBernoulli) -> bool:
+    """True iff |P(X_i=1, X_j=1) - p_i p_j| <= tau for every pair i != j, with
+    `bounds.main_lower_check`'s tau, which every exactly pairwise independent
+    law passes: each computed excess is within (3 atoms + 2) u < tau of exact."""
+    return joint.summary.max_abs_excess <= _summed_slack(_excess_terms(len(joint.masks)))
 
 
 class _GuideTable:

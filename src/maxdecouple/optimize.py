@@ -45,10 +45,10 @@ MODES = ("pairwise_equality", "negative_covariance")
 
 # Bytes per atom of the certificate's 2^n-atom arrays at the larger of its
 # two stages: the dual stage's c, reduced costs and `_reduced_costs`' totals
-# and links, all int64, then `_hamming_weights`, its class tests and the
-# used classes' masks.  Tracemalloc puts them at 26-28 and at most 11 bytes
-# an atom from n = 12 on (CPython 3.11, numpy 2.4); the first are freed
-# before the second are made.  The rows of the used masks are charged
+# and links, all int64, then `_hamming_weights`, one byte an atom, its class
+# tests and the used classes' masks.  Tracemalloc puts them at 26-28 and at
+# most 7 bytes an atom from n = 12 on (CPython 3.11, numpy 2.4); the first
+# are freed before the second are made.  The rows of the used masks are charged
 # apart, a block at a time (`_certificate_fault`).
 CERTIFICATE_ATOM_BYTES = 32
 
@@ -66,8 +66,7 @@ class LpSolution:
     weights_exact: tuple[Fraction, ...]
 
 
-def _check_common(n: int, p: Fraction | float | int, mode: str) -> Fraction:
-    _check_mode(mode)
+def _check_common(n: int, p: Fraction | float | int) -> Fraction:
     p = Fraction(p)
     if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"marginal p must lie in [0, 1], got {p}")
@@ -155,21 +154,19 @@ def _reduced_costs(n: int, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
 
 
 def _hamming_weights(n: int) -> np.ndarray:
-    """The Hamming weight of every mask 0 .. 2^n - 1."""
+    """The Hamming weight of every mask 0 .. 2^n - 1, a byte each (n <= 25)."""
     # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
-    weight = np.zeros(1 << n, dtype=np.int64)
+    weight = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         np.add(weight[: 1 << b], 1, out=weight[1 << b : 2 << b])
     return weight
 
 
-def exchangeable_optimum(
-    n: int, p: Fraction | float, mode: str = "pairwise_equality"
-) -> LpSolution:
+def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
     """Exact minimum of P(Z > 0) over laws w_k = P(Z = k), k = 0..n, with
     sum w_k = 1, first falling moment S1 = sum k w_k = n p and second
-    falling moment 2 S2 = sum k(k-1) w_k = n(n-1) p^2 (an upper bound in
-    negative_covariance mode).
+    falling moment 2 S2 = sum k(k-1) w_k = n(n-1) p^2, and over its
+    relaxation, where 2 S2 is an upper bound (the two `MODES`).
 
     The optimum is the sharp Dawson-Sankoff bound 2 S1/(k+1) - 2 S2/(k(k+1))
     with k = 1 + floor(2 S2 / S1), attained only on the support {0, k, k+1}.
@@ -190,14 +187,13 @@ def exchangeable_optimum(
     Z = 0.
 
     Two facts follow:
-    - the program is never infeasible: Binomial(n, p) meets every row;
-    - negative_covariance mode has the same optimum and witness as
-      pairwise_equality: for fixed k the bound decreases as S2 grows, so a
-      law whose second falling moment T is below 2 S2 has
-      P(Z > 0) >= 2 S1/(k+1) - T/(k(k+1)), above the equality optimum,
-      which is itself feasible for the relaxation.
+    - neither program is ever infeasible: Binomial(n, p) meets every row;
+    - both programs have the same optimum and witness: for fixed k the
+      bound decreases as S2 grows, so a law of the relaxation whose second
+      falling moment T is below 2 S2 has P(Z > 0) >= 2 S1/(k+1) -
+      T/(k(k+1)), above the equality optimum, feasible for both.
     """
-    return _exchangeable(n, _check_common(n, p, mode))
+    return _exchangeable(n, _check_common(n, p))
 
 
 def _exchangeable(n: int, p: Fraction) -> LpSolution:
@@ -332,14 +328,15 @@ def full_optimum(
     Past n = 2^16 the figure is charged as just over its value there, far
     over any budget, so that no n/8-byte integer is built for it.
 
-    Returns `exchangeable_optimum(n, p, mode)` once `_certificate_fault`
+    Returns `exchangeable_optimum(n, p)` once `_certificate_fault`
     has proven it optimal for the program over every atom: the closed
     form's witness is primal feasible, the dual of its bound is dual
     feasible, and the two objectives are equal.  This is the dual form of
     the f(z) argument in `exchangeable_optimum`'s docstring.  Raises
     InvariantError, naming n, p and mode, if the certificate fails.
     """
-    p = _check_common(n, p, mode)
+    _check_mode(mode)  # the certificate reads it
+    p = _check_common(n, p)
     _charge_certificate(n)
     solution = _exchangeable(n, p)
     fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
@@ -366,7 +363,7 @@ def conjecture_sweep(
     certified over all 2^n atoms by `full_optimum`); both print the same
     rows.  The exchangeable route takes each row's objective straight from
     the integer kernel `_closed_form`, the correctly rounded float of
-    `exchangeable_optimum(n, 1/(n-1), mode).objective`, and checks the mode
+    `exchangeable_optimum(n, 1/(n-1)).objective`, and checks the mode
     once.  A full sweep charges every n's certificate before it makes its
     first row, so a sweep the budget refuses raises at its first refused n
     at once, having made and returned no row.

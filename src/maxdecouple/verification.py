@@ -29,7 +29,6 @@ from .constructions import (
 )
 from .continuous import NonnegJoint
 from .dist import (
-    NORMALIZATION_TOL,
     JointBernoulli,
     MarginalVector,
     _summed_slack,
@@ -70,25 +69,21 @@ class PropertyResult:
                 self.counterexamples.append(instance)
 
 
-def random_joint(
-    rng: np.random.Generator, max_n: int = 10, max_support: int = 16
-) -> JointBernoulli:
-    """Sparse random joint: arbitrary dependence, any correlation sign."""
-    n = int(rng.integers(1, max_n + 1))
+def random_joint(rng: np.random.Generator) -> JointBernoulli:
+    """Sparse random joint of up to 10 variables and 16 atoms, any dependence."""
+    n = int(rng.integers(1, 11))
     size = 1 << n
-    support = int(rng.integers(1, min(size, max_support) + 1))
+    support = int(rng.integers(1, min(size, 16) + 1))
     masks = rng.choice(size, size=support, replace=False)
     weights = rng.random(support) + 1e-3  # keep atoms away from zero mass
     probs = weights / weights.sum()
     return JointBernoulli(n, {int(m): float(p) for m, p in zip(masks, probs)})
 
 
-def random_nonneg_joint(
-    rng: np.random.Generator, max_n: int = 6, max_support: int = 8
-) -> NonnegJoint:
-    """Random finite-support nonnegative joint; lattice values force ties."""
-    n = int(rng.integers(1, max_n + 1))
-    support = int(rng.integers(1, max_support + 1))
+def random_nonneg_joint(rng: np.random.Generator) -> NonnegJoint:
+    """Nonneg joint of up to 6 variables and 8 atoms; lattice values force ties."""
+    n = int(rng.integers(1, 7))
+    support = int(rng.integers(1, 9))
     rows = []
     for _ in range(support):
         values = tuple(
@@ -103,8 +98,8 @@ def random_nonneg_joint(
     return NonnegJoint(n, [(v, float(p)) for v, p in zip(rows, probs)])
 
 
-def random_marginals(rng: np.random.Generator, max_n: int = 20) -> MarginalVector:
-    n = int(rng.integers(1, max_n + 1))
+def random_marginals(rng: np.random.Generator) -> MarginalVector:
+    n = int(rng.integers(1, 21))
     return MarginalVector([float(x) for x in rng.random(n)])
 
 
@@ -151,10 +146,9 @@ def _check_joint_properties(
     tallies["ratio-cap"].record(bounds.holds(report.M_tilde, joint.n * m, slack), doc)
 
     relabeled = permute_variables(joint, [int(x) for x in rng.permutation(joint.n)])
-    tallies["pairwise-flag-permutation-invariant"].record(all(
-        is_pairwise_independent(joint, tol) == is_pairwise_independent(relabeled, tol)
-        for tol in (NORMALIZATION_TOL, 1e-6)
-    ), doc)
+    tallies["pairwise-flag-permutation-invariant"].record(
+        is_pairwise_independent(joint) == is_pairwise_independent(relabeled), doc
+    )
 
     # The report's C and eta_lower are the right-hand sides of
     # `main_lower_check` and `eta_lower_check`: with H = 0 they are the
@@ -242,14 +236,16 @@ def _check_family_properties(tallies: dict[str, PropertyResult]) -> None:
     for joint in pairwise:
         doc = _joint_json(joint)
         tallies["families-pairwise-independent"].record(
-            is_pairwise_independent(joint, NORMALIZATION_TOL), doc
+            is_pairwise_independent(joint), doc
         )
         main = bounds.main_lower_check(joint)
         tallies["families-half-lower-bound"].record(main.applicable and main.holds, doc)
     for n, joint in enumerate(extremal, 3):
+        # Off 1/(n - 1) by the roundings of the target, P(Z = 0) (two) and P(Z = 2),
+        # and under ulp(P(Z = 2)) = u in each of n - 1 atoms summed exactly: n + 3.
         target = 1.0 / (n - 1)
         tallies["extremal-marginals"].record(
-            max(abs(x - target) for x in marginals(joint).p) <= NORMALIZATION_TOL,
+            max(abs(x - target) for x in marginals(joint).p) <= _summed_slack(n + 3),
             _joint_json(joint),
         )
     for joint in one_hot:
@@ -275,52 +271,52 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
             marg = marginals(joint).p
             paired = joint.summary.pair_moments[_ordered_pairs(joint) > 0]
             pf, p2f = float(p), float(p) * float(p)
-            marg_ok = max(abs(x - pf) for x in marg) <= NORMALIZATION_TOL
-            feasible = marg_ok and bool((abs(paired - p2f) <= NORMALIZATION_TOL).all())
+            # An atom rounds n products, and 1 - p moves each sum by (n - 1) u more;
+            # a moment sums up to `atoms` of them, p^2 rounds twice: atoms + 2n + 1.
+            slack = _summed_slack(len(joint.masks) + 2 * n + 1)
+            marg_ok = max(abs(x - pf) for x in marg) <= slack
+            feasible = marg_ok and bool((abs(paired - p2f) <= slack).all())
             certified = _certified(n, p) is not None
             tallies["lp-product-feasibility"].record(feasible and certified, tag)
 
     for n in (3, 4, 5):
         for p in (Fraction(1, n - 1), Fraction(3, 10)):
-            for mode in optimize.MODES:
-                tag = f'{{"lp":{{"n":{n},"p":"{p}","mode":"{mode}"}}}}'
-                full = _certified(n, p, mode)
-                exch = optimize.exchangeable_optimum(n, p, mode)
+            exch = optimize.exchangeable_optimum(n, p)
+            eq, relaxed = (_certified(n, p, mode) for mode in optimize.MODES)
+            for mode, full in zip(optimize.MODES, (eq, relaxed)):
                 tallies["lp-reduction-soundness"].record(
-                    full is not None and full.objective_exact == exch.objective_exact, tag
+                    full is not None and full.objective_exact == exch.objective_exact,
+                    f'{{"lp":{{"n":{n},"p":"{p}","mode":"{mode}"}}}}',
                 )
-                if mode == "pairwise_equality":
-                    witness = expand_exchangeable(n, exch.weights_exact)
-                    # Each class's atoms sum exactly to its float total, which
-                    # rounds the exact weight once (at most n + 1 of them);
-                    # prob_hit sums the atoms left to right, fewer roundings
-                    # than there are atoms; the objective rounds once.
-                    roundtrip = _summed_slack(len(witness.masks) + n + 2)
-                    tallies["lp-witness-roundtrip"].record(
-                        bounds.holds(abs(prob_hit(witness) - exch.objective), 0.0, roundtrip)
-                        and is_pairwise_independent(witness, NORMALIZATION_TOL),
-                        tag,
-                    )
-                    s = n * float(p)
-                    pz = s * s / (s + s * s) if s > 0 else 0.0
-                    half = 0.5 * prob_hit_independent(
-                        MarginalVector((float(p),) * n)
-                    )
-                    # pz rounds p, s, s^2, s + s^2 and the quotient: 5 times.
-                    # In half, p's rounding moves 1 - P by at most u, as
-                    # n p (1 - p)^(n-1) <= 1; 1 - p's enters n times, and the
-                    # n - 1 products and 1 - P round once each: 2n + 1 in all.
-                    # The objective rounds once more.
-                    tallies["lp-objective-bound-consistency"].record(
-                        bounds.holds(pz, exch.objective, _summed_slack(2 * n + 2))
-                        and bounds.holds(half, exch.objective, _summed_slack(2 * n + 2)),
-                        tag,
-                    )
-            eq = optimize.exchangeable_optimum(n, p)
-            relaxed = optimize.exchangeable_optimum(n, p, "negative_covariance")
+            tag = f'{{"lp":{{"n":{n},"p":"{p}"}}}}'
+            witness = expand_exchangeable(n, exch.weights_exact)
+            # Each class's atoms sum exactly to its float total, which
+            # rounds the exact weight once (at most n + 1 of them);
+            # prob_hit sums the atoms left to right, fewer roundings
+            # than there are atoms; the objective rounds once.
+            roundtrip = _summed_slack(len(witness.masks) + n + 2)
+            tallies["lp-witness-roundtrip"].record(
+                bounds.holds(abs(prob_hit(witness) - exch.objective), 0.0, roundtrip)
+                and is_pairwise_independent(witness),
+                tag,
+            )
+            s = n * float(p)
+            pz = s * s / (s + s * s) if s > 0 else 0.0
+            half = 0.5 * prob_hit_independent(MarginalVector((float(p),) * n))
+            # pz rounds p, s, s^2, s + s^2 and the quotient: 5 times.
+            # In half, p's rounding moves 1 - P by at most u, as
+            # n p (1 - p)^(n-1) <= 1; 1 - p's enters n times, and the
+            # n - 1 products and 1 - P round once each: 2n + 1 in all.
+            # The objective rounds once more.
+            tallies["lp-objective-bound-consistency"].record(
+                bounds.holds(pz, exch.objective, _summed_slack(2 * n + 2))
+                and bounds.holds(half, exch.objective, _summed_slack(2 * n + 2)),
+                tag,
+            )
             tallies["lp-relaxation-never-larger"].record(
-                relaxed.objective_exact <= eq.objective_exact,
-                f'{{"lp":{{"n":{n},"p":"{p}"}}}}',
+                eq is not None and relaxed is not None
+                and relaxed.objective_exact <= eq.objective_exact,
+                tag,
             )
 
 

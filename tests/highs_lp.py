@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from maxdecouple import optimize
-from maxdecouple.optimize import _check_common
+from maxdecouple.optimize import _check_common, _check_mode
 
 # The largest n the oracle builds: `ExtremalLp` materializes all 2^n
 # columns as float CSR (about 54 MB at n = 16), and the tests compare the
@@ -83,7 +83,8 @@ def build_full_lp(
     in negative_covariance mode (a relaxation, so its optimum can only be
     lower).  Objective: minimize the mass off the zero atom.
     """
-    p = _check_common(n, p, mode)
+    _check_mode(mode)
+    p = _check_common(n, p)
     if n > FULL_VARIABLE_LIMIT:
         raise ValueError(
             f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
@@ -101,7 +102,7 @@ def seed_columns(lp: ExtremalLp) -> np.ndarray:
     """Masks of Hamming weight 0, k - 1, k and k + 1, where k is the closed
     form's k (see `optimize.exchangeable_optimum`)."""
     k = optimize._closed_form_k(lp.n, lp.p)
-    weight = optimize._hamming_weights(lp.n)
+    weight = optimize._hamming_weights(lp.n).astype(np.int64)  # uint8 would wrap below k
     return np.flatnonzero((weight == 0) | (abs(weight - k) <= 1))
 
 

@@ -64,7 +64,7 @@ def criterion(number, description):
 @pytest.fixture(scope="module")
 def joint_batch():
     rng = np.random.default_rng(SEED)
-    return [random_joint(rng, max_n=10, max_support=16) for _ in range(N_RANDOM_JOINTS)]
+    return [random_joint(rng) for _ in range(N_RANDOM_JOINTS)]
 
 
 def test_criterion_01_pinelis_constant_tightness():
@@ -232,7 +232,7 @@ def test_criterion_09_continuous_layer_cake(joint_batch):
     with criterion(9, "layer-cake identity, c-upper, conditional half-lower, embedding"):
         rng = np.random.default_rng(SEED + 9)
         for _ in range(1000):
-            j = random_nonneg_joint(rng, max_n=6, max_support=8)
+            j = random_nonneg_joint(rng)
             direct = expected_max(j)
             grid = sorted({0.0} | {v for vec, _ in j.atoms for v in vec})
             layered = 0.0

@@ -61,7 +61,8 @@ class TestOneHotUniform:
             classes.setdefault(mask.bit_count(), []).append(p)
         totals = {k: math.fsum(probs) for k, probs in classes.items()}
         assert totals == {k: float(w) for k, w in enumerate(weights) if w}
-        assert is_pairwise_independent(joint, 1e-14)
+        assert is_pairwise_independent(joint)
+        assert joint.summary.max_abs_excess <= 1e-14
 
     def test_ten_variables_independent_version(self):
         j = one_hot_uniform(10)
@@ -91,7 +92,9 @@ class TestConjecturedExtremal:
 
     def test_pairwise_independent_up_to_24(self):
         for n in range(3, 25):
-            assert is_pairwise_independent(conjectured_extremal(n), 1e-12)
+            joint = conjectured_extremal(n)
+            assert is_pairwise_independent(joint)
+            assert joint.summary.max_abs_excess <= 1e-12
 
     def test_marginals_up_to_24(self):
         for n in range(3, 25):
@@ -180,7 +183,8 @@ class TestAffineHash:
         for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             for m in {0, 1, q // 2, q - 1, q}:
                 j = affine_hash(min(q, 6), q, m)
-                assert is_pairwise_independent(j, 1e-12), (q, m)
+                assert is_pairwise_independent(j), (q, m)
+                assert j.summary.max_abs_excess <= 1e-12, (q, m)
 
     def test_rejects_composite_q(self):
         with pytest.raises(ValueError):
@@ -216,7 +220,9 @@ class TestXorParity:
 
     def test_pairwise_independent_all_k(self):
         for k in range(1, 5):
-            assert is_pairwise_independent(xor_parity(k), 1e-12)
+            joint = xor_parity(k)
+            assert is_pairwise_independent(joint)
+            assert joint.summary.max_abs_excess <= 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

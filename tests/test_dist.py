@@ -271,22 +271,16 @@ class TestMomentsOfZ:
 class TestPairwiseIndependence:
     def test_product_is_pairwise_independent(self):
         j = product(MarginalVector([0.3, 0.7]))
-        assert is_pairwise_independent(j, 1e-12)
+        assert is_pairwise_independent(j)
+        assert j.summary.max_abs_excess <= 1e-12
 
     def test_comonotone_is_not(self):
-        assert not is_pairwise_independent(comonotone(2, 0.1), 1e-12)
+        assert not is_pairwise_independent(comonotone(2, 0.1))
 
     def test_extremal_five(self):
-        assert is_pairwise_independent(conjectured_extremal(5), 1e-12)
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            is_pairwise_independent(comonotone(2, 0.1), -1.0)
-
-    def test_rejects_nan_tolerance(self):
-        # NaN fails every comparison, so it would answer False for any joint.
-        with pytest.raises(ValueError, match="nan"):
-            is_pairwise_independent(product(MarginalVector([0.3, 0.7])), math.nan)
+        j = conjectured_extremal(5)
+        assert is_pairwise_independent(j)
+        assert j.summary.max_abs_excess <= 1e-12
 
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**31 - 1), permseed=st.integers(0, 2**31 - 1))
@@ -294,10 +288,7 @@ class TestPairwiseIndependence:
         j = random_sparse_joint(np.random.default_rng(seed))
         perm = [int(x) for x in np.random.default_rng(permseed).permutation(j.n)]
         relabeled = permute_variables(j, perm)
-        for tol in (1e-12, 1e-6, 1e-2):
-            assert is_pairwise_independent(j, tol) == is_pairwise_independent(
-                relabeled, tol
-            )
+        assert is_pairwise_independent(j) == is_pairwise_independent(relabeled)
 
 
 class TestEtaMatrix:
@@ -345,10 +336,8 @@ class TestColumnClasses:
                 for b in range(j.n)
                 if a != b
             ]
-            for tol in (1e-12, 1e-6):
-                expect = all(abs(g) <= tol for g in gaps)
-                assert is_pairwise_independent(j, tol) == expect
             tau = dist._summed_slack(3 * len(j.masks) + 3)
+            assert is_pairwise_independent(j) == all(abs(g) <= tau for g in gaps)
             assert main_lower_check(j).applicable == all(g <= tau for g in gaps)
 
     def test_classes_follow_first_appearance(self):

@@ -27,6 +27,7 @@ from maxdecouple import (
     full_optimum,
     full_report,
     is_pairwise_independent,
+    main_lower_check,
     marginals,
     prob_hit,
     prob_hit_independent,
@@ -148,7 +149,7 @@ class TestBuilders:
         with pytest.raises(ValueError):
             exchangeable_optimum(4, 1.5)
         with pytest.raises(ValueError):
-            exchangeable_optimum(4, 0.5, "bogus")
+            full_optimum(4, 0.5, "bogus")
 
 
 class TestSolveKnownInstances:
@@ -192,7 +193,7 @@ class TestSolveKnownInstances:
         for n in (2, 3, 5):
             for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, n - 1), Fraction(1, 2)):
                 for mode in MODES:
-                    assert 0 <= exchangeable_optimum(n, p, mode).objective_exact <= 1
+                    assert 0 <= exchangeable_optimum(n, p).objective_exact <= 1
                     assert solve(build_full_lp(n, p, mode)).status == "optimal"
                     assert 0 <= full_optimum(n, p, mode).objective_exact <= 1
 
@@ -222,7 +223,7 @@ class TestOracleAgreement:
                     ("negative_covariance", False),
                 ):
                     expected = oracles.oracle_lp_vertex_minimum(n, p, equality)
-                    got = exchangeable_optimum(n, p, mode).objective_exact
+                    got = exchangeable_optimum(n, p).objective_exact
                     assert got == expected, (n, p, mode)
 
     def test_closed_form_matches_exact_simplex(self):
@@ -236,7 +237,7 @@ class TestOracleAgreement:
                     ("negative_covariance", False),
                 ):
                     expected = oracles.oracle_exchangeable_simplex(n, p, equality)
-                    got = exchangeable_optimum(n, p, mode)
+                    got = exchangeable_optimum(n, p)
                     pair = (got.objective_exact, got.weights_exact)
                     assert pair == expected, (n, p, mode)
 
@@ -246,16 +247,15 @@ class TestOracleAgreement:
         for n in range(2, 81):
             for p in (Fraction(j, 2 * (n - 1)) for j in range(2 * n - 1)):
                 expected = LpSolution(*oracles.oracle_exchangeable_optimum(n, p))
-                for mode in MODES:
-                    assert exchangeable_optimum(n, p, mode) == expected, (n, p, mode)
+                assert exchangeable_optimum(n, p) == expected, (n, p)
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(2, 200), p=st.floats(0.0, 1.0), mode=st.sampled_from(MODES))
-    def test_integer_closed_form_at_float_marginals(self, n, p, mode):
+    @given(n=st.integers(2, 200), p=st.floats(0.0, 1.0))
+    def test_integer_closed_form_at_float_marginals(self, n, p):
         # A float p is read as Fraction(p), whose denominator is a power of
         # two up to 2^1074; the products grow with it and stay exact.
         expected = LpSolution(*oracles.oracle_exchangeable_optimum(n, Fraction(p)))
-        assert exchangeable_optimum(n, p, mode) == expected
+        assert exchangeable_optimum(n, p) == expected
 
     def test_reduction_soundness(self):
         # The HiGHS oracle reaches the certified optimum, and its witness is
@@ -267,14 +267,13 @@ class TestOracleAgreement:
                 for mode in MODES:
                     full = solve(build_full_lp(n, p, mode))
                     certified = full_optimum(n, p, mode)
-                    assert certified == exchangeable_optimum(n, p, mode)
+                    assert certified == exchangeable_optimum(n, p)
                     assert_basic_optimum(full, certified.objective, n, p, mode, 1e-9)
 
     def test_negcov_never_above_equality(self):
         for n in (3, 4, 6, 9):
             for p in (Fraction(1, n - 1), Fraction(2, 5)):
-                eq = exchangeable_optimum(n, p)
-                relaxed = exchangeable_optimum(n, p, "negative_covariance")
+                eq, relaxed = (full_optimum(n, p, mode) for mode in MODES)
                 assert relaxed.objective_exact <= eq.objective_exact
 
 
@@ -291,7 +290,8 @@ class TestWitnessRoundTrip:
             solution = exchangeable_optimum(n, Fraction(1, n - 1))
             witness = expand_exchangeable(n, solution.weights_exact)
             assert prob_hit(witness) == pytest.approx(solution.objective, abs=1e-9)
-            assert is_pairwise_independent(witness, 1e-12)
+            assert is_pairwise_independent(witness)
+            assert witness.summary.max_abs_excess <= 1e-12
 
     def test_class_totals_survive_float_conversion(self):
         weights = [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7), Fraction(0)]
@@ -310,9 +310,24 @@ class TestWitnessRoundTrip:
         assert len(witness.atoms) == 1 + math.comb(17, 3) == 681
         report = full_report(witness)
         assert report.universal_ok
-        assert is_pairwise_independent(witness, 1e-12)
+        assert is_pairwise_independent(witness)
+        assert witness.summary.max_abs_excess <= 1e-12
         ratio = report.M / report.M_tilde
         assert round(ratio, 6) == 0.789941 and ratio < CONJECTURED_LOWER_CONSTANT
+
+    def test_m_hot_witnesses_pass_the_slack_rule(self):
+        # At p = (m-1)/(n-1) the optimum puts its mass on Z in {0, m}: a
+        # Paley-Zygmund equality case, exactly pairwise independent, whose
+        # expanded law every rule-based test must pass.  Every (m-1)-th n up
+        # to 40 and n = 40, 1 + C(40, 4) = 91,391 atoms at most.
+        for m in (2, 3, 4):
+            for n in (*range(m + 1, 40, m - 1), 40):
+                weights = exchangeable_optimum(n, Fraction(m - 1, n - 1)).weights_exact
+                assert {k for k, w in enumerate(weights) if w} <= {0, m}, (m, n)
+                witness = expand_exchangeable(n, weights)
+                assert is_pairwise_independent(witness), (m, n)
+                assert main_lower_check(witness).applicable, (m, n)
+                assert full_report(witness).universal_ok, (m, n)
 
     def test_atom_cap_is_checked_before_enumerating(self, monkeypatch):
         def refuse(*args):
@@ -394,7 +409,7 @@ class TestMinRatioAndSweep:
             rows = conjecture_sweep(3, 600, mode, reduction="exchangeable")
             for row in rows:
                 n = row["n"]
-                expected = exchangeable_optimum(n, Fraction(1, n - 1), mode).objective
+                expected = exchangeable_optimum(n, Fraction(1, n - 1)).objective
                 assert row["lp_objective"] == expected, (n, mode)
 
     def test_refused_full_sweep_makes_no_row(self, monkeypatch):
@@ -419,7 +434,7 @@ class TestNegativeCovarianceMode:
         # Spot value: at n=3, p=1/2 both optima are 3/4; the relaxation
         # cannot go lower (see exchangeable_optimum).
         eq = exchangeable_optimum(3, Fraction(1, 2))
-        relaxed = exchangeable_optimum(3, Fraction(1, 2), "negative_covariance")
+        relaxed = full_optimum(3, Fraction(1, 2), "negative_covariance")
         expected = oracles.oracle_lp_vertex_minimum(3, Fraction(1, 2), False)
         assert relaxed.objective_exact == expected == eq.objective_exact == Fraction(3, 4)
 
@@ -528,7 +543,7 @@ class TestCertificate:
                 for mode in MODES:
                     solution = full_optimum(n, p, mode)
                     case = (n, p, mode)
-                    assert solution == exchangeable_optimum(n, p, mode), case
+                    assert solution == exchangeable_optimum(n, p), case
                     assert solution.objective_exact == dual_objective, case
                     assert solution.objective_exact == 1 - solution.weights_exact[0], case
                     assert solution.objective == float(dual_objective), case
@@ -588,7 +603,7 @@ class TestCertificate:
         for n in (2, 3, 5, 8, 12):
             for p in (Fraction(1, n - 1), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
                 for mode in MODES:
-                    yield n, p, mode, exchangeable_optimum(n, p, mode)
+                    yield n, p, mode, exchangeable_optimum(n, p)
 
     def test_dual_from_k_plus_one_fails(self):
         # Still dual feasible ((z-k-1)(z-k-2) >= 0), but its objective is
@@ -666,11 +681,11 @@ class TestCertificate:
             m.setattr(dist, "SUMMARY_BUDGET", 1 << 23)
             for mode in MODES:
                 blocks.clear()
-                assert full_optimum(18, half, mode) == exchangeable_optimum(18, half, mode)
+                assert full_optimum(18, half, mode) == exchangeable_optimum(18, half)
                 step = (1 << 23) // 344
                 assert blocks == [step] * 3 + [92379 - 3 * step], mode
         monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 23)
-        cases = [(18, half, mode, exchangeable_optimum(18, half, mode)) for mode in MODES]
+        cases = [(18, half, mode, exchangeable_optimum(18, half)) for mode in MODES]
         self.assert_dropped_pair_row_named(monkeypatch, cases)
 
     def test_charges_bound_the_peak(self, monkeypatch):
@@ -736,6 +751,6 @@ class TestCertificate:
             ("negative_covariance", "positive"),
             ("pairwise_equality", "dual objective"),
         ):
-            solution = exchangeable_optimum(4, p, mode)
+            solution = exchangeable_optimum(4, p)
             fault = optimize._certificate_fault(4, p, mode, 2, solution)
             assert fault is not None and reason in fault, (mode, fault)
