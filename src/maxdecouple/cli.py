@@ -198,8 +198,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    # 'full' also certifies each row over all 2^n atoms, as far as the
-    # budget admits; the rows are all made before any is written.
+    # 'full' also certifies each row over all 2^n atoms; the rows are all
+    # made before any is written, so a failed certificate writes nothing.
     rows = _as_usage(optimize.conjecture_sweep, args.n_min, args.n_max,
                      MODE_BY_FLAG[args.mode], reduction=args.reduction)
     _emit(args.out, _csv(SWEEP_COLUMNS, rows))

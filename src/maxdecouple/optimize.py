@@ -11,10 +11,10 @@ Two routes to the same optimum, both exact:
   full          the same optimum, proven optimal for the linear program
                 with one variable per atom of {0,1}^n (2^n variables) by
                 an LP-duality certificate checked in integers and
-                rationals over every atom (see `full_optimum`).  Its
-                2^n-atom arrays are charged against `dist.SUMMARY_BUDGET`
-                before they are made, which admits n <= 25, and its rows
-                are counted a budget's block at a time.
+                rationals over the n + 1 Hamming-weight classes, which is
+                exact over every atom (see `_certificate_fault`): a few
+                big-integer operations per certificate at any n, with
+                nothing to charge against the memory budget.
 
 The two routes must agree, which is one of the package's verification
 properties.  The sweep's ratio of the optimum to P(Z~ > 0) at p = 1/(n-1)
@@ -22,35 +22,23 @@ tends to e/(2(e-1)), which is not the best lower constant: at p = 2/(n-1)
 the optimum, also pairwise independent, has Z in {0, 3} and a ratio below
 e/(2(e-1)) from n = 17 on.
 
-The module uses numpy only and builds no joint (an optimum's weights
-become one through `constructions.expand_exchangeable`).  The tests keep
-a floating-point HiGHS solve of the atom-level program as an independent
-oracle.
+The module uses no numpy and builds no joint (an optimum's weights become
+one through `constructions.expand_exchangeable`).  The tests keep the
+atom-level program as an independent oracle: a floating-point HiGHS solve
+and the same certificate checked atom by atom.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate, pairwise, repeat
+from itertools import repeat
+from types import MappingProxyType
 
-import numpy as np
-
-from .dist import _blocks, _check_budget
 from .errors import InvariantError
 
 MODES = ("pairwise_equality", "negative_covariance")
-
-# Bytes per atom of the certificate's 2^n-atom arrays at the larger of its
-# two stages: the dual stage's c, reduced costs and `_reduced_costs`' totals
-# and links, all int64, then `_hamming_weights`, one byte an atom, its class
-# tests and the used classes' masks.  Tracemalloc puts them at 26-28 and at
-# most 7 bytes an atom from n = 12 on (CPython 3.11, numpy 2.4); the first
-# are freed before the second are made.  The rows of the used masks are charged
-# apart, a block at a time (`_certificate_fault`).
-CERTIFICATE_ATOM_BYTES = 32
 
 _ZERO = Fraction(0)
 
@@ -58,12 +46,19 @@ _ZERO = Fraction(0)
 @dataclass(frozen=True)
 class LpSolution:
     """Solved search instance: `objective` is the minimum of P(Z > 0),
-    `objective_exact` the same optimum as a rational, and `weights_exact`
-    the exact weights P(Z = k), k = 0..n, of an optimal law."""
+    `objective_exact` the same optimum as a rational, and `support` maps
+    each class z of an optimal law on Z = 0..n to its exact weight
+    w_z = P(Z = z), nonzero weights only, read-only, so that a solution
+    costs the same at any n.  `weights_exact` lists all n + 1 weights."""
 
     objective: float
     objective_exact: Fraction
-    weights_exact: tuple[Fraction, ...]
+    n: int
+    support: MappingProxyType[int, Fraction] = field(hash=False)
+
+    @property
+    def weights_exact(self) -> tuple[Fraction, ...]:
+        return tuple(map(self.support.get, range(self.n + 1), repeat(_ZERO)))
 
 
 def _check_common(n: int, p: Fraction | float | int) -> Fraction:
@@ -97,69 +92,6 @@ def _closed_form(n: int, a: int, b: int) -> tuple[int, int, int, int]:
 def _closed_form_k(n: int, p: Fraction) -> int:
     """The k of `exchangeable_optimum` at a checked p."""
     return _closed_form(n, p.numerator, p.denominator)[0]
-
-
-@cache
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(n, 1)`, the pair rows' order, computed once per n."""
-    first, second = np.triu_indices(n, 1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
-
-
-def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    """The atom-level program's 0/1 rows over the atoms `masks`, a boolean
-    (1 + n + C(n, 2)) x len(masks) array: row 0 sums the mass, row 1 + i
-    the atoms with bit i set, then the pair rows in `np.triu_indices`
-    order, each the atoms with both bits set.  The rows are filled in
-    place: the bits are unpacked from the masks' little-endian bytes, and
-    each pair row is a copy of its first bit's row ANDed with its
-    second's, whose gathered copy is the one temporary as large as the
-    pair rows."""
-    rows = np.empty((1 + n + n * (n - 1) // 2, masks.size), dtype=bool)
-    rows[0] = True
-    bits, pairs = rows[1 : 1 + n], rows[1 + n :]
-    octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
-    bits[...] = np.unpackbits(octets.T, axis=0, count=n, bitorder="little")
-    first, second = _pair_indices(n)
-    np.take(bits, first, axis=0, out=pairs, mode="clip")
-    pairs &= bits[second]
-    return rows
-
-
-def _reduced_costs(n: int, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """c - A^T y over all 2^n atoms, for duals y in `_constraint_rows` order,
-    in closed form: c_x - y_0 - sum_{i in x} y_i - sum_{i<j in x} y_ij,
-    with the sums in the duals' dtype.  The sums extend one bit at a time,
-    with no BLAS call: the mask r + 2^b, r below 2^b, adds y_b and then
-    link_b(r) to the sum of r, where link_j(r) = sum_{i in r} y_ij.  So
-    one 2^n array of totals is filled in place, its upper half from its
-    lower half, bit by bit; an atom's sum starts at y_0 and adds, for its
-    bits b in ascending order, y_b and then link_b, each link summed over
-    i in ascending order.  The links of the bits j > b extend the same
-    way, all at once, by one concatenation a bit, so at most 2^(n-1)
-    links are held."""
-    pair = np.zeros((n, n), dtype=duals.dtype)
-    pair[_pair_indices(n)] = duals[1 + n :]
-    total = np.empty(1 << n, dtype=duals.dtype)
-    total[0] = duals[0]
-    link = np.zeros((n, 1), dtype=duals.dtype)  # row j - b holds link_j
-    for b in range(n):
-        upper = total[1 << b : 2 << b]
-        np.add(total[: 1 << b], duals[1 + b], out=upper)
-        np.add(upper, link[0], out=upper)
-        link = np.concatenate([link[1:], link[1:] + pair[b, b + 1 :, None]], axis=1)
-    return c - total
-
-
-def _hamming_weights(n: int) -> np.ndarray:
-    """The Hamming weight of every mask 0 .. 2^n - 1, a byte each (n <= 25)."""
-    # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
-    weight = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        np.add(weight[: 1 << b], 1, out=weight[1 << b : 2 << b])
-    return weight
 
 
 def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
@@ -201,119 +133,86 @@ def _exchangeable(n: int, p: Fraction) -> LpSolution:
     if n < 2:
         raise ValueError(f"exchangeable reduction needs n >= 2, got {n}")
     k, at_k, above_k, scale = _closed_form(n, p.numerator, p.denominator)
-    weights = [_ZERO] * (n + 1)
-    weights[0] = Fraction(scale - at_k - above_k, scale)
-    if at_k:  # zero only at p = 0
-        weights[k] = Fraction(at_k, scale)
-    if above_k:  # zero where (n - 1) p is an integer, p = 0 and p = 1 among them
-        weights[k + 1] = Fraction(above_k, scale)
+    # w_0 goes in last: at p = 0, k = 0 and w_0 = 1 is the only weight.  The
+    # zeros (w_(k+1) where (n - 1) p is an integer, w_0 at p = 1) are dropped.
+    masses = {k: at_k, k + 1: above_k, 0: scale - at_k - above_k}
+    support = {z: Fraction(m, scale) for z, m in sorted(masses.items()) if m}
     # int / int rounds correctly, so it is float(objective_exact).
     objective = (at_k + above_k) / scale
-    return LpSolution(objective, Fraction(at_k + above_k, scale), tuple(weights))
+    return LpSolution(objective, Fraction(at_k + above_k, scale), n, MappingProxyType(support))
 
 
-def _certificate_dual(n: int, k: int) -> tuple[np.ndarray, int]:
+def _certificate_dual(n: int, k: int) -> tuple[tuple[int, int, int], int]:
     """The dual of `exchangeable_optimum`'s bound for the atom-level
-    program, y_0 = 0, y_i = 2/(k+1), y_ij = -2/(k(k+1)), in
-    `_constraint_rows` order, as (integers, scale): scaled by k(k+1) to
-    integers.  k = 0 stands for p = 0, where y = 0."""
-    pairs = n * (n - 1) // 2
+    program, one multiplier per row kind: y_0 = 0 on the mass row,
+    y_i = 2/(k+1) on each marginal row and y_ij = -2/(k(k+1)) on each
+    pair row, as (integers, scale): scaled by k(k+1) to integers.  k = 0
+    stands for p = 0, where y = 0.  The multipliers do not depend on n."""
     if k == 0:
-        return np.zeros(1 + n + pairs, dtype=np.int64), 1
-    return np.repeat(np.int64([0, 2 * k, -2]), [1, n, pairs]), k * (k + 1)
+        return (0, 0, 0), 1
+    return (0, 2 * k, -2), k * (k + 1)
 
 
 def _certificate_fault(
     n: int, p: Fraction, mode: str, k: int, solution: LpSolution
 ) -> str | None:
     """What fails in the LP-duality certificate formed by the dual
-    `_certificate_dual(n, k)` and the law `solution.weights_exact` spread
+    `_certificate_dual(n, k)` and the law `solution.support` spread
     uniformly over each Hamming-weight class, or None if it holds.
 
-    Three checks, all exact:
-    - dual feasibility: in integers, every atom's scaled reduced cost is
-      >= 0 over all 2^n atoms (for the closed form's k, the atoms of
-      weight z >= 1 get (z - k)(z - k - 1) and the zero atom 0), and in
-      negative_covariance mode the pair duals are <= 0, the sign that
-      <= rows need;
-    - primal feasibility: the weights are >= 0 and the atoms of each
-      class, counted per row by `_constraint_rows` and weighted
-      w_z / C(n, z), meet every right-hand side exactly, in integers over
-      one common denominator (pair rows from below in
-      negative_covariance mode);
-    - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`,
-      with b . y one integer over scale * denominator(p)^2.
+    The dual has one multiplier per row kind and the witness one weight
+    per class, so three checks over the n + 1 classes, each a few integer
+    operations at any n, are exact over all 2^n atoms:
+    - dual feasibility: scaled, an atom of weight z has reduced cost
+      r(z) = scale [z > 0] - y_0 - z y_1 - C(z, 2) y_2 ((z - k)(z - k - 1)
+      at z >= 1 for the closed form's k).  Its steps -y_1 - z y_2 are
+      monotone in z, so its least value on 1..n is at 1, at n, or, where
+      they rise, at the first z >= t = -y_1 / y_2: floor(t) or floor(t) + 1,
+      clipped.  The least weight of least cost among those and 0 is named.
+      In negative_covariance mode the pair dual must also be <= 0;
+    - primal feasibility: the weights are >= 0 on classes 0..n, and each
+      row meets p^e exactly (pair rows from below in negative_covariance
+      mode).  Class z's atoms carry w_z / C(n, z) each, and a row of kind
+      e (0 mass, 1 marginal, 2 pair) meets C(n - e, z - e) of them, so it
+      sums w_z z^(e) / n^(e) in falling powers, here in integers;
+    - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`.
     By weak duality the objective is then the minimum over all atoms.
-
-    The rows of the used classes' masks are made in `dist._blocks`, each
-    mask charged 2 bytes a row, which bounds the rows and the temporary
-    bits of their pair rows (tracemalloc: 1.86-1.90 bytes a row entry at
-    n = 12-20, p = 1/2).  Each class's rows are counted by a buffered
-    int64 sum, with no int64 copy of the booleans.
     """
-    duals, scale = _certificate_dual(n, k)
-    # The objective c is 0 on the zero atom and scale on every other.
-    reduced = _reduced_costs(n, np.repeat(np.int64([0, scale]), [1, (1 << n) - 1]), duals)
-    worst = int(reduced.argmin())
-    if reduced[worst] < 0:
-        return f"atom {worst} has reduced cost {reduced[worst]}/{scale} < 0"
-    del reduced  # so that the two stages' 2^n-atom arrays do not add up
+    (y0, y1, y2), scale = _certificate_dual(n, k)
+
+    def reduced(z: int) -> int:
+        return (scale if z else 0) - y0 - z * y1 - z * (z - 1) // 2 * y2
+
+    candidates = [0, 1, n]
+    if y2:
+        candidates += (min(max(z, 1), n) for z in (-y1 // y2, -y1 // y2 + 1))
+    worst = min(sorted(set(candidates)), key=reduced)
+    if reduced(worst) < 0:
+        return f"an atom of weight {worst} has reduced cost {reduced(worst)}/{scale} < 0"
     upper = mode == "negative_covariance"  # the pair rows are <= rows
-    if upper and (duals[1 + n :] > 0).any():
+    if upper and y2 > 0:
         return "a pair row's dual is positive"
-    weights = solution.weights_exact
-    if min(w.numerator for w in weights) < 0:
-        return "a witness weight is negative"
-    used = [z for z, w in enumerate(weights) if w]
-    # The used classes' masks, class by class; the weights go once they are made.
-    masks = np.concatenate([np.flatnonzero(w == z) for w in [_hamming_weights(n)] for z in used])
-    # Per row: its kind (0 mass, 1 marginal, 2 pair), then its count in each used class.
-    counts = np.zeros((1 + n + n * (n - 1) // 2, 1 + len(used)), dtype=np.int64)
-    counts[1 : 1 + n, 0], counts[1 + n :, 0] = 1, 2
-    # The used classes' spans of masks, in order; each span a block meets adds its rows' counts.
-    spans = list(pairwise(accumulate((math.comb(n, z) for z in used), initial=0)))
-    height = len(counts)
-    for at in _blocks(f"a column of {height} rows", 0, masks.size, 2 * height):
-        rows = _constraint_rows(n, masks[at])
-        if rows.shape[0] != height:
-            return f"the program has {rows.shape[0]} rows, not {height}"
-        for column, (lo, hi) in enumerate(spans, 1):
-            lo, hi = max(lo, at.start) - at.start, min(hi, at.stop) - at.start
-            if lo < hi:
-                counts[:, column] += np.add.reduce(rows[:, lo:hi], axis=1, dtype=np.int64)
-        del rows  # so that two blocks' rows are never held at once
-    # In integers over one denominator: class z's atoms each carry
-    # w_z / C(n, z) = share_z / common, and row kind e's right-hand side is
-    # p^e = a^e / b^e.
+    weights = solution.support
+    if any(w < 0 or not 0 <= z <= n for z, w in weights.items()):
+        return "a witness weight is negative or off the classes 0..n"
     a, b = p.numerator, p.denominator
-    denominators = [weights[z].denominator * math.comb(n, z) for z in used]
-    common = math.lcm(*denominators)
-    shares = [weights[z].numerator * (common // d) for z, d in zip(used, denominators)]
-    # Rows of one kind with the same counts per class have the same total.
-    for row, *count in dict.fromkeys(map(tuple, counts.tolist())):
-        total = sum(share * c for share, c in zip(shares, count))
-        scaled, rhs = total * b**row, a**row * common
+    common = math.lcm(*(w.denominator for w in weights.values()))
+    for row, name in enumerate(("mass", "marginal", "pair")):
+        total = sum(w.numerator * (common // w.denominator) * math.perm(z, row)
+                    for z, w in weights.items())
+        scaled, rhs = total * b**row, a**row * common * math.perm(n, row)
         if scaled != rhs and not (upper and row == 2 and scaled < rhs):
-            name = ("mass", "marginal", "pair")[row]
-            total, rhs = Fraction(total, common), Fraction(a**row, b**row)
-            return f"a {name} row sums to {total}, not {rhs}"
-    marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())
-    dual_objective = Fraction((int(duals[0]) * b + marginal * a) * b + pair * a * a, scale * b * b)
-    if not dual_objective == 1 - weights[0] == solution.objective_exact:
+            total = Fraction(total, common * math.perm(n, row))
+            return f"a {name} row sums to {total}, not {p**row}"
+    pairs = n * (n - 1) // 2
+    dual_objective = Fraction((y0 * b + n * y1 * a) * b + pairs * y2 * a * a, scale * b * b)
+    primal_objective = 1 - weights.get(0, _ZERO)
+    if not dual_objective == primal_objective == solution.objective_exact:
         return (
-            f"dual objective {dual_objective}, primal objective {1 - weights[0]}, "
+            f"dual objective {dual_objective}, primal objective {primal_objective}, "
             f"closed form {solution.objective_exact}"
         )
     return None
-
-
-def _charge_certificate(n: int) -> None:
-    """Charge the certificate's 2^n-atom arrays against the budget, one
-    integer comparison: `full_optimum`'s docstring gives the figure."""
-    # A figure cut at n = 2^16 is a lower bound; its low bit makes `_size` say "over".
-    shift = min(n, 1 << 16)
-    nbytes = CERTIFICATE_ATOM_BYTES << shift | (n > shift)
-    _check_budget(f"the LP certificate over 2^{n} atoms", nbytes)
 
 
 def full_optimum(
@@ -321,23 +220,18 @@ def full_optimum(
 ) -> LpSolution:
     """Exact minimum of P(Z > 0) over all joints on {0,1}^n: the atom-level
     program q_x >= 0, sum q = 1, marginals p, pair moments p^2 (upper
-    bounds in negative_covariance mode), minimizing the mass off the zero
-    atom.  The certificate's 2^n-atom arrays are charged against the
-    budget first, CERTIFICATE_ATOM_BYTES an atom, so a refused n allocates
-    nothing: at 1 GiB it admits n <= 25 and refuses n = 26, whatever p.
-    Past n = 2^16 the figure is charged as just over its value there, far
-    over any budget, so that no n/8-byte integer is built for it.
+    bounds in negative_covariance mode), minimizing the mass off the zero atom.
 
     Returns `exchangeable_optimum(n, p)` once `_certificate_fault`
     has proven it optimal for the program over every atom: the closed
     form's witness is primal feasible, the dual of its bound is dual
     feasible, and the two objectives are equal.  This is the dual form of
-    the f(z) argument in `exchangeable_optimum`'s docstring.  Raises
-    InvariantError, naming n, p and mode, if the certificate fails.
+    the f(z) argument in `exchangeable_optimum`'s docstring.  Checked over
+    the n + 1 Hamming-weight classes, it costs a few big-integer operations
+    at any n.  Raises InvariantError, naming n, p and mode, if it fails.
     """
     _check_mode(mode)  # the certificate reads it
     p = _check_common(n, p)
-    _charge_certificate(n)
     solution = _exchangeable(n, p)
     fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
     if fault is not None:
@@ -364,9 +258,9 @@ def conjecture_sweep(
     rows.  The exchangeable route takes each row's objective straight from
     the integer kernel `_closed_form`, the correctly rounded float of
     `exchangeable_optimum(n, 1/(n-1)).objective`, and checks the mode
-    once.  A full sweep charges every n's certificate before it makes its
-    first row, so a sweep the budget refuses raises at its first refused n
-    at once, having made and returned no row.
+    once.  A full sweep certifies each row with a few big-integer
+    operations (`full_optimum`), so it runs at any n and allocates nothing
+    per atom.
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  lp_ratio tends to
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
@@ -379,10 +273,6 @@ def conjecture_sweep(
         raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
     _check_mode(mode)
     full = reduction == "full"
-    if full:
-        # The charge grows with n, so this stops at the first refused n.
-        for n in range(n_min, n_max + 1):
-            _charge_certificate(n)
     rows = []
     running_inf = float("inf")
     for n in range(n_min, n_max + 1):

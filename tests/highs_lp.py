@@ -1,14 +1,18 @@
-"""The atom-level search program in floating point, solved by HiGHS, kept
-as a test oracle.
+"""The atom-level search program, kept as a test oracle: a floating-point
+solve by HiGHS and an exact certificate checked atom by atom.
 
 `optimize.full_optimum` proves the closed form optimal for the program
-over all 2^n atoms by an exact duality certificate.  This module solves
-the same program independently: a float LP handed to scipy's HiGHS by
-column generation, with its own witness, so the tests can compare the two
-routes.  It shares only the row builder (`optimize._constraint_rows`), the
-closed-form pricing (`optimize._reduced_costs`), the Hamming weights
-(`optimize._hamming_weights`) and the seed's k with the package, and the
-tests check the first three against per-mask computations.
+over all 2^n atoms by an exact duality certificate, checked over the
+n + 1 Hamming-weight classes.  This module works on the atoms
+themselves, so the tests can compare the two:
+- the same program as a float LP handed to scipy's HiGHS by column
+  generation, with its own witness (`build_full_lp`, `solve`);
+- the same certificate, the package's dual and witness checked over every
+  atom and every row (`atom_certificate_fault`).
+Both rest on the row builder (`_constraint_rows`), the closed-form pricing
+(`_reduced_costs`) and the Hamming weights (`_hamming_weights`), which
+the tests check against per-mask computations.  They share only the
+closed form, its k and its dual with the package.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from maxdecouple import optimize
-from maxdecouple.optimize import _check_common, _check_mode
+from maxdecouple.optimize import LpSolution, _check_common, _check_mode
 
 # The largest n the oracle builds: `ExtremalLp` materializes all 2^n
 # columns as float CSR (about 54 MB at n = 16), and the tests compare the
@@ -39,6 +43,69 @@ WITNESS_ATOM_FLOOR = 1e-15
 # restricted master in `solve`: HiGHS's dual feasibility tolerance, the one
 # it applies to the full program.
 PRICING_TOLERANCE = 1e-7
+
+
+@cache
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, the pair rows' order, computed once per n."""
+    first, second = np.triu_indices(n, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+def _constraint_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """The atom-level program's 0/1 rows over the atoms `masks`, a boolean
+    (1 + n + C(n, 2)) x len(masks) array: row 0 sums the mass, row 1 + i
+    the atoms with bit i set, then the pair rows in `np.triu_indices`
+    order, each the atoms with both bits set.  The rows are filled in
+    place: the bits are unpacked from the masks' little-endian bytes, and
+    each pair row is a copy of its first bit's row ANDed with its
+    second's, whose gathered copy is the one temporary as large as the
+    pair rows."""
+    rows = np.empty((1 + n + n * (n - 1) // 2, masks.size), dtype=bool)
+    rows[0] = True
+    bits, pairs = rows[1 : 1 + n], rows[1 + n :]
+    octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    bits[...] = np.unpackbits(octets.T, axis=0, count=n, bitorder="little")
+    first, second = _pair_indices(n)
+    np.take(bits, first, axis=0, out=pairs, mode="clip")
+    pairs &= bits[second]
+    return rows
+
+
+def _reduced_costs(n: int, c: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """c - A^T y over all 2^n atoms, for duals y in `_constraint_rows` order,
+    in closed form: c_x - y_0 - sum_{i in x} y_i - sum_{i<j in x} y_ij,
+    with the sums in the duals' dtype.  The sums extend one bit at a time,
+    with no BLAS call: the mask r + 2^b, r below 2^b, adds y_b and then
+    link_b(r) to the sum of r, where link_j(r) = sum_{i in r} y_ij.  So
+    one 2^n array of totals is filled in place, its upper half from its
+    lower half, bit by bit; an atom's sum starts at y_0 and adds, for its
+    bits b in ascending order, y_b and then link_b, each link summed over
+    i in ascending order.  The links of the bits j > b extend the same
+    way, all at once, by one concatenation a bit, so at most 2^(n-1)
+    links are held."""
+    pair = np.zeros((n, n), dtype=duals.dtype)
+    pair[_pair_indices(n)] = duals[1 + n :]
+    total = np.empty(1 << n, dtype=duals.dtype)
+    total[0] = duals[0]
+    link = np.zeros((n, 1), dtype=duals.dtype)  # row j - b holds link_j
+    for b in range(n):
+        upper = total[1 << b : 2 << b]
+        np.add(total[: 1 << b], duals[1 + b], out=upper)
+        np.add(upper, link[0], out=upper)
+        link = np.concatenate([link[1:], link[1:] + pair[b, b + 1 :, None]], axis=1)
+    return c - total
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    """The Hamming weight of every mask 0 .. 2^n - 1, a byte each (n < 256)."""
+    # The masks 2^b .. 2^(b+1) - 1 weigh one more than the masks below 2^b.
+    weight = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        np.add(weight[: 1 << b], 1, out=weight[1 << b : 2 << b])
+    return weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +130,7 @@ class ExtremalLp:
         return None if self.b_ub is None else self._matrix(slice(self.b_eq.size, None))
 
     def _matrix(self, which: slice) -> sparse.csr_matrix:
-        rows = optimize._constraint_rows(self.n, np.arange(1 << self.n))[which]
+        rows = _constraint_rows(self.n, np.arange(1 << self.n))[which]
         return sparse.csr_matrix(rows).astype(np.float64)
 
 
@@ -102,7 +169,7 @@ def seed_columns(lp: ExtremalLp) -> np.ndarray:
     """Masks of Hamming weight 0, k - 1, k and k + 1, where k is the closed
     form's k (see `optimize.exchangeable_optimum`)."""
     k = optimize._closed_form_k(lp.n, lp.p)
-    weight = optimize._hamming_weights(lp.n).astype(np.int64)  # uint8 would wrap below k
+    weight = _hamming_weights(lp.n).astype(np.int64)  # uint8 would wrap below k
     return np.flatnonzero((weight == 0) | (abs(weight - k) <= 1))
 
 
@@ -131,7 +198,7 @@ def solve(lp: ExtremalLp) -> HighsSolution:
     size, n_eq = lp.c.size, lp.b_eq.size
     columns = seed_columns(lp)
     while True:
-        rows = optimize._constraint_rows(lp.n, columns)
+        rows = _constraint_rows(lp.n, columns)
         cost, a_eq = lp.c[columns], rows[:n_eq]
         # An equality row that no column touches cannot meet its nonzero
         # right-hand side.  HiGHS's interior point, presolve off, can
@@ -159,7 +226,7 @@ def solve(lp: ExtremalLp) -> HighsSolution:
         if res.status != 0:
             raise RuntimeError(f"full LP solver failed: {res.message}")
         duals = np.concatenate([res.eqlin.marginals, res.ineqlin.marginals])
-        reduced = optimize._reduced_costs(lp.n, lp.c, duals)
+        reduced = _reduced_costs(lp.n, lp.c, duals)
         reduced[columns] = 0.0
         entering = np.flatnonzero(reduced < -PRICING_TOLERANCE)
         if entering.size == 0:
@@ -172,3 +239,62 @@ def solve(lp: ExtremalLp) -> HighsSolution:
     }
     objective = math.fsum(cost * res.x)
     return HighsSolution(status="optimal", objective=objective, witness_atoms=atoms)
+
+
+def atom_duals(n: int, k: int) -> tuple[np.ndarray, int]:
+    """`optimize._certificate_dual(n, k)` spread over the program's rows in
+    `_constraint_rows` order, as (int64 duals, scale)."""
+    (y0, y1, y2), scale = optimize._certificate_dual(n, k)
+    return np.repeat(np.int64([y0, y1, y2]), [1, n, n * (n - 1) // 2]), scale
+
+
+def atom_certificate_fault(
+    n: int, p: Fraction, mode: str, k: int, solution: LpSolution
+) -> str | None:
+    """`optimize._certificate_fault` checked atom by atom, with its messages:
+    every atom's reduced cost in int64 (`_reduced_costs`), and every row's
+    total over every atom of the witness's classes, counted by
+    `_constraint_rows` a chunk of masks at a time and weighted
+    w_z / C(n, z) in integers over one common denominator."""
+    duals, scale = atom_duals(n, k)
+    weight = _hamming_weights(n)
+    # The objective c is 0 on the zero atom and scale on every other.
+    reduced = _reduced_costs(n, np.where(weight > 0, scale, 0).astype(np.int64), duals)
+    worst = int(reduced.argmin())
+    if reduced[worst] < 0:
+        return f"an atom of weight {weight[worst]} has reduced cost {reduced[worst]}/{scale} < 0"
+    upper = mode == "negative_covariance"  # the pair rows are <= rows
+    if upper and (duals[1 + n :] > 0).any():
+        return "a pair row's dual is positive"
+    weights = solution.support
+    if any(w < 0 or not 0 <= z <= n for z, w in weights.items()):
+        return "a witness weight is negative or off the classes 0..n"
+    height = 1 + n + n * (n - 1) // 2
+    kinds = [0] + [1] * n + [2] * (height - 1 - n)
+    denominators = {z: w.denominator * math.comb(n, z) for z, w in weights.items()}
+    common = math.lcm(*denominators.values())
+    totals = [0] * height
+    for z, w in weights.items():
+        share = w.numerator * (common // denominators[z])  # one atom's mass, over common
+        masks = np.flatnonzero(weight == z)
+        for start in range(0, masks.size, 1 << 14):
+            rows = _constraint_rows(n, masks[start : start + (1 << 14)])
+            if rows.shape[0] != height:
+                return f"the program has {rows.shape[0]} rows, not {height}"
+            counts = np.add.reduce(rows, axis=1, dtype=np.int64).tolist()
+            totals = [total + share * count for total, count in zip(totals, counts)]
+    a, b = p.numerator, p.denominator
+    for row, total in zip(kinds, totals):
+        scaled, rhs = total * b**row, a**row * common
+        if scaled != rhs and not (upper and row == 2 and scaled < rhs):
+            name = ("mass", "marginal", "pair")[row]
+            return f"a {name} row sums to {Fraction(total, common)}, not {p**row}"
+    marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())
+    dual_objective = Fraction((int(duals[0]) * b + marginal * a) * b + pair * a * a, scale * b * b)
+    primal_objective = 1 - weights.get(0, Fraction(0))
+    if not dual_objective == primal_objective == solution.objective_exact:
+        return (
+            f"dual objective {dual_objective}, primal objective {primal_objective}, "
+            f"closed form {solution.objective_exact}"
+        )
+    return None

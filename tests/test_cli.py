@@ -40,7 +40,7 @@ FULL_SEARCH_16_SHA256 = "606a7180a04d72a432fd969e4940b0c8ad59ced8fc7d63d5720abca
 
 # SHA-256 of `search --n-min 3 --n-max 120` stdout in either mode, recorded
 # when the closed form was computed in `Fraction` arithmetic; the integer
-# closed form prints the same bytes.
+# closed form prints the same bytes, and so does `--reduction full`.
 EXACT_SEARCH_120_SHA256 = "c24d735e43b7e9a687eb99ddc6dfb02570993a25523fe2b631558e0389db75bb"
 
 # SHA-256 of `report --in product.json` stdout, for the product law of the
@@ -440,31 +440,18 @@ class TestSearch:
             assert hashlib.sha256(full.read_bytes()).hexdigest() == FULL_SEARCH_16_SHA256
 
     def test_exact_sweep_to_120_is_pinned(self, capsys):
-        for mode in ("equality", "negcov"):
-            assert main(["search", "--n-min", "3", "--n-max", "120", "--mode", mode]) == EXIT_OK
-            out = capsys.readouterr().out
-            assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SEARCH_120_SHA256, mode
+        # The full route certifies every row, at any n, and prints the same bytes.
+        for reduction in ("exchangeable", "full"):
+            for mode in ("equality", "negcov"):
+                argv = ["search", "--n-min", "3", "--n-max", "120", "--mode", mode]
+                assert main([*argv, "--reduction", reduction]) == EXIT_OK
+                out = capsys.readouterr().out
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert digest == EXACT_SEARCH_120_SHA256, (reduction, mode)
 
     def test_negcov_mode_runs(self, capsys):
         assert main(["search", "--n-min", "3", "--n-max", "4", "--mode", "negcov"]) == EXIT_OK
         capsys.readouterr()
-
-    def test_full_reduction_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
-        # The certificate's charge refuses the sweep at its first n over the
-        # budget, here 16 MB (n = 20, not 26, to keep the test small), and
-        # the rows made before it are neither printed nor written.  An n
-        # far past any budget is refused without building its byte count.
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
-        out = tmp_path / "sweep.csv"
-        huge = ["--n-min", str(10**12), "--n-max", str(10**12)]
-        for flags, atoms in ((["--n-min", "3", "--n-max", "40"], "2^20 atoms"),
-                             (["--n-min", "3", "--n-max", "40", "--out", str(out)], "2^20 atoms"),
-                             (huge, f"2^{10**12} atoms needs over 2^65541 bytes")):
-            assert main(["search", *flags, "--reduction", "full"]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == "" and "too large" in captured.err
-            assert atoms in captured.err
-        assert not out.exists()
 
     def test_bad_range_is_usage_error(self, capsys):
         assert main(["search", "--n-min", "5", "--n-max", "4"]) == EXIT_USAGE
@@ -798,17 +785,21 @@ class TestInvariantExitCode:
             assert main(["report", "--in", path, "--format", fmt]) == EXIT_INVARIANT
         assert "factorization=false" in capsys.readouterr().out
 
-    def test_failed_certificate_exits_two_naming_the_case(self, monkeypatch, capsys):
-        # A dual built from k + 1 cannot certify the optimum.
+    def test_failed_certificate_exits_two_naming_the_case(self, monkeypatch, capsys, tmp_path):
+        # A dual built from k + 1 cannot certify the optimum; no row is
+        # printed, and no file is written.
         real = optimize._certificate_dual
         monkeypatch.setattr(optimize, "_certificate_dual", lambda n, k: real(n, k + 1))
         argv = ["search", "--n-min", "3", "--n-max", "5", "--reduction", "full"]
-        assert main([*argv, "--mode", "negcov"]) == EXIT_INVARIANT
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("maxdecouple: invariant failed: the full LP certificate fails at ")
-        assert "n=3, p=1/2, mode=negative_covariance: dual objective" in err
-        assert "Traceback" not in err
+        out_file = tmp_path / "sweep.csv"
+        for flags in ([], ["--out", str(out_file)]):
+            assert main([*argv, *flags, "--mode", "negcov"]) == EXIT_INVARIANT
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("maxdecouple: invariant failed: the full LP certificate fails at ")
+            assert "n=3, p=1/2, mode=negative_covariance: dual objective" in err
+            assert "Traceback" not in err
+        assert not out_file.exists()
 
     def test_failed_cross_check_exits_two(self, monkeypatch, tmp_path, capsys):
         # A layer-cake sum off by a relative 1e-9 fails `expected_max`'s

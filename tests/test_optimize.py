@@ -1,6 +1,6 @@
 """Extremal search: the exact routes and the full route's duality
-certificate, the HiGHS oracle and its agreement with them, and the sweep
-table."""
+certificate, checked against the same certificate over every atom, the
+HiGHS oracle and its agreement with them, and the sweep table."""
 
 import gc
 import math
@@ -33,9 +33,14 @@ from maxdecouple import (
     prob_hit_independent,
     product,
 )
-from maxdecouple import constructions, dist, optimize
-from maxdecouple.errors import InvalidDistributionError, InvariantError
-from maxdecouple.optimize import MODES, LpSolution
+from maxdecouple import constructions, optimize
+from maxdecouple.errors import InvariantError
+from maxdecouple.optimize import MODES
+
+
+def as_triple(solution):
+    """(objective, objective_exact, weights_exact), the oracle's form."""
+    return solution.objective, solution.objective_exact, solution.weights_exact
 
 
 def assert_basic_optimum(full, objective, n, p, mode, tol):
@@ -119,18 +124,15 @@ class TestBuilders:
             members = [set(row) for row in marg + pair]
             for size in (1, 3, 1 << n):
                 masks = rng.permutation(1 << n)[:size]
-                rows = optimize._constraint_rows(n, masks)
+                rows = highs_lp._constraint_rows(n, masks)
                 assert rows.dtype == bool
                 expected = [[mask in row for mask in masks.tolist()] for row in members]
                 assert rows.tolist() == expected, (n, masks.tolist())
 
     def test_full_lp_rejects_large_n(self):
-        # The certificate's charge refuses 2^26 atoms at the 1 GiB budget;
-        # past n = 2^16 its figure is a lower bound, so no huge integer is built.
-        for n in (26, 40, 15000, 10**12):
-            with pytest.raises(ValueError, match=f"too large.* 2\\^{n} atoms"):
-                full_optimum(n, 0.5)
-        with pytest.raises(ValueError):
+        # The oracle builds its 2^n columns only up to its cap;
+        # `full_optimum` has none (test_certificate_runs_at_any_n).
+        with pytest.raises(ValueError, match="exceeds"):
             build_full_lp(FULL_VARIABLE_LIMIT + 1, 0.5)
 
     def test_exchangeable_lp_rows(self):
@@ -246,16 +248,16 @@ class TestOracleAgreement:
         # gap between two, from p = 0 to p = 1.
         for n in range(2, 81):
             for p in (Fraction(j, 2 * (n - 1)) for j in range(2 * n - 1)):
-                expected = LpSolution(*oracles.oracle_exchangeable_optimum(n, p))
-                assert exchangeable_optimum(n, p) == expected, (n, p)
+                expected = oracles.oracle_exchangeable_optimum(n, p)
+                assert as_triple(exchangeable_optimum(n, p)) == expected, (n, p)
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 200), p=st.floats(0.0, 1.0))
     def test_integer_closed_form_at_float_marginals(self, n, p):
         # A float p is read as Fraction(p), whose denominator is a power of
         # two up to 2^1074; the products grow with it and stay exact.
-        expected = LpSolution(*oracles.oracle_exchangeable_optimum(n, Fraction(p)))
-        assert exchangeable_optimum(n, p) == expected
+        expected = oracles.oracle_exchangeable_optimum(n, Fraction(p))
+        assert as_triple(exchangeable_optimum(n, p)) == expected
 
     def test_reduction_soundness(self):
         # The HiGHS oracle reaches the certified optimum, and its witness is
@@ -412,21 +414,11 @@ class TestMinRatioAndSweep:
                 expected = exchangeable_optimum(n, Fraction(1, n - 1)).objective
                 assert row["lp_objective"] == expected, (n, mode)
 
-    def test_refused_full_sweep_makes_no_row(self, monkeypatch):
-        # Every n is charged before the first certificate, so a sweep past
-        # the budget runs none; the message names the first refused n.
-        calls = []
-        real = optimize._certificate_fault
-        monkeypatch.setattr(
-            optimize, "_certificate_fault", lambda *args: calls.append(args) or real(*args)
-        )
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 24)
-        for n_min, n_max in ((3, 40), (19, 20), (3, 10**12)):
-            with pytest.raises(InvalidDistributionError, match=r"too large.*2\^20 atoms"):
-                conjecture_sweep(n_min, n_max, reduction="full")
-        assert calls == []
-        assert len(conjecture_sweep(3, 19, reduction="full")) == 17
-        assert len(calls) == 17
+    def test_full_sweep_matches_exchangeable_rows(self):
+        # Every row certified, far past 2^n atoms that could be enumerated.
+        for mode in MODES:
+            full = conjecture_sweep(3, 200, mode, reduction="full")
+            assert full == conjecture_sweep(3, 200, mode, reduction="exchangeable"), mode
 
 
 class TestNegativeCovarianceMode:
@@ -459,7 +451,7 @@ class TestColumnGeneration:
                 if lp.a_ub is not None:
                     expected -= lp.a_ub.T @ y_ub
                 scale = 1.0 + np.abs(y).sum()
-                got = optimize._reduced_costs(n, lp.c, y)
+                got = highs_lp._reduced_costs(n, lp.c, y)
                 assert got.shape == expected.shape, (n, mode)
                 assert np.abs(got - expected).max() <= 1e-12 * scale, (n, mode)
 
@@ -520,6 +512,14 @@ class TestColumnGeneration:
                 assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
 
 
+def verdict(n, p, mode, k, solution):
+    """`optimize._certificate_fault`, asserted equal, message for message,
+    to the same certificate checked atom by atom."""
+    fault = optimize._certificate_fault(n, p, mode, k, solution)
+    assert highs_lp.atom_certificate_fault(n, p, mode, k, solution) == fault, (n, p, mode, k)
+    return fault
+
+
 class TestCertificate:
     def test_certificate_holds_exactly(self):
         # Dual objective b . y, the closed form and 1 - w_0 are one
@@ -535,11 +535,10 @@ class TestCertificate:
                 grid = [Fraction(3, 10), Fraction(1, 2)]
             for p in dict.fromkeys(grid + [Fraction(1, n - 1), min(Fraction(2, n - 1), 1)]):
                 k = optimize._closed_form_k(n, p)
-                duals, scale = optimize._certificate_dual(n, k)
-                assert duals.dtype == np.int64 and len(duals) == 1 + n + pairs
-                marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())
-                dual_objective = (int(duals[0]) + p * marginal + p * p * pair) / Fraction(scale)
-                assert (duals[1 + n :] <= 0).all()
+                (y0, y1, y2), scale = optimize._certificate_dual(n, k)
+                assert all(type(y) is int for y in (y0, y1, y2, scale))
+                dual_objective = (y0 + p * n * y1 + p * p * pairs * y2) / Fraction(scale)
+                assert y2 <= 0
                 for mode in MODES:
                     solution = full_optimum(n, p, mode)
                     case = (n, p, mode)
@@ -547,6 +546,39 @@ class TestCertificate:
                     assert solution.objective_exact == dual_objective, case
                     assert solution.objective_exact == 1 - solution.weights_exact[0], case
                     assert solution.objective == float(dual_objective), case
+
+    def test_class_level_matches_atom_level(self):
+        # The certificate over the n + 1 classes holds where the same dual
+        # and witness hold over every atom and every row: at every
+        # p = j/d with d <= n + 1 up to n = 14, and at n = 18 and 20 on
+        # p in {3/10, 1/2, 1/(n-1), 2/(n-1)}.
+        cases = [(n, Fraction(j, d)) for n in range(2, 15)
+                 for d in range(1, n + 2) for j in range(d + 1)]
+        cases += [(n, p) for n in (18, 20)
+                  for p in (Fraction(3, 10), Fraction(1, 2), Fraction(1, n - 1), Fraction(2, n - 1))]
+        for n, p in dict.fromkeys(cases):
+            k = optimize._closed_form_k(n, p)
+            solution = exchangeable_optimum(n, p)
+            for mode in MODES:
+                assert verdict(n, p, mode, k, solution) is None, (n, p, mode)
+
+    def test_certificate_runs_at_any_n(self):
+        # No 2^n array and no charge: past any n whose atoms could be
+        # enumerated, in a few big-integer operations and well under 1 MB.
+        # At n = 10^12 and p = 1/2 the support's k is 5 * 10^11.
+        full_optimum(3, Fraction(1, 2))  # the first call's imports, untraced
+        for n in (26, 40, 10**12):
+            for p in (Fraction(1, n - 1), Fraction(1, 2)):
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    expected = exchangeable_optimum(n, p)
+                    certified = [full_optimum(n, p, mode) for mode in MODES]
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert certified == [expected, expected], (n, p)
+                assert peak < 1_000_000, (n, p, peak)
 
     def test_reduced_costs_match_loop_oracle(self):
         # Bit for bit against one Python sum per atom in the same order:
@@ -561,7 +593,7 @@ class TestCertificate:
                 rng.normal(size=rows) * 10.0 ** rng.integers(-3, 4, size=rows),
             ):
                 c = rng.permutation(1 << n).astype(duals.dtype)
-                got = optimize._reduced_costs(n, c, duals)
+                got = highs_lp._reduced_costs(n, c, duals)
                 assert got.dtype == duals.dtype, n
                 y = duals.tolist()
                 zero = type(y[0])(0)
@@ -583,11 +615,11 @@ class TestCertificate:
         # the zero atom 0: zero only on the closed form's support.
         for n in range(1, FULL_VARIABLE_LIMIT + 1):
             weight = np.array([bin(mask).count("1") for mask in range(1 << n)])
-            assert optimize._hamming_weights(n).tolist() == weight.tolist()
+            assert highs_lp._hamming_weights(n).tolist() == weight.tolist()
             for k in range(1, n + 1):
-                duals, scale = optimize._certificate_dual(n, k)
+                duals, scale = highs_lp.atom_duals(n, k)
                 c = np.where(weight > 0, scale, 0)
-                reduced = optimize._reduced_costs(n, c, duals)
+                reduced = highs_lp._reduced_costs(n, c, duals)
                 assert reduced.dtype == np.int64
                 expected = np.where(weight > 0, (weight - k) * (weight - k - 1), 0)
                 assert reduced.tolist() == expected.tolist(), (n, k)
@@ -595,8 +627,7 @@ class TestCertificate:
     def test_zero_marginal_dual_is_zero(self):
         for n in (2, 9, FULL_VARIABLE_LIMIT):
             assert optimize._closed_form_k(n, Fraction(0)) == 0
-            duals, scale = optimize._certificate_dual(n, 0)
-            assert scale == 1 and not duals.any()
+            assert optimize._certificate_dual(n, 0) == ((0, 0, 0), 1)
             assert full_optimum(n, 0).weights_exact[0] == 1
 
     def cases(self):
@@ -610,147 +641,58 @@ class TestCertificate:
         # below the optimum, so the certificate proves nothing.
         for n, p, mode, solution in self.cases():
             k = optimize._closed_form_k(n, p)
-            assert optimize._certificate_fault(n, p, mode, k, solution) is None
-            fault = optimize._certificate_fault(n, p, mode, k + 1, solution)
+            assert verdict(n, p, mode, k, solution) is None
+            fault = verdict(n, p, mode, k + 1, solution)
             assert fault is not None and fault.startswith("dual objective"), (n, p, mode)
 
     def test_moved_witness_weight_fails(self):
         delta = Fraction(1, 10**6)
         for n, p, mode, solution in self.cases():
             k = optimize._closed_form_k(n, p)
-            weights = list(solution.weights_exact)
-            z = max(range(n + 1), key=weights.__getitem__)
+            support = solution.support
+            z = max(support, key=support.get)
             for moved, row in ((z, "mass"), (z - 1 if z else 1, "marginal")):
-                shifted = list(weights)
+                shifted = dict(support)
                 shifted[z] -= delta
                 if row == "marginal":
-                    shifted[moved] += delta  # the mass row still holds
-                mutant = replace(solution, weights_exact=tuple(shifted))
-                fault = optimize._certificate_fault(n, p, mode, k, mutant)
+                    shifted[moved] = shifted.get(moved, 0) + delta  # the mass row still holds
+                fault = verdict(n, p, mode, k, replace(solution, support=shifted))
                 assert fault is not None and fault.startswith(f"a {row} row"), (n, p, mode)
 
     def test_dropped_pair_row_fails(self, monkeypatch):
-        self.assert_dropped_pair_row_named(monkeypatch, self.cases())
+        # Either side: a dual that puts no multiplier on the pair rows
+        # prices the atoms of weight k + 1 (or n) below zero, and a row
+        # builder that loses the last pair row no longer describes the
+        # program the atom-level check counts.
+        real_dual, real_rows = optimize._certificate_dual, highs_lp._constraint_rows
 
-    def assert_dropped_pair_row_named(self, monkeypatch, cases):
-        # Either side: a dual that puts no multiplier on pair (0, 1) prices
-        # the support's atoms below zero, and a row builder that loses the
-        # last pair row no longer describes the program.
-        real_dual, real_rows = optimize._certificate_dual, optimize._constraint_rows
+        def dual_without_pairs(n, k):
+            (y0, y1, _), scale = real_dual(n, k)
+            return (y0, y1, 0), scale
 
-        def dual_without_first_pair(n, k):
-            duals, scale = real_dual(n, k)
-            duals[1 + n] = 0
-            return duals, scale
-
-        for patch, reason in (
-            (("_certificate_dual", dual_without_first_pair), "has reduced cost"),
-            (("_constraint_rows", lambda n, masks: real_rows(n, masks)[:-1]), "the program has"),
-        ):
-            with monkeypatch.context() as m:
-                m.setattr(optimize, *patch)
-                for n, p, mode, solution in cases:
-                    k = optimize._closed_form_k(n, p)
-                    fault = optimize._certificate_fault(n, p, mode, k, solution)
-                    assert fault is not None and reason in fault, (n, p, mode, fault)
-                    named = f"n={n}, p={p}, mode={mode}"
-                    with pytest.raises(InvariantError, match=named):
-                        full_optimum(n, p, mode)
-
-    def test_rows_are_counted_in_blocks(self, monkeypatch):
-        # The sweep's sizes count their rows in one block.  At an 8 MB
-        # budget, just what the 2^18 atoms are charged, the rows of n = 18,
-        # p = 1/2 (92,379 masks of 172 rows, 344 bytes each) take four
-        # blocks, two of which meet two classes: the certificate still
-        # holds, and every injected fault is still named.
-        blocks = []
-        real_rows = optimize._constraint_rows
-
-        def counted_rows(n, masks):
-            blocks.append(masks.size)
-            return real_rows(n, masks)
-
-        half = Fraction(1, 2)
         with monkeypatch.context() as m:
-            m.setattr(optimize, "_constraint_rows", counted_rows)
-            for n in range(3, 13):
-                for mode in MODES:
-                    blocks.clear()
-                    full_optimum(n, Fraction(1, n - 1), mode)
-                    assert len(blocks) == 1, (n, mode)
-            m.setattr(dist, "SUMMARY_BUDGET", 1 << 23)
-            for mode in MODES:
-                blocks.clear()
-                assert full_optimum(18, half, mode) == exchangeable_optimum(18, half)
-                step = (1 << 23) // 344
-                assert blocks == [step] * 3 + [92379 - 3 * step], mode
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 1 << 23)
-        cases = [(18, half, mode, exchangeable_optimum(18, half)) for mode in MODES]
-        self.assert_dropped_pair_row_named(monkeypatch, cases)
-
-    def test_charges_bound_the_peak(self, monkeypatch):
-        # The tracemalloc peak is within the 2^n-atom charge plus one block
-        # of the used masks' rows.  From the first block on, the peak is
-        # within what is held when that block starts, one block's charge
-        # and the buffer of the counts' int64 sums (`dist.CAST_BUFFER`).
-        # The last case's rows take four blocks of a 2 MiB budget; with a
-        # block still held when the next is made, its blocks' peak is 1.28
-        # of that bound.  On CPython 3.11 and numpy 2.4 the peaks are
-        # 0.52-0.81 of the first bound and 0.29-0.94 of the second; if a
-        # new Python or numpy fails a case, re-measure
-        # CERTIFICATE_ATOM_BYTES and the 2 bytes a row entry.
-        charged, held = [], []
-        monkeypatch.setattr(dist, "_check_budget", lambda what, nbytes: charged.append(nbytes))
-        monkeypatch.setattr(optimize, "_check_budget", dist._check_budget)
-        real_rows = optimize._constraint_rows
-
-        def rows_from_the_first_block(n, masks):
-            if not held:  # the memory held now, and the peak so far
-                held.extend(tracemalloc.get_traced_memory())
-                tracemalloc.reset_peak()
-            return real_rows(n, masks)
-
-        monkeypatch.setattr(optimize, "_constraint_rows", rows_from_the_first_block)
-        cases = [(n, p, dist.SUMMARY_BUDGET)
-                 for n in (16, 18) for p in (Fraction(1, n - 1), Fraction(1, 2))]
-        for n, p, budget in [*cases, (16, Fraction(1, 2), 1 << 21)]:
-            monkeypatch.setattr(dist, "SUMMARY_BUDGET", budget)
-            weights = exchangeable_optimum(n, p).weights_exact
-            used = sum(math.comb(n, z) for z, w in enumerate(weights) if w)
-            charged.clear()
-            held.clear()
-            gc.collect()
-            tracemalloc.start()
-            try:
-                full_optimum(n, p)
-                rows_peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            atoms, row = charged
-            assert atoms == optimize.CERTIFICATE_ATOM_BYTES << n
-            assert row == 2 * (1 + n + math.comb(n, 2))
-            step = budget // row
-            assert -(-used // step) == (4 if budget == 1 << 21 else 1), (n, p)
-            block = min(used, step) * row
-            peak = max(held[1], rows_peak)
-            assert peak <= atoms + block, (n, p, peak / (atoms + block))
-            rows_bound = block + dist.CAST_BUFFER
-            assert rows_peak - held[0] <= rows_bound, (n, p, (rows_peak - held[0]) / rows_bound)
+            m.setattr(optimize, "_certificate_dual", dual_without_pairs)
+            for n, p, mode, solution in self.cases():
+                fault = verdict(n, p, mode, optimize._closed_form_k(n, p), solution)
+                assert fault is not None and "has reduced cost" in fault, (n, p, mode, fault)
+                with pytest.raises(InvariantError, match=f"n={n}, p={p}, mode={mode}"):
+                    full_optimum(n, p, mode)
+        monkeypatch.setattr(highs_lp, "_constraint_rows", lambda n, masks: real_rows(n, masks)[:-1])
+        for n, p, mode, solution in self.cases():
+            k = optimize._closed_form_k(n, p)
+            fault = highs_lp.atom_certificate_fault(n, p, mode, k, solution)
+            assert fault is not None and "the program has" in fault, (n, p, mode, fault)
 
     def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):
-        # A lone positive pair dual keeps every reduced cost >= 0, so only
-        # its sign fails, and only where the pair rows are <= rows.
-        def positive_pair_dual(n, k):
-            duals = np.zeros(1 + n + math.comb(n, 2), dtype=np.int64)
-            duals[1 + n] = 1
-            return duals, 10**6
-
-        monkeypatch.setattr(optimize, "_certificate_dual", positive_pair_dual)
+        # A positive pair dual this small keeps every reduced cost >= 0, so
+        # its sign fails only where the pair rows are <= rows; where they
+        # are equalities the certificate fails on its objective instead.
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda n, k: ((0, 0, 1), 10**6))
         p = Fraction(1, 3)
         for mode, reason in (
             ("negative_covariance", "positive"),
             ("pairwise_equality", "dual objective"),
         ):
             solution = exchangeable_optimum(4, p)
-            fault = optimize._certificate_fault(4, p, mode, 2, solution)
+            fault = verdict(4, p, mode, 2, solution)
             assert fault is not None and reason in fault, (mode, fault)

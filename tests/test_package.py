@@ -10,15 +10,16 @@ from maxdecouple import bounds, cli, constructions, dist, optimize
 # float atom-level LP and its HiGHS solve live in the tests (`highs_lp`),
 # replaced at runtime by `full_optimum`'s exact certificate; the `construct`
 # command calls the family builders through `cli.FAMILY_BY_FLAG`; a table's
-# size is charged in bytes (`dist._check_table`), not capped in variables,
-# and so is the full route's certificate (`optimize.full_optimum`);
-# a failed certificate raises `errors.InvariantError`; every slack comes
-# from `dist._summed_slack`.
+# size is charged in bytes (`dist._check_table`), not capped in variables;
+# the full route's certificate (`optimize.full_optimum`) runs over Hamming
+# classes, with no charge and no numpy, and its atom-level helpers live in
+# the tests (`highs_lp`); a failed certificate raises
+# `errors.InvariantError`; every slack comes from `dist._summed_slack`.
 REMOVED = (
     "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
     "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
     "DENSE_VARIABLE_LIMIT", "CertificateError", "VERDICT_SLACK", "DEFAULT_COVARIANCE_TOL",
-    "_check_tolerance", "FULL_VARIABLE_LIMIT",
+    "_check_tolerance", "FULL_VARIABLE_LIMIT", "CERTIFICATE_ATOM_BYTES",
 )
 
 
@@ -33,7 +34,9 @@ def test_removed_names_are_gone():
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
     for check in (bounds.main_lower_check, bounds.full_report):
         assert list(inspect.signature(check).parameters) == ["joint"]
-    gone = ("FullLpProblem", "PRICING_TOLERANCE", "WITNESS_ATOM_FLOOR", "_seed_columns")
+    gone = ("FullLpProblem", "PRICING_TOLERANCE", "WITNESS_ATOM_FLOOR", "_seed_columns",
+            "_pair_indices", "_constraint_rows", "_reduced_costs", "_hamming_weights",
+            "_charge_certificate", "np")
     assert [name for name in gone if name in vars(optimize)] == []
     assert "_FAMILIES" not in vars(constructions)
     assert "status" not in optimize.LpSolution.__dataclass_fields__
