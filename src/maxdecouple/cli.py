@@ -47,8 +47,6 @@ FAMILY_BY_FLAG = {
     "product": (lambda p: constructions.product(MarginalVector(p)), ("p",)),
 }
 
-MODE_BY_FLAG = {"equality": "pairwise_equality", "negcov": "negative_covariance"}
-
 SWEEP_COLUMNS = (
     "n",
     "p",
@@ -201,7 +199,7 @@ def _cmd_search(args) -> int:
     # 'full' also certifies each row over all 2^n atoms; the rows are all
     # made before any is written, so a failed certificate writes nothing.
     rows = _as_usage(optimize.conjecture_sweep, args.n_min, args.n_max,
-                     MODE_BY_FLAG[args.mode], reduction=args.reduction)
+                     reduction=args.reduction)
     _emit(args.out, _csv(SWEEP_COLUMNS, rows))
     return EXIT_OK
 
@@ -267,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="extremal-ratio sweep over n")
     p_search.add_argument("--n-min", type=int, required=True)
     p_search.add_argument("--n-max", type=int, required=True)
-    p_search.add_argument("--mode", choices=sorted(MODE_BY_FLAG), default="equality")
+    p_search.add_argument("--mode", choices=("equality", "negcov"), default="equality",
+                          help="pair moments = p^2 or <= p^2: the same certified rows")
     p_search.add_argument(
         "--reduction", choices=("exchangeable", "full"), default="exchangeable"
     )

@@ -16,6 +16,11 @@ Two routes to the same optimum, both exact:
                 big-integer operations per certificate at any n, with
                 nothing to charge against the memory budget.
 
+Each route answers both pairwise programs: the one with pair moments
+p^2, and its relaxation to a kind of negative dependence, pair moments
+at most p^2.  They share the optimum and the witness, and the one
+certificate proves it optimal for both.
+
 The two routes must agree, which is one of the package's verification
 properties.  The sweep's ratio of the optimum to P(Z~ > 0) at p = 1/(n-1)
 tends to e/(2(e-1)), which is not the best lower constant: at p = 2/(n-1)
@@ -37,8 +42,6 @@ from itertools import repeat
 from types import MappingProxyType
 
 from .errors import InvariantError
-
-MODES = ("pairwise_equality", "negative_covariance")
 
 _ZERO = Fraction(0)
 
@@ -62,17 +65,11 @@ class LpSolution:
 
 
 def _check_common(n: int, p: Fraction | float | int) -> Fraction:
-    p = Fraction(p)
-    if not 0 <= p.numerator <= p.denominator:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not 0 <= p <= 1:  # false for NaN too, and before Fraction(inf) overflows
         raise ValueError(f"marginal p must lie in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return p
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return Fraction(p)
 
 
 def _closed_form(n: int, a: int, b: int) -> tuple[int, int, int, int]:
@@ -89,16 +86,11 @@ def _closed_form(n: int, a: int, b: int) -> tuple[int, int, int, int]:
     return k, at_k, above_k, k * (k + 1) * b * b
 
 
-def _closed_form_k(n: int, p: Fraction) -> int:
-    """The k of `exchangeable_optimum` at a checked p."""
-    return _closed_form(n, p.numerator, p.denominator)[0]
-
-
 def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
     """Exact minimum of P(Z > 0) over laws w_k = P(Z = k), k = 0..n, with
     sum w_k = 1, first falling moment S1 = sum k w_k = n p and second
     falling moment 2 S2 = sum k(k-1) w_k = n(n-1) p^2, and over its
-    relaxation, where 2 S2 is an upper bound (the two `MODES`).
+    relaxation, where 2 S2 is an upper bound.
 
     The optimum is the sharp Dawson-Sankoff bound 2 S1/(k+1) - 2 S2/(k(k+1))
     with k = 1 + floor(2 S2 / S1), attained only on the support {0, k, k+1}.
@@ -125,13 +117,11 @@ def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
       falling moment T is below 2 S2 has P(Z > 0) >= 2 S1/(k+1) -
       T/(k(k+1)), above the equality optimum, feasible for both.
     """
-    return _exchangeable(n, _check_common(n, p))
+    return _exchangeable(n, _check_common(n, p))[1]
 
 
-def _exchangeable(n: int, p: Fraction) -> LpSolution:
-    """`exchangeable_optimum` at a checked p, in integers."""
-    if n < 2:
-        raise ValueError(f"exchangeable reduction needs n >= 2, got {n}")
+def _exchangeable(n: int, p: Fraction) -> tuple[int, LpSolution]:
+    """`exchangeable_optimum` at a checked p, in integers, with its k."""
     k, at_k, above_k, scale = _closed_form(n, p.numerator, p.denominator)
     # w_0 goes in last: at p = 0, k = 0 and w_0 = 1 is the only weight.  The
     # zeros (w_(k+1) where (n - 1) p is an integer, w_0 at p = 1) are dropped.
@@ -139,26 +129,30 @@ def _exchangeable(n: int, p: Fraction) -> LpSolution:
     support = {z: Fraction(m, scale) for z, m in sorted(masses.items()) if m}
     # int / int rounds correctly, so it is float(objective_exact).
     objective = (at_k + above_k) / scale
-    return LpSolution(objective, Fraction(at_k + above_k, scale), n, MappingProxyType(support))
+    return k, LpSolution(objective, Fraction(at_k + above_k, scale), n, MappingProxyType(support))
 
 
-def _certificate_dual(n: int, k: int) -> tuple[tuple[int, int, int], int]:
+def _certificate_dual(k: int) -> tuple[tuple[int, int, int], int]:
     """The dual of `exchangeable_optimum`'s bound for the atom-level
     program, one multiplier per row kind: y_0 = 0 on the mass row,
     y_i = 2/(k+1) on each marginal row and y_ij = -2/(k(k+1)) on each
     pair row, as (integers, scale): scaled by k(k+1) to integers.  k = 0
-    stands for p = 0, where y = 0.  The multipliers do not depend on n."""
+    stands for p = 0, where y = 0."""
     if k == 0:
         return (0, 0, 0), 1
     return (0, 2 * k, -2), k * (k + 1)
 
 
-def _certificate_fault(
-    n: int, p: Fraction, mode: str, k: int, solution: LpSolution
-) -> str | None:
+def _certificate_fault(n: int, p: Fraction, k: int, solution: LpSolution) -> str | None:
     """What fails in the LP-duality certificate formed by the dual
-    `_certificate_dual(n, k)` and the law `solution.support` spread
+    `_certificate_dual(k)` and the law `solution.support` spread
     uniformly over each Hamming-weight class, or None if it holds.
+
+    One certificate proves both pairwise programs optimal: the one whose
+    pair rows are equalities and its relaxation, whose pair rows are
+    <= rows.  A dual whose pair multiplier is <= 0 is feasible for both
+    duals, a witness that meets every pair row exactly is feasible for
+    both primals, and equal objectives then make it optimal for both.
 
     The dual has one multiplier per row kind and the witness one weight
     per class, so three checks over the n + 1 classes, each a few integer
@@ -169,16 +163,16 @@ def _certificate_fault(
       monotone in z, so its least value on 1..n is at 1, at n, or, where
       they rise, at the first z >= t = -y_1 / y_2: floor(t) or floor(t) + 1,
       clipped.  The least weight of least cost among those and 0 is named.
-      In negative_covariance mode the pair dual must also be <= 0;
+      The pair multiplier must also be <= 0;
     - primal feasibility: the weights are >= 0 on classes 0..n, and each
-      row meets p^e exactly (pair rows from below in negative_covariance
-      mode).  Class z's atoms carry w_z / C(n, z) each, and a row of kind
-      e (0 mass, 1 marginal, 2 pair) meets C(n - e, z - e) of them, so it
-      sums w_z z^(e) / n^(e) in falling powers, here in integers;
+      row meets p^e exactly.  Class z's atoms carry w_z / C(n, z) each,
+      and a row of kind e (0 mass, 1 marginal, 2 pair) meets
+      C(n - e, z - e) of them, so it sums w_z z^(e) / n^(e) in falling
+      powers, here in integers;
     - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`.
     By weak duality the objective is then the minimum over all atoms.
     """
-    (y0, y1, y2), scale = _certificate_dual(n, k)
+    (y0, y1, y2), scale = _certificate_dual(k)
 
     def reduced(z: int) -> int:
         return (scale if z else 0) - y0 - z * y1 - z * (z - 1) // 2 * y2
@@ -189,8 +183,7 @@ def _certificate_fault(
     worst = min(sorted(set(candidates)), key=reduced)
     if reduced(worst) < 0:
         return f"an atom of weight {worst} has reduced cost {reduced(worst)}/{scale} < 0"
-    upper = mode == "negative_covariance"  # the pair rows are <= rows
-    if upper and y2 > 0:
+    if y2 > 0:
         return "a pair row's dual is positive"
     weights = solution.support
     if any(w < 0 or not 0 <= z <= n for z, w in weights.items()):
@@ -200,8 +193,7 @@ def _certificate_fault(
     for row, name in enumerate(("mass", "marginal", "pair")):
         total = sum(w.numerator * (common // w.denominator) * math.perm(z, row)
                     for z, w in weights.items())
-        scaled, rhs = total * b**row, a**row * common * math.perm(n, row)
-        if scaled != rhs and not (upper and row == 2 and scaled < rhs):
+        if total * b**row != a**row * common * math.perm(n, row):
             total = Fraction(total, common * math.perm(n, row))
             return f"a {name} row sums to {total}, not {p**row}"
     pairs = n * (n - 1) // 2
@@ -215,29 +207,25 @@ def _certificate_fault(
     return None
 
 
-def full_optimum(
-    n: int, p: Fraction | float, mode: str = "pairwise_equality"
-) -> LpSolution:
+def full_optimum(n: int, p: Fraction | float) -> LpSolution:
     """Exact minimum of P(Z > 0) over all joints on {0,1}^n: the atom-level
-    program q_x >= 0, sum q = 1, marginals p, pair moments p^2 (upper
-    bounds in negative_covariance mode), minimizing the mass off the zero atom.
+    program q_x >= 0, sum q = 1, marginals p, pair moments p^2, minimizing
+    the mass off the zero atom, and over its relaxation, where the pair
+    moments are upper bounds.
 
     Returns `exchangeable_optimum(n, p)` once `_certificate_fault`
-    has proven it optimal for the program over every atom: the closed
+    has proven it optimal for both programs over every atom: the closed
     form's witness is primal feasible, the dual of its bound is dual
     feasible, and the two objectives are equal.  This is the dual form of
     the f(z) argument in `exchangeable_optimum`'s docstring.  Checked over
     the n + 1 Hamming-weight classes, it costs a few big-integer operations
-    at any n.  Raises InvariantError, naming n, p and mode, if it fails.
+    at any n.  Raises InvariantError, naming n and p, if it fails.
     """
-    _check_mode(mode)  # the certificate reads it
     p = _check_common(n, p)
-    solution = _exchangeable(n, p)
-    fault = _certificate_fault(n, p, mode, _closed_form_k(n, p), solution)
+    k, solution = _exchangeable(n, p)
+    fault = _certificate_fault(n, p, k, solution)
     if fault is not None:
-        raise InvariantError(
-            f"the full LP certificate fails at n={n}, p={p}, mode={mode}: {fault}"
-        )
+        raise InvariantError(f"the full LP certificate fails at n={n}, p={p}: {fault}")
     return solution
 
 
@@ -248,19 +236,17 @@ def _calibration_mtilde(n: int) -> float:
     return 1.0 - math.prod(repeat(1.0 - 1.0 / (n - 1), n))
 
 
-def conjecture_sweep(
-    n_min: int, n_max: int, mode: str = "pairwise_equality", *, reduction: str
-) -> list[dict]:
+def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
     """Tabulate the optimal ratio against the candidate family's ratio.
 
     `reduction` is "exchangeable" (closed form) or "full" (the closed form
     certified over all 2^n atoms by `full_optimum`); both print the same
-    rows.  The exchangeable route takes each row's objective straight from
-    the integer kernel `_closed_form`, the correctly rounded float of
-    `exchangeable_optimum(n, 1/(n-1)).objective`, and checks the mode
-    once.  A full sweep certifies each row with a few big-integer
-    operations (`full_optimum`), so it runs at any n and allocates nothing
-    per atom.
+    rows, which are the optimum of both pairwise programs.  The
+    exchangeable route takes each row's objective straight from the
+    integer kernel `_closed_form`, the correctly rounded float of
+    `exchangeable_optimum(n, 1/(n-1)).objective`.  A full sweep certifies
+    each row with a few big-integer operations (`full_optimum`), so it
+    runs at any n and allocates nothing per atom.
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  lp_ratio tends to
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
@@ -271,13 +257,12 @@ def conjecture_sweep(
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
     if reduction not in ("exchangeable", "full"):
         raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
-    _check_mode(mode)
     full = reduction == "full"
     rows = []
     running_inf = float("inf")
     for n in range(n_min, n_max + 1):
         if full:
-            objective = full_optimum(n, Fraction(1, n - 1), mode).objective
+            objective = full_optimum(n, Fraction(1, n - 1)).objective
         else:
             _, at_k, above_k, scale = _closed_form(n, 1, n - 1)
             objective = (at_k + above_k) / scale

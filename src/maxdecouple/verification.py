@@ -254,10 +254,10 @@ def _check_family_properties(tallies: dict[str, PropertyResult]) -> None:
         )
 
 
-def _certified(n: int, p: Fraction, mode: str = "pairwise_equality"):
+def _certified(n: int, p: Fraction):
     """`optimize.full_optimum`, or None if its certificate fails."""
     try:
-        return optimize.full_optimum(n, p, mode)
+        return optimize.full_optimum(n, p)
     except InvariantError:
         return None
 
@@ -282,13 +282,11 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
     for n in (3, 4, 5):
         for p in (Fraction(1, n - 1), Fraction(3, 10)):
             exch = optimize.exchangeable_optimum(n, p)
-            eq, relaxed = (_certified(n, p, mode) for mode in optimize.MODES)
-            for mode, full in zip(optimize.MODES, (eq, relaxed)):
-                tallies["lp-reduction-soundness"].record(
-                    full is not None and full.objective_exact == exch.objective_exact,
-                    f'{{"lp":{{"n":{n},"p":"{p}","mode":"{mode}"}}}}',
-                )
+            full = _certified(n, p)
             tag = f'{{"lp":{{"n":{n},"p":"{p}"}}}}'
+            tallies["lp-reduction-soundness"].record(
+                full is not None and full.objective_exact == exch.objective_exact, tag
+            )
             witness = expand_exchangeable(n, exch.weights_exact)
             # Each class's atoms sum exactly to its float total, which
             # rounds the exact weight once (at most n + 1 of them);
@@ -311,11 +309,6 @@ def _check_lp_properties(tallies: dict[str, PropertyResult]) -> None:
             tallies["lp-objective-bound-consistency"].record(
                 bounds.holds(pz, exch.objective, _summed_slack(2 * n + 2))
                 and bounds.holds(half, exch.objective, _summed_slack(2 * n + 2)),
-                tag,
-            )
-            tallies["lp-relaxation-never-larger"].record(
-                eq is not None and relaxed is not None
-                and relaxed.objective_exact <= eq.objective_exact,
                 tag,
             )
 
@@ -356,7 +349,6 @@ PROPERTY_NAMES = (
     "lp-reduction-soundness",
     "lp-witness-roundtrip",
     "lp-objective-bound-consistency",
-    "lp-relaxation-never-larger",
     "sample-reproducible",
     "sample-point-mass",
 )

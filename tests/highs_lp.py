@@ -27,7 +27,10 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from maxdecouple import optimize
-from maxdecouple.optimize import LpSolution, _check_common, _check_mode
+from maxdecouple.optimize import LpSolution
+
+# The two pairwise programs: pair moments equal to p^2, and at most p^2.
+MODES = ("pairwise_equality", "negative_covariance")
 
 # The largest n the oracle builds: `ExtremalLp` materializes all 2^n
 # columns as float CSR (about 54 MB at n = 16), and the tests compare the
@@ -150,8 +153,11 @@ def build_full_lp(
     in negative_covariance mode (a relaxation, so its optimum can only be
     lower).  Objective: minimize the mass off the zero atom.
     """
-    _check_mode(mode)
-    p = _check_common(n, p)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if n < 1 or not 0 <= p <= 1:
+        raise ValueError(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
+    p = Fraction(p)
     if n > FULL_VARIABLE_LIMIT:
         raise ValueError(
             f"full reduction enumerates 2^n atoms; n={n} exceeds {FULL_VARIABLE_LIMIT}"
@@ -168,7 +174,7 @@ def build_full_lp(
 def seed_columns(lp: ExtremalLp) -> np.ndarray:
     """Masks of Hamming weight 0, k - 1, k and k + 1, where k is the closed
     form's k (see `optimize.exchangeable_optimum`)."""
-    k = optimize._closed_form_k(lp.n, lp.p)
+    k = optimize._closed_form(lp.n, lp.p.numerator, lp.p.denominator)[0]
     weight = _hamming_weights(lp.n).astype(np.int64)  # uint8 would wrap below k
     return np.flatnonzero((weight == 0) | (abs(weight - k) <= 1))
 
@@ -242,20 +248,20 @@ def solve(lp: ExtremalLp) -> HighsSolution:
 
 
 def atom_duals(n: int, k: int) -> tuple[np.ndarray, int]:
-    """`optimize._certificate_dual(n, k)` spread over the program's rows in
+    """`optimize._certificate_dual(k)` spread over the program's rows in
     `_constraint_rows` order, as (int64 duals, scale)."""
-    (y0, y1, y2), scale = optimize._certificate_dual(n, k)
+    (y0, y1, y2), scale = optimize._certificate_dual(k)
     return np.repeat(np.int64([y0, y1, y2]), [1, n, n * (n - 1) // 2]), scale
 
 
-def atom_certificate_fault(
-    n: int, p: Fraction, mode: str, k: int, solution: LpSolution
-) -> str | None:
+def atom_certificate_fault(n: int, p: Fraction, k: int, solution: LpSolution) -> str | None:
     """`optimize._certificate_fault` checked atom by atom, with its messages:
-    every atom's reduced cost in int64 (`_reduced_costs`), and every row's
-    total over every atom of the witness's classes, counted by
-    `_constraint_rows` a chunk of masks at a time and weighted
-    w_z / C(n, z) in integers over one common denominator."""
+    every atom's reduced cost in int64 (`_reduced_costs`), every pair
+    row's dual <= 0, and every row's total over every atom of the
+    witness's classes, counted by `_constraint_rows` a chunk of masks at a
+    time and weighted w_z / C(n, z) in integers over one common
+    denominator, met exactly.  Like the package's, it proves the optimum
+    of both programs, `build_full_lp`'s equality and <= pair rows."""
     duals, scale = atom_duals(n, k)
     weight = _hamming_weights(n)
     # The objective c is 0 on the zero atom and scale on every other.
@@ -263,8 +269,7 @@ def atom_certificate_fault(
     worst = int(reduced.argmin())
     if reduced[worst] < 0:
         return f"an atom of weight {weight[worst]} has reduced cost {reduced[worst]}/{scale} < 0"
-    upper = mode == "negative_covariance"  # the pair rows are <= rows
-    if upper and (duals[1 + n :] > 0).any():
+    if (duals[1 + n :] > 0).any():
         return "a pair row's dual is positive"
     weights = solution.support
     if any(w < 0 or not 0 <= z <= n for z, w in weights.items()):
@@ -285,8 +290,7 @@ def atom_certificate_fault(
             totals = [total + share * count for total, count in zip(totals, counts)]
     a, b = p.numerator, p.denominator
     for row, total in zip(kinds, totals):
-        scaled, rhs = total * b**row, a**row * common
-        if scaled != rhs and not (upper and row == 2 and scaled < rhs):
+        if total * b**row != a**row * common:
             name = ("mass", "marginal", "pair")[row]
             return f"a {name} row sums to {Fraction(total, common)}, not {p**row}"
     marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())

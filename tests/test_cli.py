@@ -198,9 +198,19 @@ class TestReport:
         assert "marginals must lie" not in capsys.readouterr().err
 
     def test_unparseable_json_exits_one(self, tmp_path, capsys):
+        # Not JSON, JSON that is no object, and an object of no known kind.
         path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        assert main(["report", "--in", str(path)]) == EXIT_INPUT
+        kinds = "'bernoulli-joint' or 'nonneg-joint'"
+        for text, message in (
+            ("{not json", "cannot read input: Expecting property name"),
+            ("[1, 2]", "invalid input: joint document must be a JSON object\n"),
+            ('{"kind": "poisson", "n": 1}', f"invalid input: field 'kind' must be {kinds}, got 'poisson'\n"),
+            ('{"n": 1}', f"invalid input: field 'kind' must be {kinds}, got None\n"),
+        ):
+            path.write_text(text)
+            assert main(["report", "--in", str(path)]) == EXIT_INPUT, text
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"maxdecouple: {message}"), (text, err)
 
     def test_non_utf8_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
@@ -395,10 +405,16 @@ class TestConstruct:
             assert proc.stderr.startswith(f"{want} needs"), flags
 
     def test_nan_marginal_is_usage_error(self, capsys):
-        assert main(["construct", "--family", "product", "--p", "0.5,nan"]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == "" and "marginals must lie in [0, 1]; found value nan" in err
-        assert "atom mask" not in err
+        # A NaN marginal parses and the builder refuses it; an empty one
+        # never parses.
+        for p, message in (
+            ("0.5,nan", "marginals must lie in [0, 1]; found value nan"),
+            ("0.5,,0.5", "--p must be a comma-separated float list, got '0.5,,0.5'"),
+        ):
+            assert main(["construct", "--family", "product", "--p", p]) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and f"maxdecouple: usage error: {message}" in err, p
+            assert "atom mask" not in err
 
     def test_mask_past_decimal_digit_limit_is_a_write_error(self, tmp_path, capsys):
         # 2^14284 - 1 has 4300 decimal digits and is written; the all-ones
@@ -579,10 +595,12 @@ class TestSample:
 
 
 class TestVerify:
-    # SHA-256 of `verify --seed 0 --trials 200` stdout, recorded while the
-    # battery still read pair moments from n x n matrices: it pins that the
-    # properties that now read the joint summary tally the same checks.
-    GOLDEN = "0cfc038dc2617edd6e229edcd7a4824953afed8a69024324be5eb471e9c4a6a8"
+    # SHA-256 of `verify --seed 0 --trials 200` stdout.  Re-pinned when the
+    # two pairwise programs came under one certificate: lp-reduction-soundness
+    # counts one case per (n, p), 6 not 12, and lp-relaxation-never-larger is
+    # gone; every other line is the bytes recorded while the battery read
+    # pair moments from n x n matrices.
+    GOLDEN = "892319cafd8caa55e098c615dd0c7e0d0479d31d58be43be5b6882da400e5d06"
 
     def test_stdout_matches_golden_digest(self):
         out = io.StringIO()
@@ -595,7 +613,7 @@ class TestVerify:
         first = capsys.readouterr().out
         assert main(["verify", "--seed", "0", "--trials", "5"]) == EXIT_OK
         assert capsys.readouterr().out == first
-        assert "all 27 properties passed" in first
+        assert "all 26 properties passed" in first
 
     def test_zero_trials_is_usage_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == EXIT_USAGE
@@ -789,7 +807,7 @@ class TestInvariantExitCode:
         # A dual built from k + 1 cannot certify the optimum; no row is
         # printed, and no file is written.
         real = optimize._certificate_dual
-        monkeypatch.setattr(optimize, "_certificate_dual", lambda n, k: real(n, k + 1))
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda k: real(k + 1))
         argv = ["search", "--n-min", "3", "--n-max", "5", "--reduction", "full"]
         out_file = tmp_path / "sweep.csv"
         for flags in ([], ["--out", str(out_file)]):
@@ -797,7 +815,7 @@ class TestInvariantExitCode:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("maxdecouple: invariant failed: the full LP certificate fails at ")
-            assert "n=3, p=1/2, mode=negative_covariance: dual objective" in err
+            assert "n=3, p=1/2: dual objective" in err
             assert "Traceback" not in err
         assert not out_file.exists()
 

@@ -157,6 +157,8 @@ class TestComonotone:
             comonotone(3, -0.1)
         with pytest.raises(ValueError):
             comonotone(3, 1.1)
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+            comonotone(0, 0.5)
 
 
 class TestAffineHash:
@@ -187,8 +189,10 @@ class TestAffineHash:
                 assert j.summary.max_abs_excess <= 1e-12, (q, m)
 
     def test_rejects_composite_q(self):
-        with pytest.raises(ValueError):
-            affine_hash(3, 9, 2)
+        # Composite, and below the first prime, where is_prime refuses at once.
+        for q in (9, 1, 0, -3):
+            with pytest.raises(ValueError, match=f"^q must be prime, got {q}$"):
+                affine_hash(1, q, 0)
 
     def test_rejects_n_above_q(self):
         with pytest.raises(ValueError):

@@ -227,8 +227,12 @@ class TestAffineHashValues:
         assert affine_hash_values(2, 3, tables).atoms == plain.atoms
 
     def test_rejects_bad_table_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^value table 0 must have length q=3$"):
             affine_hash_values(2, 3, [(0.0, 1.0), (0.0, 1.0, 2.0)])
+        # One table too few or too many.
+        for tables in ([(0.0, 1.0, 2.0)], [(0.0, 1.0, 2.0)] * 3):
+            with pytest.raises(ValueError, match=rf"^need one value table per variable \(2\), got {len(tables)}$"):
+                affine_hash_values(2, 3, tables)
 
     def test_rejects_composite_q(self):
         with pytest.raises(ValueError):

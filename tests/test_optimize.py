@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import highs_lp
 import oracles
-from highs_lp import FULL_VARIABLE_LIMIT, build_full_lp, solve
+from highs_lp import FULL_VARIABLE_LIMIT, MODES, build_full_lp, solve
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
     JointBernoulli,
@@ -35,12 +35,16 @@ from maxdecouple import (
 )
 from maxdecouple import constructions, optimize
 from maxdecouple.errors import InvariantError
-from maxdecouple.optimize import MODES
 
 
 def as_triple(solution):
     """(objective, objective_exact, weights_exact), the oracle's form."""
     return solution.objective, solution.objective_exact, solution.weights_exact
+
+
+def closed_form_k(n, p):
+    """The k of the closed form's support {0, k, k + 1} at n, p."""
+    return optimize._exchangeable(n, p)[0]
 
 
 def assert_basic_optimum(full, objective, n, p, mode, tol):
@@ -146,12 +150,15 @@ class TestBuilders:
         assert len(eq) == 2 and ub[0][1] == Fraction(4, 3)
 
     def test_exchangeable_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            exchangeable_optimum(1, 0.5)
-        with pytest.raises(ValueError):
-            exchangeable_optimum(4, 1.5)
-        with pytest.raises(ValueError):
-            full_optimum(4, 0.5, "bogus")
+        # One check for both optima: n below 2, and every p outside [0, 1],
+        # the infinities and NaN among them, which Fraction cannot take.
+        for optimum in (exchangeable_optimum, full_optimum):
+            for n in (0, 1):
+                with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
+                    optimum(n, 0.5)
+            for p in (1.5, -0.25, Fraction(3, 2), math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=r"^marginal p must lie in \[0, 1\], got "):
+                    optimum(4, p)
 
 
 class TestSolveKnownInstances:
@@ -194,10 +201,10 @@ class TestSolveKnownInstances:
     def test_product_joint_always_feasible(self):
         for n in (2, 3, 5):
             for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, n - 1), Fraction(1, 2)):
+                assert 0 <= exchangeable_optimum(n, p).objective_exact <= 1
+                assert 0 <= full_optimum(n, p).objective_exact <= 1
                 for mode in MODES:
-                    assert 0 <= exchangeable_optimum(n, p).objective_exact <= 1
                     assert solve(build_full_lp(n, p, mode)).status == "optimal"
-                    assert 0 <= full_optimum(n, p, mode).objective_exact <= 1
 
     def test_product_pmf_satisfies_equality_constraints_up_to_cap(self):
         # The independent law meets every equality-mode constraint to 1e-12,
@@ -266,17 +273,22 @@ class TestOracleAgreement:
         for n in range(2, FULL_VARIABLE_LIMIT + 1):
             grid = [Fraction(j, 10) for j in range(11)] if n <= 10 else []
             for p in dict.fromkeys(grid + [Fraction(1, n - 1)]):
+                certified = full_optimum(n, p)
+                assert certified == exchangeable_optimum(n, p)
                 for mode in MODES:
                     full = solve(build_full_lp(n, p, mode))
-                    certified = full_optimum(n, p, mode)
-                    assert certified == exchangeable_optimum(n, p)
                     assert_basic_optimum(full, certified.objective, n, p, mode, 1e-9)
 
     def test_negcov_never_above_equality(self):
+        # HiGHS solves the two programs apart: the relaxation is never
+        # above, and both reach the one certified optimum.
         for n in (3, 4, 6, 9):
             for p in (Fraction(1, n - 1), Fraction(2, 5)):
-                eq, relaxed = (full_optimum(n, p, mode) for mode in MODES)
-                assert relaxed.objective_exact <= eq.objective_exact
+                eq, relaxed = (solve(build_full_lp(n, p, mode)) for mode in MODES)
+                assert relaxed.objective <= eq.objective + 1e-9, (n, p)
+                certified = full_optimum(n, p).objective
+                assert abs(eq.objective - certified) <= 1e-9, (n, p)
+                assert abs(relaxed.objective - certified) <= 1e-9, (n, p)
 
 
 class TestWitnessRoundTrip:
@@ -400,35 +412,32 @@ class TestMinRatioAndSweep:
         ):
             with pytest.raises(ValueError):
                 conjecture_sweep(n_min, n_max, reduction=reduction)
-        for reduction in ("exchangeable", "full"):
-            with pytest.raises(ValueError, match="mode must be one of"):
-                conjecture_sweep(3, 5, "equality", reduction=reduction)
 
     def test_sweep_objective_is_the_exchangeable_optimum(self):
         # The sweep's integer kernel gives the float of the Fraction route,
-        # bit for bit, in both modes.
-        for mode in MODES:
-            rows = conjecture_sweep(3, 600, mode, reduction="exchangeable")
-            for row in rows:
-                n = row["n"]
-                expected = exchangeable_optimum(n, Fraction(1, n - 1)).objective
-                assert row["lp_objective"] == expected, (n, mode)
+        # bit for bit.
+        for row in conjecture_sweep(3, 600, reduction="exchangeable"):
+            n = row["n"]
+            expected = exchangeable_optimum(n, Fraction(1, n - 1)).objective
+            assert row["lp_objective"] == expected, n
 
     def test_full_sweep_matches_exchangeable_rows(self):
         # Every row certified, far past 2^n atoms that could be enumerated.
-        for mode in MODES:
-            full = conjecture_sweep(3, 200, mode, reduction="full")
-            assert full == conjecture_sweep(3, 200, mode, reduction="exchangeable"), mode
+        full = conjecture_sweep(3, 200, reduction="full")
+        assert full == conjecture_sweep(3, 200, reduction="exchangeable")
 
 
 class TestNegativeCovarianceMode:
     def test_negcov_optimum_against_oracle_small(self):
         # Spot value: at n=3, p=1/2 both optima are 3/4; the relaxation
-        # cannot go lower (see exchangeable_optimum).
+        # cannot go lower (see exchangeable_optimum).  The exact vertex
+        # enumeration and HiGHS each solve the relaxed program apart.
         eq = exchangeable_optimum(3, Fraction(1, 2))
-        relaxed = full_optimum(3, Fraction(1, 2), "negative_covariance")
+        certified = full_optimum(3, Fraction(1, 2))
         expected = oracles.oracle_lp_vertex_minimum(3, Fraction(1, 2), False)
-        assert relaxed.objective_exact == expected == eq.objective_exact == Fraction(3, 4)
+        assert certified.objective_exact == expected == eq.objective_exact == Fraction(3, 4)
+        relaxed = solve(build_full_lp(3, Fraction(1, 2), "negative_covariance"))
+        assert relaxed.objective == pytest.approx(0.75, abs=1e-9)
 
     def test_full_witness_respects_covariance_cap(self):
         solution = solve(build_full_lp(4, 0.3, "negative_covariance"))
@@ -512,11 +521,11 @@ class TestColumnGeneration:
                 assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
 
 
-def verdict(n, p, mode, k, solution):
+def verdict(n, p, k, solution):
     """`optimize._certificate_fault`, asserted equal, message for message,
     to the same certificate checked atom by atom."""
-    fault = optimize._certificate_fault(n, p, mode, k, solution)
-    assert highs_lp.atom_certificate_fault(n, p, mode, k, solution) == fault, (n, p, mode, k)
+    fault = optimize._certificate_fault(n, p, k, solution)
+    assert highs_lp.atom_certificate_fault(n, p, k, solution) == fault, (n, p, k)
     return fault
 
 
@@ -534,18 +543,16 @@ class TestCertificate:
             else:
                 grid = [Fraction(3, 10), Fraction(1, 2)]
             for p in dict.fromkeys(grid + [Fraction(1, n - 1), min(Fraction(2, n - 1), 1)]):
-                k = optimize._closed_form_k(n, p)
-                (y0, y1, y2), scale = optimize._certificate_dual(n, k)
+                (y0, y1, y2), scale = optimize._certificate_dual(closed_form_k(n, p))
                 assert all(type(y) is int for y in (y0, y1, y2, scale))
                 dual_objective = (y0 + p * n * y1 + p * p * pairs * y2) / Fraction(scale)
                 assert y2 <= 0
-                for mode in MODES:
-                    solution = full_optimum(n, p, mode)
-                    case = (n, p, mode)
-                    assert solution == exchangeable_optimum(n, p), case
-                    assert solution.objective_exact == dual_objective, case
-                    assert solution.objective_exact == 1 - solution.weights_exact[0], case
-                    assert solution.objective == float(dual_objective), case
+                solution = full_optimum(n, p)
+                case = (n, p)
+                assert solution == exchangeable_optimum(n, p), case
+                assert solution.objective_exact == dual_objective, case
+                assert solution.objective_exact == 1 - solution.weights_exact[0], case
+                assert solution.objective == float(dual_objective), case
 
     def test_class_level_matches_atom_level(self):
         # The certificate over the n + 1 classes holds where the same dual
@@ -557,10 +564,8 @@ class TestCertificate:
         cases += [(n, p) for n in (18, 20)
                   for p in (Fraction(3, 10), Fraction(1, 2), Fraction(1, n - 1), Fraction(2, n - 1))]
         for n, p in dict.fromkeys(cases):
-            k = optimize._closed_form_k(n, p)
-            solution = exchangeable_optimum(n, p)
-            for mode in MODES:
-                assert verdict(n, p, mode, k, solution) is None, (n, p, mode)
+            k, solution = optimize._exchangeable(n, p)
+            assert verdict(n, p, k, solution) is None, (n, p)
 
     def test_certificate_runs_at_any_n(self):
         # No 2^n array and no charge: past any n whose atoms could be
@@ -573,11 +578,11 @@ class TestCertificate:
                 tracemalloc.start()
                 try:
                     expected = exchangeable_optimum(n, p)
-                    certified = [full_optimum(n, p, mode) for mode in MODES]
+                    certified = full_optimum(n, p)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert certified == [expected, expected], (n, p)
+                assert certified == expected, (n, p)
                 assert peak < 1_000_000, (n, p, peak)
 
     def test_reduced_costs_match_loop_oracle(self):
@@ -626,38 +631,56 @@ class TestCertificate:
 
     def test_zero_marginal_dual_is_zero(self):
         for n in (2, 9, FULL_VARIABLE_LIMIT):
-            assert optimize._closed_form_k(n, Fraction(0)) == 0
-            assert optimize._certificate_dual(n, 0) == ((0, 0, 0), 1)
+            assert closed_form_k(n, Fraction(0)) == 0
+            assert optimize._certificate_dual(0) == ((0, 0, 0), 1)
             assert full_optimum(n, 0).weights_exact[0] == 1
 
     def cases(self):
         for n in (2, 3, 5, 8, 12):
             for p in (Fraction(1, n - 1), Fraction(3, 10), Fraction(1, 2), Fraction(1)):
-                for mode in MODES:
-                    yield n, p, mode, exchangeable_optimum(n, p)
+                yield n, p, exchangeable_optimum(n, p)
 
     def test_dual_from_k_plus_one_fails(self):
         # Still dual feasible ((z-k-1)(z-k-2) >= 0), but its objective is
         # below the optimum, so the certificate proves nothing.
-        for n, p, mode, solution in self.cases():
-            k = optimize._closed_form_k(n, p)
-            assert verdict(n, p, mode, k, solution) is None
-            fault = verdict(n, p, mode, k + 1, solution)
-            assert fault is not None and fault.startswith("dual objective"), (n, p, mode)
+        for n, p, solution in self.cases():
+            k = closed_form_k(n, p)
+            assert verdict(n, p, k, solution) is None
+            fault = verdict(n, p, k + 1, solution)
+            assert fault is not None and fault.startswith("dual objective"), (n, p)
 
     def test_moved_witness_weight_fails(self):
+        # Weight taken off a class breaks the mass row, weight moved one
+        # class down a marginal row, weight moved to class n + 1 or made
+        # negative leaves the witness no law on the classes 0..n, and
+        # weight spread over {0, k, k + 1} can lower the pair row alone.
         delta = Fraction(1, 10**6)
-        for n, p, mode, solution in self.cases():
-            k = optimize._closed_form_k(n, p)
+        off_classes = "a witness weight is negative or off the classes 0..n"
+        below = 0
+        for n, p, solution in self.cases():
+            k = closed_form_k(n, p)
             support = solution.support
             z = max(support, key=support.get)
-            for moved, row in ((z, "mass"), (z - 1 if z else 1, "marginal")):
+            for moved, start in ((None, "a mass row"), (z - 1 if z else 1, "a marginal row"),
+                                 (n + 1, off_classes)):
                 shifted = dict(support)
                 shifted[z] -= delta
-                if row == "marginal":
+                if moved is not None:
                     shifted[moved] = shifted.get(moved, 0) + delta  # the mass row still holds
-                fault = verdict(n, p, mode, k, replace(solution, support=shifted))
-                assert fault is not None and fault.startswith(f"a {row} row"), (n, p, mode)
+                fault = verdict(n, p, k, replace(solution, support=shifted))
+                assert fault is not None and fault.startswith(start), (n, p, moved)
+            negative = replace(solution, support={**support, z: -support[z]})
+            assert verdict(n, p, k, negative) == off_classes, (n, p)
+            if support.get(0) and support.get(k + 1):
+                # The pair row met from below, the mass and marginal rows
+                # exactly: a <= row would take it, the one certificate
+                # needs every row met exactly.
+                lowered = {**support, 0: support[0] - delta, k: support[k] + (k + 1) * delta,
+                           k + 1: support[k + 1] - k * delta}
+                fault = verdict(n, p, k, replace(solution, support=lowered))
+                assert fault is not None and fault.startswith("a pair row"), (n, p)
+                below += 1
+        assert below > 0
 
     def test_dropped_pair_row_fails(self, monkeypatch):
         # Either side: a dual that puts no multiplier on the pair rows
@@ -666,33 +689,28 @@ class TestCertificate:
         # program the atom-level check counts.
         real_dual, real_rows = optimize._certificate_dual, highs_lp._constraint_rows
 
-        def dual_without_pairs(n, k):
-            (y0, y1, _), scale = real_dual(n, k)
+        def dual_without_pairs(k):
+            (y0, y1, _), scale = real_dual(k)
             return (y0, y1, 0), scale
 
         with monkeypatch.context() as m:
             m.setattr(optimize, "_certificate_dual", dual_without_pairs)
-            for n, p, mode, solution in self.cases():
-                fault = verdict(n, p, mode, optimize._closed_form_k(n, p), solution)
-                assert fault is not None and "has reduced cost" in fault, (n, p, mode, fault)
-                with pytest.raises(InvariantError, match=f"n={n}, p={p}, mode={mode}"):
-                    full_optimum(n, p, mode)
+            for n, p, solution in self.cases():
+                fault = verdict(n, p, closed_form_k(n, p), solution)
+                assert fault is not None and "has reduced cost" in fault, (n, p, fault)
+                with pytest.raises(InvariantError, match=f"n={n}, p={p}: an atom of weight"):
+                    full_optimum(n, p)
         monkeypatch.setattr(highs_lp, "_constraint_rows", lambda n, masks: real_rows(n, masks)[:-1])
-        for n, p, mode, solution in self.cases():
-            k = optimize._closed_form_k(n, p)
-            fault = highs_lp.atom_certificate_fault(n, p, mode, k, solution)
-            assert fault is not None and "the program has" in fault, (n, p, mode, fault)
+        for n, p, solution in self.cases():
+            fault = highs_lp.atom_certificate_fault(n, p, closed_form_k(n, p), solution)
+            assert fault is not None and "the program has" in fault, (n, p, fault)
 
     def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):
-        # A positive pair dual this small keeps every reduced cost >= 0, so
-        # its sign fails only where the pair rows are <= rows; where they
-        # are equalities the certificate fails on its objective instead.
-        monkeypatch.setattr(optimize, "_certificate_dual", lambda n, k: ((0, 0, 1), 10**6))
+        # A positive pair dual this small keeps every reduced cost >= 0,
+        # but it is no dual of the relaxation, whose pair rows are <= rows,
+        # so the one certificate fails on its sign.
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda k: ((0, 0, 1), 10**6))
         p = Fraction(1, 3)
-        for mode, reason in (
-            ("negative_covariance", "positive"),
-            ("pairwise_equality", "dual objective"),
-        ):
-            solution = exchangeable_optimum(4, p)
-            fault = verdict(4, p, mode, 2, solution)
-            assert fault is not None and reason in fault, (mode, fault)
+        assert verdict(4, p, 2, exchangeable_optimum(4, p)) == "a pair row's dual is positive"
+        with pytest.raises(InvariantError, match="n=4, p=1/3: a pair row's dual is positive"):
+            full_optimum(4, p)

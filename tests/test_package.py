@@ -14,12 +14,14 @@ from maxdecouple import bounds, cli, constructions, dist, optimize
 # the full route's certificate (`optimize.full_optimum`) runs over Hamming
 # classes, with no charge and no numpy, and its atom-level helpers live in
 # the tests (`highs_lp`); a failed certificate raises
-# `errors.InvariantError`; every slack comes from `dist._summed_slack`.
+# `errors.InvariantError`; every slack comes from `dist._summed_slack`; one
+# certificate proves both pairwise programs, so the search takes no mode.
 REMOVED = (
     "SecondMomentMatrix", "EtaMatrix", "second_moments", "eta_matrix", "min_ratio",
     "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
     "DENSE_VARIABLE_LIMIT", "CertificateError", "VERDICT_SLACK", "DEFAULT_COVARIANCE_TOL",
     "_check_tolerance", "FULL_VARIABLE_LIMIT", "CERTIFICATE_ATOM_BYTES",
+    "MODES", "_check_mode", "_closed_form_k", "MODE_BY_FLAG",
 )
 
 
@@ -34,6 +36,12 @@ def test_removed_names_are_gone():
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
     for check in (bounds.main_lower_check, bounds.full_report):
         assert list(inspect.signature(check).parameters) == ["joint"]
+    assert list(inspect.signature(optimize.full_optimum).parameters) == ["n", "p"]
+    sweep = inspect.signature(optimize.conjecture_sweep).parameters.values()
+    assert [(param.name, param.kind.name) for param in sweep] == [
+        ("n_min", "POSITIONAL_OR_KEYWORD"), ("n_max", "POSITIONAL_OR_KEYWORD"),
+        ("reduction", "KEYWORD_ONLY"),
+    ]
     gone = ("FullLpProblem", "PRICING_TOLERANCE", "WITNESS_ATOM_FLOOR", "_seed_columns",
             "_pair_indices", "_constraint_rows", "_reduced_costs", "_hamming_weights",
             "_charge_certificate", "np")

@@ -1,8 +1,13 @@
-"""The randomized battery itself: everything passes, output is stable."""
+"""The randomized battery itself: everything passes, output is stable,
+and a check that raises is tallied as a failure."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from maxdecouple import verification
+from maxdecouple import NonnegJoint, optimize, verification
+from maxdecouple.errors import InvariantError
 
 
 class TestBattery:
@@ -34,6 +39,43 @@ class TestBattery:
         assert "FAIL" in text
         assert "counterexample" in text
         assert "properties FAILED" in text
+
+
+class TestFailureTallies:
+    @staticmethod
+    def tallies():
+        return {name: verification.PropertyResult(name) for name in verification.PROPERTY_NAMES}
+
+    def test_tripped_layer_cake_check_is_a_failure(self, monkeypatch):
+        # expected_max's cross-check raises; the joint is the counterexample,
+        # and the checks that read its result are skipped.
+        def tripped(joint):
+            raise InvariantError("layer-cake sum off")
+
+        monkeypatch.setattr(verification.continuous, "decoupling_check_cont", tripped)
+        joint = NonnegJoint(2, [((1.0, 2.0), 0.5), ((3.0, 0.0), 0.5)])
+        tallies = self.tallies()
+        verification._check_nonneg_properties(joint, np.random.default_rng(0), tallies)
+        layer = tallies["layer-cake-identity"]
+        assert (layer.passes, layer.failures) == (0, 1)
+        assert layer.counterexamples == [verification._joint_json(joint)]
+        assert tallies["continuous-upper-universal"].total == 0
+
+    def test_failed_certificate_is_a_failure(self, monkeypatch):
+        # A dual built from k + 1 proves nothing: `_certified` gives None,
+        # and every LP case that reads it fails, named by n and p.
+        real = optimize._certificate_dual
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda k: real(k + 1))
+        assert verification._certified(3, Fraction(1, 2)) is None
+        tallies = self.tallies()
+        verification._check_lp_properties(tallies)
+        soundness = tallies["lp-reduction-soundness"]
+        assert (soundness.passes, soundness.failures) == (0, 6)
+        assert soundness.counterexamples == [
+            '{"lp":{"n":3,"p":"1/2"}}', '{"lp":{"n":3,"p":"3/10"}}', '{"lp":{"n":4,"p":"1/3"}}'
+        ]
+        assert tallies["lp-product-feasibility"].passes == 0
+        assert tallies["lp-witness-roundtrip"].failures == 0
 
 
 class TestGenerators:
