@@ -39,7 +39,7 @@ from .bounds import PINELIS_CONSTANT, _upper_terms, holds
 from .constructions import _affine_cells
 from .dist import JointBernoulli, _blocks, _check_number, _check_unit_mass, _check_values
 from .dist import _check_variable_count, _first, _first_invalid, _float_array, _gather
-from .dist import _column_classes, _excess_terms, _read_document, _summed_slack
+from .dist import _column_classes, _excess_terms, _read_document, _scaled_slack, _summed_slack
 from .errors import InvalidDistributionError, InvariantError
 
 
@@ -226,16 +226,19 @@ def expected_max(joint: NonnegJoint) -> float:
     Also evaluates the tail-integral form (sum over support thresholds of
     interval length times P(max > t)) and insists the two agree, raising
     InvariantError if not: a mismatch can only be an internal bug, never a
-    property of the input.  The slack is `_summed_slack` of
-    2 atoms + grid points roundings, in units of the largest value G: the
+    property of the input.  The slack is `_scaled_slack` of
+    2 atoms + grid points roundings in units of the largest value G: the
     direct sum is within atoms u G, and the tail integral within
     (atoms + thresholds + 1) u G, as each P(max > t) sums the atoms and
-    each interval's length, term and addition round once.
+    each interval's length, term and addition round once.  Below the
+    normal range a rounding errs by up to half of 2^-1074 whatever G is,
+    so the slack adds one such spacing per rounding: a joint of subnormal
+    values, whose relative slack rounds to 0, still agrees.
     """
     direct = float(np.cumsum(np.append(0.0, joint._weights * joint._values.max(axis=1)))[-1])
     grid = joint._thresholds.grid
     layered = _layer_cake_expected_max(joint, grid)
-    slack = _summed_slack(2 * len(joint._weights) + len(grid)) * grid[-1]
+    slack = _scaled_slack(2 * len(joint._weights) + len(grid), grid[-1])
     if abs(direct - layered) > slack:
         raise InvariantError(
             f"tail-integral cross-check failed: direct={direct!r} layered={layered!r}"

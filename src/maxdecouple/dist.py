@@ -13,14 +13,15 @@ of the bit table.  Every sum, the pair moments included, runs left to
 right in atom order on one thread, so no BLAS routine picks its order or
 starts a worker thread.
 
-A joint is read into numpy once, by the one load path and type rules that
-the constructor and `from_json_dict` share: field types in input order,
-then the masks, sorted, packed into a byte table and the probabilities as
-float64, with every other check run on those arrays in ascending mask order.
+A joint is checked once, by the one load path and type rules that the
+constructor and `from_json_dict` share: field types in input order, then,
+with the masks sorted, every other check in ascending mask order.  It
+keeps only `n`, the masks and the probabilities, as tuples.
 
-Every operation reads one `JointSummary`, built on first use by unpacking
-the byte table into an atoms x n bit table, after the budget check, and
-scanning it once with the kernel `_summarize`; it is cached on the joint.
+Every operation reads one `JointSummary`, built on first use by packing
+the masks into a byte table and unpacking that into an atoms x n bit
+table, after the budget check, and scanning it once with the kernel
+`_summarize`; it is cached on the joint.
 Pair data is kept per column class (variables that fire on the same
 atoms), so a wide joint with few distinct columns costs no n x n memory.
 Arrays are sized before they are allocated: a summary that would need more
@@ -37,6 +38,8 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import eq, le
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -183,11 +186,12 @@ def _read_document(obj: object, kind: str) -> tuple[int, list]:
 class JointBernoulli:
     """Joint law of (X_1, ..., X_n) on {0,1}^n as a sparse atom table.
 
-    The masks, ascending, and their probabilities are kept as tuples and as
-    the arrays the kernels read: `_table`, each mask's little-endian bytes
-    (as wide as the largest mask needs), and `_weights`, float64; `atoms`
-    pairs the tuples on first use.  Immutable after construction (the cached
-    values derive from the atoms alone), so instances can be shared freely.
+    The masks, ascending, and their probabilities are kept as two tuples
+    and nothing else: a kernel makes the arrays it reads from them, the
+    packed byte table by `_packed` and the float64 weights by `np.array`,
+    and drops them when it returns.  `atoms` pairs the tuples on first use.
+    Immutable after construction (the cached values derive from the atoms
+    alone), so instances can be shared freely.
     """
 
     n: int
@@ -200,25 +204,22 @@ class JointBernoulli:
 
     def _load(self, n: int, masks: list, probs: list) -> None:
         """The one load path: check the field types, sort the atoms by mask,
-        pack the masks into `_table`, then check every atom at once, in the
-        order the message names the first bad one: a repeat, range, weight."""
+        then check every atom at once, in the order the message names the
+        first bad one: a repeat, range, weight.  Only `n`, `masks` and
+        `probs` are kept; the kernels derive their arrays from them."""
         masks = _typed_masks(masks, probs)
         _check_variable_count(n)
         if not masks:
             raise InvalidDistributionError("atom list must be nonempty")
         weights = _float_array(probs)
-        if masks != sorted(masks):  # a stable sort: equal masks keep their order
+        if not all(map(le, masks, masks[1:])):
+            # A stable sort: repeated masks keep their input order.
             order = sorted(range(len(masks)), key=masks.__getitem__)
             masks, weights = [masks[i] for i in order], weights[order]
-        # Sorted, a negative mask comes first and masks past n bits last; the
-        # table holds the masks in range, as wide as the largest needs.
-        end = 0 if masks[0] < 0 else bisect.bisect_right(masks, n, key=int.bit_length)
-        width = max(1, (masks[end - 1].bit_length() + 7) // 8 if end else 1)
-        packed = b"".join([mask.to_bytes(width, "little") for mask in masks[:end]])
-        table = np.frombuffer(packed, dtype=np.uint8).reshape(end, width)
+        # Sorted, a negative mask comes first and masks past n bits last.
         # The first atom at fault: a repeated mask, its range, then its weight.
-        repeats = np.flatnonzero((table[1:] == table[:-1]).all(axis=1)) + 1
-        repeated = min(repeats, default=len(masks))
+        end = 0 if masks[0] < 0 else bisect.bisect_right(masks, n, key=int.bit_length)
+        repeated = next(compress(range(1, len(masks)), map(eq, masks[1:], masks)), len(masks))
         bad = min(repeated, end, _first_invalid(weights))
         if bad < len(masks):
             mask = masks[bad]
@@ -233,9 +234,7 @@ class JointBernoulli:
             )
         probs = weights.tolist()
         _check_unit_mass(probs)
-        weights.setflags(write=False)
-        for name, value in (("n", int(n)), ("masks", tuple(masks)), ("probs", tuple(probs)),
-                            ("_table", table), ("_weights", weights)):
+        for name, value in (("n", int(n)), ("masks", tuple(masks)), ("probs", tuple(probs))):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -243,17 +242,24 @@ class JointBernoulli:
         """(mask, probability) pairs, ascending by mask."""
         return tuple(zip(self.masks, self.probs))
 
+    def _packed(self) -> np.ndarray:
+        """The atoms x width byte table, each mask's little-endian bytes, as
+        wide as the largest mask needs (at most ceil(n/8)); made per call."""
+        width = max(1, (self.masks[-1].bit_length() + 7) // 8)
+        packed = b"".join([mask.to_bytes(width, "little") for mask in self.masks])
+        return np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+
     def _bits(self) -> np.ndarray:
         """The atoms x n table of 0/1 bytes, bit i of each mask in column i."""
-        return np.unpackbits(self._table, axis=1, count=self.n, bitorder="little")
+        return np.unpackbits(self._packed(), axis=1, count=self.n, bitorder="little")
 
     @cached_property
     def summary(self) -> "JointSummary":
         """The one-scan summary every operation reads, built on first use
-        by unpacking `_table`, after the budget check."""
+        from the bit table `_bits` makes after the budget check."""
         atoms = len(self.masks)
         _check_budget(f"the {atoms} x {self.n} bit table", atoms * self.n)
-        return _summarize(self._bits().view(bool), self._weights)
+        return _summarize(self._bits().view(bool), np.array(self.probs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -349,6 +355,13 @@ def _summed_slack(terms: int) -> float:
     return NORMALIZATION_TOL + terms * 2.0**-52
 
 
+def _scaled_slack(terms: int, scale: float) -> float:
+    """`_summed_slack(terms)` in units of `scale`, plus one subnormal
+    spacing, ulp(0.0) = 2^-1074, per rounding: below the normal range a
+    rounding's error is absolute, up to half that spacing, at any scale."""
+    return _summed_slack(terms) * scale + terms * math.ulp(0.0)
+
+
 def _excess_terms(atoms: int, thresholds: int = 1) -> int:
     """Roundings of one pair's excess E[X_i X_j] - p_i p_j, at one of
     `thresholds` thresholds (a Bernoulli joint has one, t = 0), relative to
@@ -379,8 +392,10 @@ def _check_budget(what: str, nbytes: int) -> None:
 def _check_table(n: int, atoms: int) -> None:
     """Check the Bernoulli table of `atoms` masks over n variables against
     the budget before any atom is made.  Each atom is charged its mask
-    three times, as an int (30 bits in 4 bytes), as the bytes `_load` packs
-    and in the packed table, and ATOM_OBJECT_BYTES for its Python objects."""
+    three times, as an int (30 bits in 4 bytes) and in the two packed
+    tables (ceil(n/8) bytes each) that `permute_variables` makes, and
+    ATOM_OBJECT_BYTES for its Python objects.  A build packs no table, as
+    the load keeps only the ints, so the figure over-charges a build."""
     per_atom = 4 * ((n + 29) // 30) + 2 * ((n + 7) // 8) + ATOM_OBJECT_BYTES
     _check_budget(f"the table of {_size(atoms)} atoms over {n} variables", atoms * per_atom)
 
@@ -533,7 +548,7 @@ def _sample_indices(joint: JointBernoulli, seed: int, count: int) -> Iterator[np
     call, so the chunk size changes no draw; the cumulative masses are
     summed left to right in table order.
     """
-    table = _GuideTable(np.cumsum(joint._weights))
+    table = _GuideTable(np.cumsum(joint.probs))
     rng = np.random.default_rng(seed)
     for start in range(0, count, SAMPLE_CHUNK):
         yield table.indices(rng.random(min(SAMPLE_CHUNK, count - start)))
@@ -562,15 +577,15 @@ def permute_variables(joint: JointBernoulli, perm: Sequence[int]) -> JointBernou
     """Relabel variables: new variable perm[i] is old variable i.
 
     The table is charged before it is made.  Bit i of the packed table
-    moves to bit perm[i] one variable at a time, so no atoms x n bit table
-    is held."""
+    (`_packed`) moves to bit perm[i] of a second one, one variable at a
+    time, so no atoms x n bit table is held."""
     if sorted(perm) != list(range(joint.n)):
         raise ValueError(f"perm must be a permutation of 0..{joint.n - 1}")
     _check_table(joint.n, len(joint.masks))
-    table = joint._table
+    table = joint._packed()
     moved = np.zeros((len(table), (joint.n + 7) // 8), dtype=np.uint8)
     for i, j in enumerate(map(int, perm[: 8 * table.shape[1]])):  # later ones never fire
         moved[:, j >> 3] |= ((table[:, i >> 3] >> (i & 7)) & 1) << (j & 7)
     masks = [int.from_bytes(row, "little") for row in moved]
-    del moved  # the load path's peak comes next, and the charge has no room for both
+    del table, moved  # the load path's peak comes next, and the charge has no room for both
     return JointBernoulli(joint.n, zip(masks, joint.probs))

@@ -426,13 +426,13 @@ class TestMemoryBudget:
             joint = permute_variables(conjectured_extremal(100), perm)
         else:
             joint = self.always_on_first(3000, 41)
-        bits = joint._bits().view(bool)
+        bits, weights = joint._bits().view(bool), np.array(joint.probs)
         charged = []
         monkeypatch.setattr(dist, "_check_budget", lambda what, nbytes: charged.append(nbytes))
         gc.collect()
         tracemalloc.start()
         try:
-            summary = dist._summarize(bits, joint._weights)
+            summary = dist._summarize(bits, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

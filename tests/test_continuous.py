@@ -282,6 +282,28 @@ class TestLayerCake:
             direct = oracles.oracle_expected_max(atoms)
             assert expected_max(NonnegJoint(3, atoms)) == pytest.approx(direct, rel=1e-15)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_subnormal_values_report(self, tmp_path, fmt):
+        # Each 0.5 x 5e-324 of the direct sum rounds to 0, and the layered
+        # sum keeps 5e-324: an absolute error that no slack relative to the
+        # largest value covers.
+        doc = {"kind": "nonneg-joint", "n": 2, "atoms": [
+            {"values": [5e-324, 0.0], "p": 0.5}, {"values": [0.0, 5e-324], "p": 0.5}]}
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(path), "--format", fmt]) == EXIT_OK
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-322, 1e-318])
+    def test_cross_check_accepts_subnormal_values(self, scale):
+        # Values k x scale, k <= 6, on up to 5 atoms over up to 4 variables.
+        rng = np.random.default_rng(58)
+        for _ in range(300):
+            n, support = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            weights = rng.random(support) + 0.01
+            values = (rng.integers(0, 7, (support, n)) * scale).tolist()
+            joint = NonnegJoint(n, list(zip(values, (weights / weights.sum()).tolist())))
+            assert decoupling_check_cont(joint).universal_ok, joint.atoms
+
     def test_cross_check_still_rejects_a_real_mismatch(self, monkeypatch):
         from maxdecouple import continuous
 

@@ -1,18 +1,21 @@
 """Loading joints: the vectorised loader against the reference per-atom
-loops in `oracles`, and the packed bit table it keeps against the summary
-built the old way, from each mask's bytes."""
+loops in `oracles`, the fields a joint keeps and what its load allocates,
+and the summary built from those fields against one built from each
+mask's bytes at the full width of ceil(n/8)."""
 
+import gc
 import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from maxdecouple import InvalidDistributionError, JointBernoulli, NonnegJoint
-from maxdecouple import conjectured_extremal, dist, permute_variables, product
+from maxdecouple import conjectured_extremal, dist, one_hot_uniform, permute_variables, product
 from maxdecouple.cli import EXIT_INPUT, EXIT_OK, main
 from maxdecouple.dist import JointSummary, MarginalVector
 
@@ -241,6 +244,30 @@ class TestKeptTable:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"the {len(joint.atoms)} x {joint.n} bit table needs {cells} bytes" in err
+
+
+class TestKeptFields:
+    @pytest.mark.parametrize("load", ["constructor", "json"])
+    def test_joint_keeps_only_its_three_fields(self, load):
+        joint = conjectured_extremal(12)
+        if load == "json":
+            joint = JointBernoulli.from_json_dict(joint.to_json_dict())
+        else:
+            joint = JointBernoulli(joint.n, reversed(joint.atoms))
+        assert sorted(vars(joint)) == ["masks", "n", "probs"]
+
+    def test_load_allocates_only_what_it_keeps(self):
+        # Packed at full width, 20,000 one-bit masks would take 2,500 bytes
+        # each, 50 MB; the load peaks at about 1.4 MiB (tracemalloc).
+        doc = one_hot_uniform(20_000).to_json_dict()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            JointBernoulli.from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
 
 def bernoulli_doc(*atoms):
