@@ -78,10 +78,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _fmt_cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
+    if isinstance(x, bool):
+        return "true" if x else "false"
     return str(x)
 
 

@@ -19,9 +19,9 @@ with the masks sorted, every other check in ascending mask order.  It
 keeps only `n`, the masks and the probabilities, as tuples.
 
 Every operation reads one `JointSummary`, built on first use by packing
-the masks into a byte table and unpacking that into an atoms x n bit
-table, after the budget check, and scanning it once with the kernel
-`_summarize`; it is cached on the joint.
+the masks into a byte table, a block at a time, and unpacking that into
+an atoms x n bit table, after the budget check, and scanning it once with
+the kernel `_summarize`; it is cached on the joint.
 Pair data is kept per column class (variables that fire on the same
 atoms), so a wide joint with few distinct columns costs no n x n memory.
 Arrays are sized before they are allocated: a summary that would need more
@@ -80,8 +80,10 @@ VALUE_BYTES = 96
 # tracemalloc put at 132 KB at most; twice that, for headroom.
 CAST_BUFFER = 1 << 18
 
-# Draws per chunk of the sampling kernel: large enough that numpy's per-call
-# cost is negligible, small enough that a chunk's arrays stay a few MB.
+# Items per chunk of the chunked kernels, draws of the sampling kernel and
+# masks of `JointBernoulli._packed`: large enough that numpy's per-call cost
+# is negligible, small enough that a chunk's arrays and objects stay a few
+# MB.  A dense table of up to 2^16 atoms is packed in one block.
 SAMPLE_CHUNK = 1 << 16
 
 # Forward steps of a guide-table draw before it falls back to bisection.
@@ -244,10 +246,18 @@ class JointBernoulli:
 
     def _packed(self) -> np.ndarray:
         """The atoms x width byte table, each mask's little-endian bytes, as
-        wide as the largest mask needs (at most ceil(n/8)); made per call."""
-        width = max(1, (self.masks[-1].bit_length() + 7) // 8)
-        packed = b"".join([mask.to_bytes(width, "little") for mask in self.masks])
-        return np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+        wide as the largest mask needs (at most ceil(n/8)); made per call.
+        It is filled in blocks of SAMPLE_CHUNK masks, so beside it only one
+        block's bytes objects, and the buffer views `bytes.join` takes of
+        them (about 130 bytes a mask in all), are held at once."""
+        masks = self.masks
+        width = max(1, (masks[-1].bit_length() + 7) // 8)
+        packed = np.empty(len(masks) * width, dtype=np.uint8)
+        for start in range(0, len(masks), SAMPLE_CHUNK):
+            block = masks[start : start + SAMPLE_CHUNK]
+            joined = b"".join([mask.to_bytes(width, "little") for mask in block])
+            packed[start * width : (start + len(block)) * width] = np.frombuffer(joined, np.uint8)
+        return packed.reshape(-1, width)
 
     def _bits(self) -> np.ndarray:
         """The atoms x n table of 0/1 bytes, bit i of each mask in column i."""
@@ -256,9 +266,16 @@ class JointBernoulli:
     @cached_property
     def summary(self) -> "JointSummary":
         """The one-scan summary every operation reads, built on first use
-        from the bit table `_bits` makes after the budget check."""
-        atoms = len(self.masks)
-        _check_budget(f"the {atoms} x {self.n} bit table", atoms * self.n)
+        from the bit table `_bits` makes after the budget check, which
+        charges what `_bits` holds: the bit table, the packed table
+        (ceil(n/8) bytes an atom at most) and one block of the packing,
+        ATOM_OBJECT_BYTES a mask.  Tracemalloc put the block at about 130
+        bytes a mask, so the charge is about three times what it holds."""
+        atoms, n = len(self.masks), self.n
+        _check_budget(
+            f"the {atoms} x {n} bit table, its packed table and one block of packed masks",
+            atoms * (n + (n + 7) // 8) + min(atoms, SAMPLE_CHUNK) * ATOM_OBJECT_BYTES,
+        )
         return _summarize(self._bits().view(bool), np.array(self.probs))
 
     def to_json_dict(self) -> dict:
@@ -394,7 +411,8 @@ def _check_table(n: int, atoms: int) -> None:
     the budget before any atom is made.  Each atom is charged its mask
     three times, as an int (30 bits in 4 bytes) and in the two packed
     tables (ceil(n/8) bytes each) that `permute_variables` makes, and
-    ATOM_OBJECT_BYTES for its Python objects.  A build packs no table, as
+    ATOM_OBJECT_BYTES for its Python objects, which covers the objects of
+    a block of `JointBernoulli._packed` too.  A build packs no table, as
     the load keeps only the ints, so the figure over-charges a build."""
     per_atom = 4 * ((n + 29) // 30) + 2 * ((n + 7) // 8) + ATOM_OBJECT_BYTES
     _check_budget(f"the table of {_size(atoms)} atoms over {n} variables", atoms * per_atom)

@@ -10,11 +10,13 @@ Two routes to the same optimum, both exact:
                 reported optimum carries no solver tolerance.
   full          the same optimum, proven optimal for the linear program
                 with one variable per atom of {0,1}^n (2^n variables) by
-                an LP-duality certificate checked in integers and
-                rationals over the n + 1 Hamming-weight classes, which is
-                exact over every atom (see `_certificate_fault`): a few
-                big-integer operations per certificate at any n, with
-                nothing to charge against the memory budget.
+                an LP-duality certificate checked in integers over the
+                n + 1 Hamming-weight classes, which is exact over every
+                atom (see `_certificate_fault`): the witness is the closed
+                form's integer masses over one scale, so a certificate is
+                a few big-integer operations at any n, builds no
+                Fraction, and has nothing to charge against the memory
+                budget.
 
 Each route answers both pairwise programs: the one with pair moments
 p^2, and its relaxation to a kind of negative dependence, pair moments
@@ -86,6 +88,16 @@ def _closed_form(n: int, a: int, b: int) -> tuple[int, int, int, int]:
     return k, at_k, above_k, k * (k + 1) * b * b
 
 
+def _masses(k: int, at_k: int, above_k: int, scale: int) -> dict[int, int]:
+    """The witness of `_closed_form`'s (k, at_k, above_k, scale): each class
+    z of its support {0, k, k+1} and its mass m_z, an integer over scale.
+    w_0 goes in last: at p = 0, k = 0 and w_0 = 1 is the only weight.  The
+    zeros (w_(k+1) where (n - 1) p is an integer, w_0 at p = 1) are
+    dropped."""
+    masses = {k: at_k, k + 1: above_k, 0: scale - at_k - above_k}
+    return {z: m for z, m in masses.items() if m}
+
+
 def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
     """Exact minimum of P(Z > 0) over laws w_k = P(Z = k), k = 0..n, with
     sum w_k = 1, first falling moment S1 = sum k w_k = n p and second
@@ -117,19 +129,18 @@ def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
       falling moment T is below 2 S2 has P(Z > 0) >= 2 S1/(k+1) -
       T/(k(k+1)), above the equality optimum, feasible for both.
     """
-    return _exchangeable(n, _check_common(n, p))[1]
+    p = _check_common(n, p)
+    closed = _closed_form(n, p.numerator, p.denominator)
+    return _solution(n, closed, _masses(*closed))
 
 
-def _exchangeable(n: int, p: Fraction) -> tuple[int, LpSolution]:
-    """`exchangeable_optimum` at a checked p, in integers, with its k."""
-    k, at_k, above_k, scale = _closed_form(n, p.numerator, p.denominator)
-    # w_0 goes in last: at p = 0, k = 0 and w_0 = 1 is the only weight.  The
-    # zeros (w_(k+1) where (n - 1) p is an integer, w_0 at p = 1) are dropped.
-    masses = {k: at_k, k + 1: above_k, 0: scale - at_k - above_k}
-    support = {z: Fraction(m, scale) for z, m in sorted(masses.items()) if m}
+def _solution(n: int, closed: tuple[int, int, int, int], masses: dict[int, int]) -> LpSolution:
+    """The `LpSolution` of `_closed_form`'s integers and their witness."""
+    _, at_k, above_k, scale = closed
+    support = {z: Fraction(m, scale) for z, m in sorted(masses.items())}
     # int / int rounds correctly, so it is float(objective_exact).
     objective = (at_k + above_k) / scale
-    return k, LpSolution(objective, Fraction(at_k + above_k, scale), n, MappingProxyType(support))
+    return LpSolution(objective, Fraction(at_k + above_k, scale), n, MappingProxyType(support))
 
 
 def _certificate_dual(k: int) -> tuple[tuple[int, int, int], int]:
@@ -143,10 +154,14 @@ def _certificate_dual(k: int) -> tuple[tuple[int, int, int], int]:
     return (0, 2 * k, -2), k * (k + 1)
 
 
-def _certificate_fault(n: int, p: Fraction, k: int, solution: LpSolution) -> str | None:
-    """What fails in the LP-duality certificate formed by the dual
-    `_certificate_dual(k)` and the law `solution.support` spread
-    uniformly over each Hamming-weight class, or None if it holds.
+def _certificate_fault(
+    n: int, a: int, b: int, closed: tuple[int, int, int, int], masses: dict[int, int]
+) -> str | None:
+    """What fails in the LP-duality certificate at p = a/b in lowest terms,
+    formed by the dual `_certificate_dual(k)` and the law that puts mass
+    m_z / scale on class z for each z, m_z in `masses`, spread uniformly
+    over the class's atoms, where `closed` is `_closed_form`'s
+    (k, at_k, above_k, scale); or None if it holds.
 
     One certificate proves both pairwise programs optimal: the one whose
     pair rows are equalities and its relaxation, whose pair rows are
@@ -154,57 +169,76 @@ def _certificate_fault(n: int, p: Fraction, k: int, solution: LpSolution) -> str
     duals, a witness that meets every pair row exactly is feasible for
     both primals, and equal objectives then make it optimal for both.
 
-    The dual has one multiplier per row kind and the witness one weight
-    per class, so three checks over the n + 1 classes, each a few integer
-    operations at any n, are exact over all 2^n atoms:
-    - dual feasibility: scaled, an atom of weight z has reduced cost
-      r(z) = scale [z > 0] - y_0 - z y_1 - C(z, 2) y_2 ((z - k)(z - k - 1)
+    The dual has one multiplier per row kind and the witness one integer
+    mass per class, so three checks over the n + 1 classes, each a few
+    integer operations at any n, are exact over all 2^n atoms; no
+    Fraction is built unless one fails, to name the failing value:
+    - dual feasibility: scaled by the dual's y_scale, an atom of weight z
+      has reduced cost
+      r(z) = y_scale [z > 0] - y_0 - z y_1 - C(z, 2) y_2 ((z - k)(z - k - 1)
       at z >= 1 for the closed form's k).  Its steps -y_1 - z y_2 are
       monotone in z, so its least value on 1..n is at 1, at n, or, where
       they rise, at the first z >= t = -y_1 / y_2: floor(t) or floor(t) + 1,
       clipped.  The least weight of least cost among those and 0 is named.
       The pair multiplier must also be <= 0;
-    - primal feasibility: the weights are >= 0 on classes 0..n, and each
-      row meets p^e exactly.  Class z's atoms carry w_z / C(n, z) each,
-      and a row of kind e (0 mass, 1 marginal, 2 pair) meets
-      C(n - e, z - e) of them, so it sums w_z z^(e) / n^(e) in falling
-      powers, here in integers;
-    - equal objectives: b . y == 1 - w_0 == `solution.objective_exact`.
+    - primal feasibility: the masses are >= 0 on classes 0..n, and each
+      row meets p^e exactly.  Class z's atoms carry m_z / (scale C(n, z))
+      each, and a row of kind e (0 mass, 1 marginal, 2 pair) meets
+      C(n - e, z - e) of them, so it sums m_z z^(e) / (scale n^(e)) in
+      falling powers: sum m_z z^(e) b^e == a^e scale n^(e);
+    - equal objectives: b . y == 1 - w_0 == (at_k + above_k) / scale,
+      over one denominator: b . y scale == (scale - m_0) y_scale b^2 ==
+      (at_k + above_k) y_scale b^2, with b . y over y_scale b^2.
     By weak duality the objective is then the minimum over all atoms.
     """
-    (y0, y1, y2), scale = _certificate_dual(k)
-
-    def reduced(z: int) -> int:
-        return (scale if z else 0) - y0 - z * y1 - z * (z - 1) // 2 * y2
+    k, at_k, above_k, scale = closed
+    (y0, y1, y2), dual_scale = _certificate_dual(k)
 
     candidates = [0, 1, n]
     if y2:
-        candidates += (min(max(z, 1), n) for z in (-y1 // y2, -y1 // y2 + 1))
-    worst = min(sorted(set(candidates)), key=reduced)
-    if reduced(worst) < 0:
-        return f"an atom of weight {worst} has reduced cost {reduced(worst)}/{scale} < 0"
+        t = -y1 // y2
+        candidates += (min(max(t, 1), n), min(max(t + 1, 1), n))
+    # (cost, z) pairs: the least cost, and the least weight among its ties.
+    cost, worst = min([((dual_scale if z else 0) - y0 - z * y1 - z * (z - 1) // 2 * y2, z)
+                       for z in candidates])
+    if cost < 0:
+        return f"an atom of weight {worst} has reduced cost {cost}/{dual_scale} < 0"
     if y2 > 0:
         return "a pair row's dual is positive"
-    weights = solution.support
-    if any(w < 0 or not 0 <= z <= n for z, w in weights.items()):
+    if any(m < 0 or not 0 <= z <= n for z, m in masses.items()):
         return "a witness weight is negative or off the classes 0..n"
-    a, b = p.numerator, p.denominator
-    common = math.lcm(*(w.denominator for w in weights.values()))
-    for row, name in enumerate(("mass", "marginal", "pair")):
-        total = sum(w.numerator * (common // w.denominator) * math.perm(z, row)
-                    for z, w in weights.items())
-        if total * b**row != a**row * common * math.perm(n, row):
-            total = Fraction(total, common * math.perm(n, row))
-            return f"a {name} row sums to {total}, not {p**row}"
-    pairs = n * (n - 1) // 2
-    dual_objective = Fraction((y0 * b + n * y1 * a) * b + pairs * y2 * a * a, scale * b * b)
-    primal_objective = 1 - weights.get(0, _ZERO)
-    if not dual_objective == primal_objective == solution.objective_exact:
+    mass = marginal = pair = 0
+    for z, m in masses.items():
+        mass += m
+        marginal += m * z
+        pair += m * z * (z - 1)
+    for e, name, total in ((0, "mass", mass), (1, "marginal", marginal), (2, "pair", pair)):
+        if total * b**e != a**e * scale * math.perm(n, e):
+            total = Fraction(total, scale * math.perm(n, e))
+            return f"a {name} row sums to {total}, not {Fraction(a, b) ** e}"
+    squared = dual_scale * b * b
+    dual = (y0 * b + n * y1 * a) * b + n * (n - 1) // 2 * y2 * a * a
+    primal = scale - masses.get(0, 0)
+    if not dual * scale == primal * squared == (at_k + above_k) * squared:
         return (
-            f"dual objective {dual_objective}, primal objective {primal_objective}, "
-            f"closed form {solution.objective_exact}"
+            f"dual objective {Fraction(dual, squared)}, "
+            f"primal objective {Fraction(primal, scale)}, "
+            f"closed form {Fraction(at_k + above_k, scale)}"
         )
     return None
+
+
+def _certified(n: int, a: int, b: int) -> tuple[tuple[int, int, int, int], dict[int, int]]:
+    """`_closed_form(n, a, b)` and its witness `_masses`, once
+    `_certificate_fault` has proven them optimal over every atom;
+    raises InvariantError, naming n and p = a/b, if it fails."""
+    closed = _closed_form(n, a, b)
+    masses = _masses(*closed)
+    fault = _certificate_fault(n, a, b, closed, masses)
+    if fault is not None:
+        p = f"{a}/{b}" if b != 1 else a
+        raise InvariantError(f"the full LP certificate fails at n={n}, p={p}: {fault}")
+    return closed, masses
 
 
 def full_optimum(n: int, p: Fraction | float) -> LpSolution:
@@ -215,18 +249,16 @@ def full_optimum(n: int, p: Fraction | float) -> LpSolution:
 
     Returns `exchangeable_optimum(n, p)` once `_certificate_fault`
     has proven it optimal for both programs over every atom: the closed
-    form's witness is primal feasible, the dual of its bound is dual
-    feasible, and the two objectives are equal.  This is the dual form of
-    the f(z) argument in `exchangeable_optimum`'s docstring.  Checked over
-    the n + 1 Hamming-weight classes, it costs a few big-integer operations
-    at any n.  Raises InvariantError, naming n and p, if it fails.
+    form's witness, integer masses over one scale, is primal feasible,
+    the dual of its bound is dual feasible, and the two objectives are
+    equal.  This is the dual form of the f(z) argument in
+    `exchangeable_optimum`'s docstring.  The solution is built from the
+    certified integers.  Checked over the n + 1 Hamming-weight classes,
+    it costs a few big-integer operations at any n.  Raises
+    InvariantError, naming n and p, if it fails.
     """
     p = _check_common(n, p)
-    k, solution = _exchangeable(n, p)
-    fault = _certificate_fault(n, p, k, solution)
-    if fault is not None:
-        raise InvariantError(f"the full LP certificate fails at n={n}, p={p}: {fault}")
-    return solution
+    return _solution(n, *_certified(n, p.numerator, p.denominator))
 
 
 def _calibration_mtilde(n: int) -> float:
@@ -240,13 +272,14 @@ def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
     """Tabulate the optimal ratio against the candidate family's ratio.
 
     `reduction` is "exchangeable" (closed form) or "full" (the closed form
-    certified over all 2^n atoms by `full_optimum`); both print the same
-    rows, which are the optimum of both pairwise programs.  The
-    exchangeable route takes each row's objective straight from the
-    integer kernel `_closed_form`, the correctly rounded float of
-    `exchangeable_optimum(n, 1/(n-1)).objective`.  A full sweep certifies
-    each row with a few big-integer operations (`full_optimum`), so it
-    runs at any n and allocates nothing per atom.
+    certified over all 2^n atoms, as `full_optimum` certifies it); both
+    print the same rows, which are the optimum of both pairwise programs.
+    Each row's objective comes straight from the integer kernel
+    `_closed_form`, the correctly rounded float of
+    `exchangeable_optimum(n, 1/(n-1)).objective`.  A full sweep first
+    certifies the row's integer masses over one scale (`_certified`), a
+    few big-integer operations and no Fraction, so it runs at any n and
+    allocates nothing per atom.
     One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
     construction_ratio, gap, status, running_inf.  lp_ratio tends to
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
@@ -262,10 +295,10 @@ def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
     running_inf = float("inf")
     for n in range(n_min, n_max + 1):
         if full:
-            objective = full_optimum(n, Fraction(1, n - 1)).objective
+            (_, at_k, above_k, scale), _ = _certified(n, 1, n - 1)
         else:
             _, at_k, above_k, scale = _closed_form(n, 1, n - 1)
-            objective = (at_k + above_k) / scale
+        objective = (at_k + above_k) / scale
         mtilde = _calibration_mtilde(n)
         ratio = objective / mtilde
         construction_ratio = (0.5 + 0.5 / (n - 1)) / mtilde

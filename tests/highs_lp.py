@@ -7,8 +7,9 @@ n + 1 Hamming-weight classes.  This module works on the atoms
 themselves, so the tests can compare the two:
 - the same program as a float LP handed to scipy's HiGHS by column
   generation, with its own witness (`build_full_lp`, `solve`);
-- the same certificate, the package's dual and witness checked over every
-  atom and every row (`atom_certificate_fault`).
+- the same certificate, the package's dual and the witness's integer
+  masses over one scale checked over every atom and every row
+  (`atom_certificate_fault`).
 Both rest on the row builder (`_constraint_rows`), the closed-form pricing
 (`_reduced_costs`) and the Hamming weights (`_hamming_weights`), which
 the tests check against per-mask computations.  They share only the
@@ -27,7 +28,6 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from maxdecouple import optimize
-from maxdecouple.optimize import LpSolution
 
 # The two pairwise programs: pair moments equal to p^2, and at most p^2.
 MODES = ("pairwise_equality", "negative_covariance")
@@ -254,33 +254,39 @@ def atom_duals(n: int, k: int) -> tuple[np.ndarray, int]:
     return np.repeat(np.int64([y0, y1, y2]), [1, n, n * (n - 1) // 2]), scale
 
 
-def atom_certificate_fault(n: int, p: Fraction, k: int, solution: LpSolution) -> str | None:
-    """`optimize._certificate_fault` checked atom by atom, with its messages:
-    every atom's reduced cost in int64 (`_reduced_costs`), every pair
-    row's dual <= 0, and every row's total over every atom of the
-    witness's classes, counted by `_constraint_rows` a chunk of masks at a
-    time and weighted w_z / C(n, z) in integers over one common
-    denominator, met exactly.  Like the package's, it proves the optimum
-    of both programs, `build_full_lp`'s equality and <= pair rows."""
-    duals, scale = atom_duals(n, k)
+def atom_certificate_fault(
+    n: int, a: int, b: int, closed: tuple[int, int, int, int], masses: dict[int, int]
+) -> str | None:
+    """`optimize._certificate_fault` checked atom by atom, with its
+    arguments and messages: p = a/b, the dual of the k of `closed`
+    (`_closed_form`'s (k, at_k, above_k, scale)) and the witness's integer
+    masses m_z over scale.  Every atom's reduced cost in int64
+    (`_reduced_costs`), every pair row's dual <= 0, and every row's total
+    over every atom of the witness's classes, counted by
+    `_constraint_rows` a chunk of masks at a time and weighted
+    m_z / (scale C(n, z)) in integers over one common denominator, met
+    exactly; the objectives are compared as Fractions.  Like the
+    package's, it proves the optimum of both programs, `build_full_lp`'s
+    equality and <= pair rows."""
+    k, at_k, above_k, scale = closed
+    duals, dual_scale = atom_duals(n, k)
     weight = _hamming_weights(n)
-    # The objective c is 0 on the zero atom and scale on every other.
-    reduced = _reduced_costs(n, np.where(weight > 0, scale, 0).astype(np.int64), duals)
+    # The objective c is 0 on the zero atom and dual_scale on every other.
+    reduced = _reduced_costs(n, np.where(weight > 0, dual_scale, 0).astype(np.int64), duals)
     worst = int(reduced.argmin())
     if reduced[worst] < 0:
-        return f"an atom of weight {weight[worst]} has reduced cost {reduced[worst]}/{scale} < 0"
+        return f"an atom of weight {weight[worst]} has reduced cost {reduced[worst]}/{dual_scale} < 0"
     if (duals[1 + n :] > 0).any():
         return "a pair row's dual is positive"
-    weights = solution.support
-    if any(w < 0 or not 0 <= z <= n for z, w in weights.items()):
+    if any(m < 0 or not 0 <= z <= n for z, m in masses.items()):
         return "a witness weight is negative or off the classes 0..n"
     height = 1 + n + n * (n - 1) // 2
     kinds = [0] + [1] * n + [2] * (height - 1 - n)
-    denominators = {z: w.denominator * math.comb(n, z) for z, w in weights.items()}
+    denominators = {z: scale * math.comb(n, z) for z in masses}
     common = math.lcm(*denominators.values())
     totals = [0] * height
-    for z, w in weights.items():
-        share = w.numerator * (common // denominators[z])  # one atom's mass, over common
+    for z, m in masses.items():
+        share = m * (common // denominators[z])  # one atom's mass, over common
         masks = np.flatnonzero(weight == z)
         for start in range(0, masks.size, 1 << 14):
             rows = _constraint_rows(n, masks[start : start + (1 << 14)])
@@ -288,17 +294,19 @@ def atom_certificate_fault(n: int, p: Fraction, k: int, solution: LpSolution) ->
                 return f"the program has {rows.shape[0]} rows, not {height}"
             counts = np.add.reduce(rows, axis=1, dtype=np.int64).tolist()
             totals = [total + share * count for total, count in zip(totals, counts)]
-    a, b = p.numerator, p.denominator
+    p = Fraction(a, b)
     for row, total in zip(kinds, totals):
         if total * b**row != a**row * common:
             name = ("mass", "marginal", "pair")[row]
             return f"a {name} row sums to {Fraction(total, common)}, not {p**row}"
     marginal, pair = int(duals[1 : 1 + n].sum()), int(duals[1 + n :].sum())
-    dual_objective = Fraction((int(duals[0]) * b + marginal * a) * b + pair * a * a, scale * b * b)
-    primal_objective = 1 - weights.get(0, Fraction(0))
-    if not dual_objective == primal_objective == solution.objective_exact:
+    dual_objective = Fraction((int(duals[0]) * b + marginal * a) * b + pair * a * a,
+                              dual_scale * b * b)
+    primal_objective = 1 - Fraction(masses.get(0, 0), scale)
+    closed_objective = Fraction(at_k + above_k, scale)
+    if not dual_objective == primal_objective == closed_objective:
         return (
             f"dual objective {dual_objective}, primal objective {primal_objective}, "
-            f"closed form {solution.objective_exact}"
+            f"closed form {closed_objective}"
         )
     return None

@@ -381,6 +381,13 @@ def distinct_columns_joint(atoms, n):
     return JointBernoulli(n, {mask: 1.0 / atoms for mask in masks})
 
 
+def bits_charge(atoms, n):
+    """What `JointBernoulli.summary` charges for `_bits`: the atoms x n bit
+    table, a packed table of ceil(n/8) bytes an atom, and one block of
+    SAMPLE_CHUNK masks at ATOM_OBJECT_BYTES each."""
+    return atoms * (n + (n + 7) // 8) + min(atoms, dist.SAMPLE_CHUNK) * dist.ATOM_OBJECT_BYTES
+
+
 class TestMemoryBudget:
     def traced_peak_of_rejection(self, joint, match):
         tracemalloc.start()
@@ -444,5 +451,29 @@ class TestMemoryBudget:
         n = 33_000
         assert n * n > dist.SUMMARY_BUDGET
         joint = one_hot_uniform(n)
-        peak = self.traced_peak_of_rejection(joint, f"the {n} x {n} bit table needs {n * n} bytes")
+        charge = bits_charge(n, n)
+        peak = self.traced_peak_of_rejection(
+            joint, f"the {n} x {n} bit table, its packed table and one block of packed masks "
+                   f"needs {charge} bytes")
         assert peak < 2**20
+
+    def test_bits_charge_bounds_the_peak(self, monkeypatch):
+        # `_bits` packs the masks a block at a time into one table, so at
+        # n = 18 its peak (about 9.3 MB on CPython 3.11) stays within what
+        # `summary` charges for it: the 4.7 MB bit table, the 0.8 MB packed
+        # table and one block.  Packed in one piece, it peaked at 33.5 MB.
+        joint = product(MarginalVector([0.3] * 18))
+        charged = []
+        monkeypatch.setattr(dist, "_check_budget", lambda what, nbytes: charged.append(nbytes))
+        monkeypatch.setattr(dist, "_summarize", lambda bits, weights: None)
+        joint.summary
+        assert charged == [bits_charge(1 << 18, 18)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            bits = joint._bits()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.shape == (1 << 18, 18)
+        assert peak <= charged[0], (peak, charged)

@@ -13,6 +13,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maxdecouple import (
@@ -488,6 +489,24 @@ class TestSearch:
         # p = 1/3 must round-trip exactly through the printed form
         assert float(row[1]) == 1.0 / 3.0
 
+    def test_csv_cell_strings(self):
+        # The float fast path gives each cell the string of the isinstance
+        # chain alone: bools as words, floats (numpy's too) to 17 digits.
+        def chain(x):
+            if isinstance(x, bool):
+                return "true" if x else "false"
+            if isinstance(x, float):
+                return format(x, ".17g")
+            return str(x)
+
+        cells = [np.float64(1 / 3), np.float64(-0.0), True, False, np.bool_(True), 3,
+                 float("inf"), float("-inf"), float("nan"), -0.0, 0.1, 1e-300, "optimal"]
+        for x in cells:
+            assert cli._fmt_cell(x) == chain(x), repr(x)
+        assert [cli._fmt_cell(x) for x in (np.float64(0.5), True, 3, float("inf"),
+                                           float("nan"), -0.0)] == [
+            "0.5", "true", "3", "inf", "nan", "-0"]
+
     def test_unwritable_out_is_a_write_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "sweep.csv"
         code = main(["search", "--n-min", "3", "--n-max", "4", "--out", str(out)])
@@ -817,6 +836,20 @@ class TestInvariantExitCode:
             assert err.startswith("maxdecouple: invariant failed: the full LP certificate fails at ")
             assert "n=3, p=1/2: dual objective" in err
             assert "Traceback" not in err
+        assert not out_file.exists()
+
+    def test_failed_full_sweep_writes_no_file(self, monkeypatch, capsys, tmp_path):
+        # Every row of the n = 3..12 full sweep goes through the
+        # certificate: with a k + 1 dual it exits 2 at n = 3 and writes
+        # nothing.
+        real = optimize._certificate_dual
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda k: real(k + 1))
+        out_file = tmp_path / "sweep.csv"
+        argv = ["search", "--n-min", "3", "--n-max", "12", "--reduction", "full"]
+        assert main([*argv, "--out", str(out_file)]) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fails at n=3, p=1/2: dual objective" in err
         assert not out_file.exists()
 
     def test_failed_cross_check_exits_two(self, monkeypatch, tmp_path, capsys):

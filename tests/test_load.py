@@ -18,6 +18,7 @@ from maxdecouple import InvalidDistributionError, JointBernoulli, NonnegJoint
 from maxdecouple import conjectured_extremal, dist, one_hot_uniform, permute_variables, product
 from maxdecouple.cli import EXIT_INPUT, EXIT_OK, main
 from maxdecouple.dist import JointSummary, MarginalVector
+from test_bounds import bits_charge
 
 WIDTHS = (1, 7, 8, 9, 64, 65, 200)
 CASES_PER_WIDTH = 150
@@ -236,14 +237,16 @@ class TestKeptTable:
         argv = ["sample", "--in", path, "--seed", "5", "--count", "1000"]
         assert main(argv) == EXIT_OK
         unbounded = capsys.readouterr().out
-        cells = len(joint.atoms) * joint.n
-        monkeypatch.setattr(dist, "SUMMARY_BUDGET", cells - 1)
+        atoms = len(joint.atoms)
+        charge = bits_charge(atoms, joint.n)
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", atoms * joint.n - 1)
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == unbounded
         assert main(["report", "--in", path]) == EXIT_INPUT
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"the {len(joint.atoms)} x {joint.n} bit table needs {cells} bytes" in err
+        assert (f"the {atoms} x {joint.n} bit table, its packed table and one block of packed "
+                f"masks needs {charge} bytes") in err
 
 
 class TestKeptFields:

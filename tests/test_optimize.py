@@ -2,10 +2,11 @@
 certificate, checked against the same certificate over every atom, the
 HiGHS oracle and its agreement with them, and the sweep table."""
 
+import fractions
 import gc
 import math
+import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,9 +43,20 @@ def as_triple(solution):
     return solution.objective, solution.objective_exact, solution.weights_exact
 
 
+def closed_form(n, p):
+    """`optimize._closed_form` at a Fraction p: (k, at_k, above_k, scale)."""
+    return optimize._closed_form(n, p.numerator, p.denominator)
+
+
 def closed_form_k(n, p):
     """The k of the closed form's support {0, k, k + 1} at n, p."""
-    return optimize._exchangeable(n, p)[0]
+    return closed_form(n, p)[0]
+
+
+def certificate(n, p):
+    """The closed form and its witness, as `full_optimum` certifies them."""
+    closed = closed_form(n, p)
+    return closed, optimize._masses(*closed)
 
 
 def assert_basic_optimum(full, objective, n, p, mode, tol):
@@ -426,6 +438,24 @@ class TestMinRatioAndSweep:
         full = conjecture_sweep(3, 200, reduction="full")
         assert full == conjecture_sweep(3, 200, reduction="exchangeable")
 
+    def test_full_sweep_certifies_every_row(self, monkeypatch):
+        # Each row's integers go through the certificate, once per n, and a
+        # dual built from k + 1 stops the sweep at its first row.
+        real_fault, real_dual = optimize._certificate_fault, optimize._certificate_dual
+        checked = []
+
+        def counted(n, *args):
+            checked.append(n)
+            return real_fault(n, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_certificate_fault", counted)
+            conjecture_sweep(3, 12, reduction="full")
+        assert checked == list(range(3, 13))
+        monkeypatch.setattr(optimize, "_certificate_dual", lambda k: real_dual(k + 1))
+        with pytest.raises(InvariantError, match="n=3, p=1/2: dual objective"):
+            conjecture_sweep(3, 12, reduction="full")
+
 
 class TestNegativeCovarianceMode:
     def test_negcov_optimum_against_oracle_small(self):
@@ -521,12 +551,24 @@ class TestColumnGeneration:
                 assert linprog_columns[0] <= sum(math.comb(n, k) for k in range(4)), case
 
 
-def verdict(n, p, k, solution):
-    """`optimize._certificate_fault`, asserted equal, message for message,
-    to the same certificate checked atom by atom."""
-    fault = optimize._certificate_fault(n, p, k, solution)
-    assert highs_lp.atom_certificate_fault(n, p, k, solution) == fault, (n, p, k)
+def verdict(n, p, closed, masses):
+    """`optimize._certificate_fault` at p, asserted equal, message for
+    message, to the same certificate checked atom by atom."""
+    a, b = p.numerator, p.denominator
+    fault = optimize._certificate_fault(n, a, b, closed, masses)
+    assert highs_lp.atom_certificate_fault(n, a, b, closed, masses) == fault, (n, p, closed)
     return fault
+
+
+def over_lcm(n, p, support):
+    """A witness of Fraction weights and the closed form at n, p, over one
+    scale: the lcm of the weights' denominators and the closed form's
+    scale, as `_certificate_fault` reads them."""
+    k, at_k, above_k, scale = closed_form(n, p)
+    common = math.lcm(scale, *(w.denominator for w in support.values()))
+    masses = {z: w.numerator * (common // w.denominator) for z, w in support.items()}
+    factor = common // scale
+    return (k, at_k * factor, above_k * factor, common), masses
 
 
 class TestCertificate:
@@ -564,8 +606,7 @@ class TestCertificate:
         cases += [(n, p) for n in (18, 20)
                   for p in (Fraction(3, 10), Fraction(1, 2), Fraction(1, n - 1), Fraction(2, n - 1))]
         for n, p in dict.fromkeys(cases):
-            k, solution = optimize._exchangeable(n, p)
-            assert verdict(n, p, k, solution) is None, (n, p)
+            assert verdict(n, p, *certificate(n, p)) is None, (n, p)
 
     def test_certificate_runs_at_any_n(self):
         # No 2^n array and no charge: past any n whose atoms could be
@@ -643,10 +684,10 @@ class TestCertificate:
     def test_dual_from_k_plus_one_fails(self):
         # Still dual feasible ((z-k-1)(z-k-2) >= 0), but its objective is
         # below the optimum, so the certificate proves nothing.
-        for n, p, solution in self.cases():
-            k = closed_form_k(n, p)
-            assert verdict(n, p, k, solution) is None
-            fault = verdict(n, p, k + 1, solution)
+        for n, p, _ in self.cases():
+            (k, *rest), masses = certificate(n, p)
+            assert verdict(n, p, (k, *rest), masses) is None
+            fault = verdict(n, p, (k + 1, *rest), masses)
             assert fault is not None and fault.startswith("dual objective"), (n, p)
 
     def test_moved_witness_weight_fails(self):
@@ -667,20 +708,58 @@ class TestCertificate:
                 shifted[z] -= delta
                 if moved is not None:
                     shifted[moved] = shifted.get(moved, 0) + delta  # the mass row still holds
-                fault = verdict(n, p, k, replace(solution, support=shifted))
+                fault = verdict(n, p, *over_lcm(n, p, shifted))
                 assert fault is not None and fault.startswith(start), (n, p, moved)
-            negative = replace(solution, support={**support, z: -support[z]})
-            assert verdict(n, p, k, negative) == off_classes, (n, p)
+            negative = {**support, z: -support[z]}
+            assert verdict(n, p, *over_lcm(n, p, negative)) == off_classes, (n, p)
             if support.get(0) and support.get(k + 1):
                 # The pair row met from below, the mass and marginal rows
                 # exactly: a <= row would take it, the one certificate
                 # needs every row met exactly.
                 lowered = {**support, 0: support[0] - delta, k: support[k] + (k + 1) * delta,
                            k + 1: support[k + 1] - k * delta}
-                fault = verdict(n, p, k, replace(solution, support=lowered))
+                fault = verdict(n, p, *over_lcm(n, p, lowered))
                 assert fault is not None and fault.startswith("a pair row"), (n, p)
                 below += 1
         assert below > 0
+
+    def test_integer_mass_mutants_fail(self):
+        # The witness as the certificate reads it, integer masses over one
+        # scale, off by one unit: moved from class k to class k + 1 (the
+        # mass row holds, the marginal row is one unit over, unless k + 1
+        # is past n), taken off class 0 (one unit short of the mass, or
+        # negative where class 0 holds none), or the scale doubled with the
+        # masses kept (half the mass).
+        off_classes = "a witness weight is negative or off the classes 0..n"
+        for n, p, _ in self.cases():
+            closed, masses = certificate(n, p)
+            k, at_k, above_k, scale = closed
+            up = {**masses, k: masses[k] - 1, k + 1: masses.get(k + 1, 0) + 1}
+            assert verdict(n, p, closed, up).startswith(
+                "a marginal row" if k < n else off_classes), (n, p)
+            short = {**masses, 0: masses.get(0, 0) - 1}
+            assert verdict(n, p, closed, short).startswith(
+                "a mass row" if 0 in masses else off_classes), (n, p)
+            doubled = (k, at_k, above_k, 2 * scale)
+            assert verdict(n, p, doubled, masses) == "a mass row sums to 1/2, not 1", (n, p)
+
+    def test_certificate_builds_no_fraction(self):
+        # A certificate that holds runs no line of the fractions module:
+        # no Fraction is made, read or compared.
+        inputs = [(n, p.numerator, p.denominator, *certificate(n, p)) for n, p, _ in self.cases()]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            verdicts = [optimize._certificate_fault(*args) for args in inputs]
+        finally:
+            sys.setprofile(None)
+        assert verdicts == [None] * len(inputs)
+        assert calls == []
 
     def test_dropped_pair_row_fails(self, monkeypatch):
         # Either side: a dual that puts no multiplier on the pair rows
@@ -695,14 +774,15 @@ class TestCertificate:
 
         with monkeypatch.context() as m:
             m.setattr(optimize, "_certificate_dual", dual_without_pairs)
-            for n, p, solution in self.cases():
-                fault = verdict(n, p, closed_form_k(n, p), solution)
+            for n, p, _ in self.cases():
+                fault = verdict(n, p, *certificate(n, p))
                 assert fault is not None and "has reduced cost" in fault, (n, p, fault)
                 with pytest.raises(InvariantError, match=f"n={n}, p={p}: an atom of weight"):
                     full_optimum(n, p)
         monkeypatch.setattr(highs_lp, "_constraint_rows", lambda n, masks: real_rows(n, masks)[:-1])
-        for n, p, solution in self.cases():
-            fault = highs_lp.atom_certificate_fault(n, p, closed_form_k(n, p), solution)
+        for n, p, _ in self.cases():
+            fault = highs_lp.atom_certificate_fault(n, p.numerator, p.denominator,
+                                                    *certificate(n, p))
             assert fault is not None and "the program has" in fault, (n, p, fault)
 
     def test_negcov_needs_nonpositive_pair_duals(self, monkeypatch):
@@ -711,6 +791,6 @@ class TestCertificate:
         # so the one certificate fails on its sign.
         monkeypatch.setattr(optimize, "_certificate_dual", lambda k: ((0, 0, 1), 10**6))
         p = Fraction(1, 3)
-        assert verdict(4, p, 2, exchangeable_optimum(4, p)) == "a pair row's dual is positive"
+        assert verdict(4, p, *certificate(4, p)) == "a pair row's dual is positive"
         with pytest.raises(InvariantError, match="n=4, p=1/3: a pair row's dual is positive"):
             full_optimum(4, p)
