@@ -6,6 +6,11 @@ that cannot be written, 2 a universal invariant failed (library bug or
 corrupt data), 64 usage error.  All output is deterministic given the flags
 and seed; numeric CSV cells use 17 significant digits so doubles round-trip
 losslessly.
+
+Importing this module loads only what every verb needs: the closed-form
+search (`optimize`) and the error types.  The joint machinery and numpy
+load in the verbs that read or build a joint, on their first call, so
+`search`, `--help` and a usage error never load numpy.
 """
 
 from __future__ import annotations
@@ -14,14 +19,16 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bounds, constructions, continuous, optimize
-from .continuous import NonnegJoint
-from .dist import JointBernoulli, MarginalVector, _sample_indices
+from . import optimize
 from .errors import InvalidDistributionError, InvariantError
+
+if TYPE_CHECKING:
+    from .continuous import NonnegJoint
+    from .dist import JointBernoulli
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,14 +44,16 @@ DEFAULT_SEED = 0
 # from about 24 bytes on 32,768 atoms (10^6 draws, 2-vCPU VM).
 NARROW_ROW_BYTES = 16
 
-# Each family's flag, its builder and the parameters it is called with.
+# Each family's flag, the name of its builder in `constructions` and the
+# parameters it is called with; `product` takes its marginals as a
+# MarginalVector.
 FAMILY_BY_FLAG = {
-    "one-hot": (constructions.one_hot_uniform, ("n",)),
-    "extremal": (constructions.conjectured_extremal, ("n",)),
-    "comonotone": (constructions.comonotone, ("n", "eps")),
-    "affine-hash": (constructions.affine_hash, ("n", "q", "m")),
-    "xor": (constructions.xor_parity, ("k",)),
-    "product": (lambda p: constructions.product(MarginalVector(p)), ("p",)),
+    "one-hot": ("one_hot_uniform", ("n",)),
+    "extremal": ("conjectured_extremal", ("n",)),
+    "comonotone": ("comonotone", ("n", "eps")),
+    "affine-hash": ("affine_hash", ("n", "q", "m")),
+    "xor": ("xor_parity", ("k",)),
+    "product": ("product", ("p",)),
 }
 
 SWEEP_COLUMNS = (
@@ -115,20 +124,41 @@ def _load_joint_file(path: str) -> JointBernoulli | NonnegJoint:
         raise InvalidDistributionError("joint document must be a JSON object")
     kind = obj.get("kind")
     if kind == "bernoulli-joint":
+        from .dist import JointBernoulli
+
         return JointBernoulli.from_json_dict(obj)
     if kind == "nonneg-joint":
+        from .continuous import NonnegJoint
+
         return NonnegJoint.from_json_dict(obj)
     raise InvalidDistributionError(
         f"field 'kind' must be 'bernoulli-joint' or 'nonneg-joint', got {kind!r}"
     )
 
 
+# The %-conversion of a cell whose type it prints as `_fmt_cell` does.
+CELL_TEMPLATE = {float: "%.17g", int: "%d", str: "%s"}
+
+
 def _csv(columns, rows) -> str:
     """The header and one line per row.  Every cell is a number, a bool, a
     word or the verdicts string, none with a comma, quote or newline, so
-    no cell is quoted."""
+    no cell is quoted.  There are at least two columns.
+
+    A row whose cells are all floats, ints and strs is printed by one
+    %-template, made once per tuple of cell types; any other row (a bool,
+    a numpy float) goes cell by cell through `_fmt_cell`."""
+    cells_of = operator.itemgetter(*columns)
+    templates = {}
     lines = [",".join(columns)]
-    lines += [",".join([_fmt_cell(row[c]) for c in columns]) for row in rows]
+    for row in rows:
+        cells = cells_of(row)
+        kinds = tuple(map(type, cells))
+        template = templates.get(kinds)
+        if template is None:
+            specs = [CELL_TEMPLATE.get(kind) for kind in kinds]
+            template = templates[kinds] = "" if None in specs else ",".join(specs)
+        lines.append(template % cells if template else ",".join(map(_fmt_cell, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -145,10 +175,16 @@ def _emit(path: str | None, text: str) -> None:
 
 def _cmd_report(args) -> int:
     joint = _load_joint_file(args.input)
+    from .dist import JointBernoulli
+
     if isinstance(joint, JointBernoulli):
+        from . import bounds
+
         result = bounds.full_report(joint)
         row = result.to_json_dict()
     else:
+        from . import continuous
+
         result = continuous.decoupling_check_cont(joint)
         row = result._asdict()
     if args.format == "json":
@@ -173,6 +209,9 @@ def _as_usage(call, *args, **kwargs):
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+    from .dist import MarginalVector
+
     params = {name: getattr(args, name) for _, used in FAMILY_BY_FLAG.values() for name in used}
     if args.p is not None:
         try:
@@ -185,7 +224,9 @@ def _cmd_construct(args) -> int:
                          ("does not use", [name for name in given if name not in names])):
         if wrong:
             raise UsageError(f"family '{args.family}' {fault} parameter(s): {', '.join(wrong)}")
-    joint = _as_usage(builder, *(params[name] for name in names))
+    if "p" in names:
+        params["p"] = _as_usage(MarginalVector, params["p"])
+    joint = _as_usage(getattr(constructions, builder), *(params[name] for name in names))
     limit = sys.get_int_max_str_digits()
     if limit and joint.masks[-1] >= 10**limit:
         raise OutputError(
@@ -208,6 +249,10 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     joint = _load_joint_file(args.input)
+    import numpy as np
+
+    from .dist import JointBernoulli, _sample_indices
+
     if not isinstance(joint, JointBernoulli):
         raise InvalidDistributionError("sample requires a bernoulli-joint file")
     # One "<mask>\n" row per atom; a chunk of draws gathers its rows, so

@@ -797,6 +797,35 @@ class TestUsageContract:
         # an axis loads it.
         assert "numpy.ma" not in fresh_verbs["before"] + fresh_verbs["after"]
 
+    def test_search_loads_no_numpy(self, tmp_path):
+        # A new interpreter, since the pytest process holds numpy: the
+        # import, both search routes, --help and a usage error each leave
+        # numpy unloaded, and report is the first step that loads it.
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import maxdecouple.cli as cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(list(argv))
+                return [list(argv), code, "numpy" in sys.modules]
+
+            steps = [["import", 0, "numpy" in sys.modules],
+                     run("search", "--n-min", "3", "--n-max", "20"),
+                     run("search", "--n-min", "3", "--n-max", "12", "--reduction", "full"),
+                     run("--help"),
+                     run("search", "--n-min", "3"),
+                     run("report", "--in", sys.argv[1])]
+            print(json.dumps(steps))
+        """)
+        joint = write_json(tmp_path / "joint.json", xor_parity(2).to_json_dict())
+        proc = subprocess.run([sys.executable, "-c", script, joint], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        assert [code for _, code, _ in steps] == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
+        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True], steps
+
 
 class TestInvariantExitCode:
     def test_verdict_failure_maps_to_exit_two(self, monkeypatch, extremal3_file, capsys):
@@ -810,7 +839,7 @@ class TestInvariantExitCode:
             report.verdicts["pinelis"] = False
             return report
 
-        monkeypatch.setattr(cli.bounds, "full_report", poisoned)
+        monkeypatch.setattr(bounds_mod, "full_report", poisoned)
         assert main(["report", "--in", extremal3_file]) == EXIT_INVARIANT
 
     def test_relative_error_in_f_exits_two(self, monkeypatch, tmp_path, capsys):
@@ -857,8 +886,10 @@ class TestInvariantExitCode:
         # cross-check, which `main` reports like the certificate's.
         path = write_json(tmp_path / "nonneg.json", {"kind": "nonneg-joint", "n": 2, "atoms": [
             {"values": [1e9, 2e9], "p": 0.5}, {"values": [3e9, 0.0], "p": 0.5}]})
-        layer_cake = cli.continuous._layer_cake_expected_max
-        monkeypatch.setattr(cli.continuous, "_layer_cake_expected_max",
+        from maxdecouple import continuous
+
+        layer_cake = continuous._layer_cake_expected_max
+        monkeypatch.setattr(continuous, "_layer_cake_expected_max",
                             lambda joint, grid: layer_cake(joint, grid) * (1 + 1e-9))
         for fmt in ("json", "csv"):
             assert main(["report", "--in", path, "--format", fmt]) == EXIT_INVARIANT

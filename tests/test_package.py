@@ -1,6 +1,13 @@
 """The package's public names."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import maxdecouple
 from maxdecouple import bounds, cli, constructions, dist, optimize
@@ -48,3 +55,31 @@ def test_removed_names_are_gone():
     assert [name for name in gone if name in vars(optimize)] == []
     assert "_FAMILIES" not in vars(constructions)
     assert "status" not in optimize.LpSolution.__dataclass_fields__
+
+
+def test_exports_resolve_on_first_access():
+    # `import *` binds every `__all__` name, `dir` lists them, and an
+    # unknown name is an AttributeError like any module's.
+    namespace = {}
+    exec("from maxdecouple import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(maxdecouple.__all__)
+    assert namespace["full_report"] is bounds.full_report
+    assert namespace["LpSolution"] is optimize.LpSolution
+    assert set(maxdecouple.__all__) <= set(dir(maxdecouple))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        maxdecouple.no_such_name
+
+
+def test_import_loads_no_numpy():
+    # In a new interpreter, since this one holds numpy: the package and the
+    # command line import none of the joint machinery, and a submodule not
+    # yet imported is still an attribute of the package.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import json, sys, maxdecouple, maxdecouple.cli; print(json.dumps([sorted("
+              "m for m in sys.modules if m.split('.')[0] in ('numpy', 'maxdecouple')), "
+              "maxdecouple.bounds.full_report is maxdecouple.full_report]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["maxdecouple", "maxdecouple.cli", "maxdecouple.errors", "maxdecouple.optimize"], True]
