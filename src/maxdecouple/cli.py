@@ -7,25 +7,27 @@ corrupt data), 64 usage error.  All output is deterministic given the flags
 and seed; numeric CSV cells use 17 significant digits so doubles round-trip
 losslessly.
 
-Importing this module loads only what every verb needs: the closed-form
-search (`optimize`) and the error types.  The joint machinery and numpy
-load in the verbs that read or build a joint, on their first call, so
-`search`, `--help` and a usage error never load numpy.
+Importing this module loads only what every verb needs: argparse, the
+closed-form search (`optimize`) and the error types.  The joint machinery
+and numpy load in the verbs that read or build a joint, and `json` in
+those that read or write one, on their first call, so `search`, `--help`
+and a usage error load neither, nor `dataclasses`, `fractions` or
+`typing`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import operator
+import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import optimize
 from .errors import InvalidDistributionError, InvariantError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .continuous import NonnegJoint
     from .dist import JointBernoulli
@@ -72,6 +74,10 @@ class UsageError(Exception):
     pass
 
 
+class InputError(Exception):
+    """The input file cannot be read, decoded as UTF-8 or parsed as JSON."""
+
+
 class OutputError(Exception):
     pass
 
@@ -104,12 +110,17 @@ def _digit_limit_message(what: str) -> str:
 
 
 def _load_joint_file(path: str) -> JointBernoulli | NonnegJoint:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(exc) from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise InputError(exc) from exc
     except RecursionError as exc:
         limit = sys.getrecursionlimit()
         raise InvalidDistributionError(f"JSON nested past the recursion limit of {limit}") from exc
@@ -175,6 +186,8 @@ def _emit(path: str | None, text: str) -> None:
 
 def _cmd_report(args) -> int:
     joint = _load_joint_file(args.input)
+    import json
+
     from .dist import JointBernoulli
 
     if isinstance(joint, JointBernoulli):
@@ -209,6 +222,8 @@ def _as_usage(call, *args, **kwargs):
 
 
 def _cmd_construct(args) -> int:
+    import json
+
     from . import constructions
     from .dist import MarginalVector
 
@@ -338,6 +353,20 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at os.devnull, so that what is still
+    buffered goes nowhere when the interpreter flushes it at exit, instead
+    of failing there too.  A stdout that is no file (an in-process
+    caller's buffer) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
@@ -346,7 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from nonnegative integers
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone by now fails here, not at exit
+        return code
     except UsageError as exc:
         print(f"maxdecouple: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -359,8 +390,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"maxdecouple: invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except InputError as exc:
         print(f"maxdecouple: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # reads raise InputError, so this is a write to stdout
+        print(f"maxdecouple: cannot write output: {exc}", file=sys.stderr)
+        _discard_stdout()
         return EXIT_INPUT
 
 

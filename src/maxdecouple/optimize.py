@@ -38,35 +38,41 @@ and the same certificate checked atom by atom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from itertools import repeat
 from types import MappingProxyType
 
 from .errors import InvariantError
 
-_ZERO = Fraction(0)
+# `fractions` (with `decimal` and `numbers`) loads in the functions that
+# build a Fraction, none of which a sweep calls.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(namedtuple("LpSolution", ("objective", "objective_exact", "n", "support"))):
     """Solved search instance: `objective` is the minimum of P(Z > 0),
     `objective_exact` the same optimum as a rational, and `support` maps
     each class z of an optimal law on Z = 0..n to its exact weight
     w_z = P(Z = z), nonzero weights only, read-only, so that a solution
-    costs the same at any n.  `weights_exact` lists all n + 1 weights."""
+    costs the same at any n.  `weights_exact` lists all n + 1 weights.
 
-    objective: float
-    objective_exact: Fraction
-    n: int
-    support: MappingProxyType[int, Fraction] = field(hash=False)
+    A named tuple, so that importing the module loads no `dataclasses`;
+    `support` is a mapping proxy, so a solution is not hashable."""
+
+    __slots__ = ()
 
     @property
     def weights_exact(self) -> tuple[Fraction, ...]:
-        return tuple(map(self.support.get, range(self.n + 1), repeat(_ZERO)))
+        from fractions import Fraction
+
+        return tuple(map(self.support.get, range(self.n + 1), repeat(Fraction(0))))
 
 
 def _check_common(n: int, p: Fraction | float | int) -> Fraction:
+    from fractions import Fraction
+
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0 <= p <= 1:  # false for NaN too, and before Fraction(inf) overflows
@@ -136,6 +142,8 @@ def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
 
 def _solution(n: int, closed: tuple[int, int, int, int], masses: dict[int, int]) -> LpSolution:
     """The `LpSolution` of `_closed_form`'s integers and their witness."""
+    from fractions import Fraction
+
     _, at_k, above_k, scale = closed
     support = {z: Fraction(m, scale) for z, m in sorted(masses.items())}
     # int / int rounds correctly, so it is float(objective_exact).
@@ -214,12 +222,16 @@ def _certificate_fault(
         pair += m * z * (z - 1)
     for e, name, total in ((0, "mass", mass), (1, "marginal", marginal), (2, "pair", pair)):
         if total * b**e != a**e * scale * math.perm(n, e):
+            from fractions import Fraction
+
             total = Fraction(total, scale * math.perm(n, e))
             return f"a {name} row sums to {total}, not {Fraction(a, b) ** e}"
     squared = dual_scale * b * b
     dual = (y0 * b + n * y1 * a) * b + n * (n - 1) // 2 * y2 * a * a
     primal = scale - masses.get(0, 0)
     if not dual * scale == primal * squared == (at_k + above_k) * squared:
+        from fractions import Fraction
+
         return (
             f"dual objective {Fraction(dual, squared)}, "
             f"primal objective {Fraction(primal, scale)}, "
@@ -261,6 +273,14 @@ def full_optimum(n: int, p: Fraction | float) -> LpSolution:
     return _solution(n, *_certified(n, p.numerator, p.denominator))
 
 
+# The most factors a sweep may multiply in its `_calibration_mtilde`
+# calls: the sum of n over its rows.  A factor takes 3.1-3.8 ns (2-vCPU
+# VM, CPython 3.11.7), so the largest sweeps admitted spend about 3.5 s on
+# them: a fresh `search` of the one row n = 10^9 takes 3.8 s, and of
+# n = 3..44720 on the full route 5.5 s.  n = 3..3000 multiplies 4.5 * 10^6.
+SWEEP_FACTOR_LIMIT = 10**9
+
+
 def _calibration_mtilde(n: int) -> float:
     """P(Z~ > 0) for n independent variables with p = 1/(n-1): the same
     left-to-right product as `prob_hit_independent`, without an n-long
@@ -285,9 +305,17 @@ def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
     e/(2(e-1)) along this one marginal only; other marginals go lower (see
     the module docstring), so it bounds the best lower constant from above
     and is reported as data, never asserted.
+    A sweep whose rows multiply more than SWEEP_FACTOR_LIMIT factors in
+    all is refused before any row is made.
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
+    factors = (n_min + n_max) * (n_max - n_min + 1) // 2
+    if factors > SWEEP_FACTOR_LIMIT:
+        raise ValueError(
+            f"n = {n_min}..{n_max} multiplies {factors} factors for P(Z~ > 0), "
+            f"past the limit of {SWEEP_FACTOR_LIMIT} (the sum of n over the rows)"
+        )
     if reduction not in ("exchangeable", "full"):
         raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
     full = reduction == "full"

@@ -1,5 +1,6 @@
 """Command-line behaviour: output formats, exit-code contract, round trips."""
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -482,6 +483,22 @@ class TestSearch:
         assert main([*argv, "--reduction", "auto"]) == EXIT_USAGE
         assert "invalid choice: 'auto'" in capsys.readouterr().err
 
+    def test_sweep_past_the_factor_limit_is_a_usage_error(self, tmp_path, capsys):
+        # n = 10^12 would multiply 10^12 factors for P(Z~ > 0): refused at
+        # once on both routes, and no file is written.
+        out_file = tmp_path / "sweep.csv"
+        limit = optimize.SWEEP_FACTOR_LIMIT
+        for reduction in ("exchangeable", "full"):
+            argv = ["search", "--n-min", str(10**12), "--n-max", str(10**12),
+                    "--reduction", reduction, "--out", str(out_file)]
+            assert main(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"maxdecouple: usage error: n = {10**12}..{10**12} multiplies "
+                           f"{10**12} factors for P(Z~ > 0), past the limit of {limit} "
+                           "(the sum of n over the rows)\n")
+        assert not out_file.exists()
+
     def test_csv_uses_17_significant_digits(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["search", "--n-min", "4", "--n-max", "4", "--out", str(out)])
@@ -797,34 +814,101 @@ class TestUsageContract:
         # an axis loads it.
         assert "numpy.ma" not in fresh_verbs["before"] + fresh_verbs["after"]
 
-    def test_search_loads_no_numpy(self, tmp_path):
-        # A new interpreter, since the pytest process holds numpy: the
-        # import, both search routes, --help and a usage error each leave
-        # numpy unloaded, and report is the first step that loads it.
+    @pytest.fixture(scope="class")
+    def fresh_steps(self, tmp_path_factory):
+        # In a new interpreter, since the pytest process holds every module:
+        # the import, both search routes, --help, a usage error and a
+        # report, each with its exit code and the modules it newly loaded.
+        # A diff, so that a module the interpreter's `site` loads (typing,
+        # on some installs) neither hides nor fakes a load.
         script = textwrap.dedent("""
-            import contextlib, io, json, sys
-            import maxdecouple.cli as cli
+            import contextlib, io, sys
 
             def run(*argv):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(list(argv))
-                return [list(argv), code, "numpy" in sys.modules]
+                    return cli.main(list(argv))
 
-            steps = [["import", 0, "numpy" in sys.modules],
-                     run("search", "--n-min", "3", "--n-max", "20"),
-                     run("search", "--n-min", "3", "--n-max", "12", "--reduction", "full"),
-                     run("--help"),
-                     run("search", "--n-min", "3"),
-                     run("report", "--in", sys.argv[1])]
-            print(json.dumps(steps))
+            def step(name, call):
+                before = set(sys.modules)
+                code = call()
+                steps.append((name, code, sorted(set(sys.modules) - before)))
+
+            before = set(sys.modules)
+            import maxdecouple.cli as cli
+            steps = [("import", 0, sorted(set(sys.modules) - before))]
+            step("search", lambda: run("search", "--n-min", "3", "--n-max", "20"))
+            step("full", lambda: run("search", "--n-min", "3", "--n-max", "12", "--reduction", "full"))
+            step("help", lambda: run("--help"))
+            step("usage", lambda: run("search", "--n-min", "3"))
+            step("report", lambda: run("report", "--in", sys.argv[1]))
+            print(repr(steps))
         """)
-        joint = write_json(tmp_path / "joint.json", xor_parity(2).to_json_dict())
+        joint = write_json(tmp_path_factory.mktemp("steps") / "joint.json",
+                           xor_parity(2).to_json_dict())
         proc = subprocess.run([sys.executable, "-c", script, joint], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
-        steps = json.loads(proc.stdout)
-        assert [code for _, code, _ in steps] == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK]
-        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True], steps
+        steps = ast.literal_eval(proc.stdout)
+        assert [(name, code) for name, code, _ in steps] == [
+            ("import", EXIT_OK), ("search", EXIT_OK), ("full", EXIT_OK), ("help", EXIT_OK),
+            ("usage", EXIT_USAGE), ("report", EXIT_OK)]
+        return {name: loaded for name, _, loaded in steps}
+
+    def test_search_loads_no_numpy(self, fresh_steps):
+        # Report is the first step that loads numpy.
+        assert [name for name, loaded in fresh_steps.items() if "numpy" in loaded] == ["report"]
+
+    def test_search_loads_only_argparse_and_the_package(self, fresh_steps):
+        # json, dataclasses (with inspect), fractions (with decimal) and
+        # typing load in no step before report, which loads json; the
+        # import loads argparse and four of the package's modules.
+        unused = {"json", "dataclasses", "inspect", "fractions", "decimal", "typing"}
+        early = {name: sorted(unused & set(loaded)) for name, loaded in fresh_steps.items()}
+        assert "json" in early.pop("report")
+        assert early == {"import": [], "search": [], "full": [], "help": [], "usage": []}
+        assert {m for m in fresh_steps["import"] if m.startswith("maxdecouple")} == {
+            "maxdecouple", "maxdecouple.cli", "maxdecouple.errors", "maxdecouple.optimize"}
+        assert "argparse" in fresh_steps["import"]
+
+    @pytest.mark.parametrize("verb, unbuffered", [
+        ("sample", "1"), ("sample", ""), ("search", ""),
+    ])
+    def test_closed_pipe_is_a_write_error(self, extremal3_file, verb, unbuffered):
+        # The reader takes one line and closes the pipe: exit 1, one
+        # "cannot write output" line, and no traceback or "Exception
+        # ignored" from the interpreter's flush at exit.  Unbuffered, the
+        # search's one large write is cut short without an error, so it
+        # runs buffered only.
+        argv = {"sample": ["sample", "--in", extremal3_file, "--count", "1000000"],
+                "search": ["search", "--n-min", "3", "--n-max", "3000"]}[verb]
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen([sys.executable, "-m", "maxdecouple.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_INPUT
+        assert err == b"maxdecouple: cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_pipe_closed_before_the_first_write(self, unbuffered):
+        # Every write fails.  Buffered, this small search's rows are still
+        # in stdout's buffer when the verb returns: `main`'s flush must
+        # report it, and the interpreter's flush at exit must not fail on
+        # the same bytes again (which prints "Exception ignored" and exits
+        # 120).
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxdecouple.cli", "search", "--n-min", "3", "--n-max", "20"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == b"maxdecouple: cannot write output: [Errno 32] Broken pipe\n"
 
 
 class TestInvariantExitCode:

@@ -20,6 +20,7 @@ from highs_lp import FULL_VARIABLE_LIMIT, MODES, build_full_lp, solve
 from maxdecouple import (
     CONJECTURED_LOWER_CONSTANT,
     JointBernoulli,
+    LpSolution,
     MarginalVector,
     conjecture_sweep,
     conjectured_extremal,
@@ -204,6 +205,28 @@ class TestSolveKnownInstances:
             Fraction(3, 4),
             Fraction(0),
         )
+
+    def test_solution_is_an_immutable_tuple_of_fractions(self):
+        # A named tuple of four fields, compared field by field; the exact
+        # values stay Fractions, and neither the fields nor the support can
+        # be set.  The support is a mapping proxy, so it has no hash.
+        solution = exchangeable_optimum(3, Fraction(1, 2))
+        assert isinstance(solution, LpSolution)
+        assert LpSolution._fields == ("objective", "objective_exact", "n", "support")
+        assert type(solution.objective) is float and type(solution.n) is int
+        assert type(solution.objective_exact) is Fraction
+        assert [type(w) for w in solution.weights_exact] == [Fraction] * 4
+        assert [type(w) for w in solution.support.values()] == [Fraction] * 2
+        assert solution == exchangeable_optimum(3, Fraction(1, 2)) == full_optimum(3, 0.5)
+        assert solution != exchangeable_optimum(3, Fraction(1, 3))
+        with pytest.raises(AttributeError):
+            solution.objective = 0.0
+        with pytest.raises(AttributeError):
+            solution.extra = 0
+        with pytest.raises(TypeError):
+            solution.support[0] = Fraction(1)
+        with pytest.raises(TypeError):
+            hash(solution)
 
     def test_zero_marginal_gives_empty_family(self):
         solution = exchangeable_optimum(5, 0)
@@ -424,6 +447,25 @@ class TestMinRatioAndSweep:
         ):
             with pytest.raises(ValueError):
                 conjecture_sweep(n_min, n_max, reduction=reduction)
+
+    def test_sweep_factor_limit(self, monkeypatch):
+        # The rows' n sum to the factors `_calibration_mtilde` multiplies.
+        # The n = 3..3000 sweep is admitted; past the limit a sweep is
+        # refused, on either route, before any row is made.
+        assert sum(range(3, 3001)) <= optimize.SWEEP_FACTOR_LIMIT
+        monkeypatch.setattr(optimize, "SWEEP_FACTOR_LIMIT", sum(range(3, 10)))
+        calls = []
+        real = optimize._calibration_mtilde
+        monkeypatch.setattr(optimize, "_calibration_mtilde", lambda n: calls.append(n) or real(n))
+        for reduction in ("exchangeable", "full"):
+            assert len(conjecture_sweep(3, 9, reduction=reduction)) == 7
+            calls.clear()
+            for n_min, n_max in ((3, 10), (10, 10**12), (10**12, 10**12)):
+                factors = (n_min + n_max) * (n_max - n_min + 1) // 2
+                with pytest.raises(ValueError, match=f"multiplies {factors} factors .* past "
+                                                     "the limit of 42 "):
+                    conjecture_sweep(n_min, n_max, reduction=reduction)
+            assert calls == []
 
     def test_sweep_objective_is_the_exchangeable_optimum(self):
         # The sweep's integer kernel gives the float of the Fraction route,

@@ -54,7 +54,7 @@ def test_removed_names_are_gone():
             "_charge_certificate", "np")
     assert [name for name in gone if name in vars(optimize)] == []
     assert "_FAMILIES" not in vars(constructions)
-    assert "status" not in optimize.LpSolution.__dataclass_fields__
+    assert "status" not in optimize.LpSolution._fields
 
 
 def test_exports_resolve_on_first_access():
