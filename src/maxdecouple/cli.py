@@ -58,18 +58,6 @@ FAMILY_BY_FLAG = {
     "product": ("product", ("p",)),
 }
 
-SWEEP_COLUMNS = (
-    "n",
-    "p",
-    "mtilde",
-    "lp_objective",
-    "lp_ratio",
-    "construction_ratio",
-    "gap",
-    "status",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -173,9 +161,26 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of `text` to stdout.  A closing pipe can take part of a
+    large write, a short count that CPython's text layer drops; so the
+    buffer is flushed and the text goes to the descriptor in a loop that
+    honours the count, whose next write fails.  A stdout with no
+    descriptor (an in-process caller's buffer) takes the text as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while view:
+        view = view[os.write(fd, view):]
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         try:
             with open(path, "w", encoding="utf-8") as handle:
@@ -256,7 +261,7 @@ def _cmd_search(args) -> int:
     # made before any is written, so a failed certificate writes nothing.
     rows = _as_usage(optimize.conjecture_sweep, args.n_min, args.n_max,
                      reduction=args.reduction)
-    _emit(args.out, _csv(SWEEP_COLUMNS, rows))
+    _emit(args.out, _csv(tuple(rows[0]), rows))
     return EXIT_OK
 
 
@@ -279,11 +284,11 @@ def _cmd_sample(args) -> int:
     if width <= NARROW_ROW_BYTES:
         rows = np.array([b"%d\n" % mask for mask in joint.masks], dtype=f"S{width}")
         for idx in _sample_indices(joint, args.seed, args.count):
-            sys.stdout.write(rows[idx].tobytes().translate(None, b"\0").decode("ascii"))
+            _write_stdout(rows[idx].tobytes().translate(None, b"\0").decode("ascii"))
     else:
         rows = np.array(["%d\n" % mask for mask in joint.masks], dtype=object)
         for idx in _sample_indices(joint, args.seed, args.count):
-            sys.stdout.write("".join(rows[idx].tolist()))
+            _write_stdout("".join(rows[idx].tolist()))
     return EXIT_OK
 
 

@@ -300,11 +300,12 @@ def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
     certifies the row's integer masses over one scale (`_certified`), a
     few big-integer operations and no Fraction, so it runs at any n and
     allocates nothing per atom.
-    One row per n with keys: n, p, mtilde, lp_objective, lp_ratio,
-    construction_ratio, gap, status, running_inf.  lp_ratio tends to
-    e/(2(e-1)) along this one marginal only; other marginals go lower (see
-    the module docstring), so it bounds the best lower constant from above
-    and is reported as data, never asserted.
+    One row per n with keys n, p, mtilde, lp_objective, lp_ratio, status,
+    in the order `search` prints them.  The optimum at p = 1/(n-1) is
+    `conjectured_extremal(n)`.  lp_ratio tends to e/(2(e-1)) along this
+    one marginal only; other marginals go lower (see the module
+    docstring), so it bounds the best lower constant from above and is
+    reported as data, never asserted.
     A sweep whose rows multiply more than SWEEP_FACTOR_LIMIT factors in
     all is refused before any row is made.
     """
@@ -320,7 +321,6 @@ def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
         raise ValueError(f"reduction must be 'exchangeable' or 'full', got {reduction!r}")
     full = reduction == "full"
     rows = []
-    running_inf = float("inf")
     for n in range(n_min, n_max + 1):
         if full:
             (_, at_k, above_k, scale), _ = _certified(n, 1, n - 1)
@@ -328,20 +328,14 @@ def conjecture_sweep(n_min: int, n_max: int, *, reduction: str) -> list[dict]:
             _, at_k, above_k, scale = _closed_form(n, 1, n - 1)
         objective = (at_k + above_k) / scale
         mtilde = _calibration_mtilde(n)
-        ratio = objective / mtilde
-        construction_ratio = (0.5 + 0.5 / (n - 1)) / mtilde
-        running_inf = min(running_inf, ratio)
         rows.append(
             {
                 "n": n,
                 "p": 1 / (n - 1),
                 "mtilde": mtilde,
                 "lp_objective": objective,
-                "lp_ratio": ratio,
-                "construction_ratio": construction_ratio,
-                "gap": construction_ratio - ratio,
+                "lp_ratio": objective / mtilde,
                 "status": "optimal",  # every instance is feasible and bounded
-                "running_inf": running_inf,
             }
         )
     return rows

@@ -224,7 +224,7 @@ def test_criterion_08_lp_sandwich_and_sweep():
             f"\n[criterion  8] report: lp_ratio(n=200) = {tail['lp_ratio']:.9f}, "
             f"e/(2(e-1)) = {CONJECTURED_LOWER_CONSTANT:.9f}, "
             f"difference = {tail['lp_ratio'] - CONJECTURED_LOWER_CONSTANT:+.2e}, "
-            f"running_inf = {tail['running_inf']:.9f}"
+            f"least lp_ratio = {min(row['lp_ratio'] for row in rows):.9f}"
         )
 
 

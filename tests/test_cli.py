@@ -29,21 +29,21 @@ from test_bounds import distinct_columns_joint, inflate_f
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout,
-# recorded when a float HiGHS solve wrote those rows; the certified exact
-# optimum prints the same bytes.  `test_no_verb_loads_scipy` also checks
-# every lp_objective against the exact optimum.
-FULL_SEARCH_SHA256 = "860eae664e5d4366d073205238f3f514ae0786009d91526a1397e2f5eb8e28e4"
+# SHA-256 of `search --n-min 3 --n-max 6 --reduction full` stdout: the
+# rows a float HiGHS solve wrote, less the two columns that were the same
+# on every row.  `test_no_verb_loads_scipy` also checks every lp_objective
+# against the exact optimum.
+FULL_SEARCH_SHA256 = "f4e2c79b94a045c4b26facb96745f70e99c1506096223e75cdeea5384148ffe7"
 
 # SHA-256 of `search --n-min 3 --n-max 16 --reduction full` stdout in either
 # mode: the correctly rounded exact optimum, the same bytes as
 # `--reduction exchangeable`.
-FULL_SEARCH_16_SHA256 = "606a7180a04d72a432fd969e4940b0c8ad59ced8fc7d63d5720abcabd732fb7f"
+FULL_SEARCH_16_SHA256 = "fea7d0d222551a2470d2d4078a35e2974b8933be16482bc46ced923f388343dd"
 
 # SHA-256 of `search --n-min 3 --n-max 120` stdout in either mode, recorded
 # when the closed form was computed in `Fraction` arithmetic; the integer
 # closed form prints the same bytes, and so does `--reduction full`.
-EXACT_SEARCH_120_SHA256 = "c24d735e43b7e9a687eb99ddc6dfb02570993a25523fe2b631558e0389db75bb"
+EXACT_SEARCH_120_SHA256 = "e50c07f566756e617312991799ee443b800e9c40e68fd35691ee9d36a3e6bdea"
 
 # SHA-256 of `report --in product.json` stdout, for the product law of the
 # marginals PRODUCT_MARGINALS (4,096 atoms), with every pair moment summed
@@ -438,7 +438,7 @@ class TestSearch:
         out = tmp_path / "sweep.csv"
         assert main(["search", "--n-min", "3", "--n-max", "8", "--out", str(out)]) == EXIT_OK
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,p,mtilde,lp_objective,lp_ratio,construction_ratio,gap,status"
+        assert lines[0] == "n,p,mtilde,lp_objective,lp_ratio,status"
         assert len(lines) == 7
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert first["n"] == "3"
@@ -871,16 +871,18 @@ class TestUsageContract:
         assert "argparse" in fresh_steps["import"]
 
     @pytest.mark.parametrize("verb, unbuffered", [
-        ("sample", "1"), ("sample", ""), ("search", ""),
+        ("sample", "1"), ("sample", ""), ("search", "1"), ("search", ""),
+        ("construct", "1"), ("construct", ""),
     ])
     def test_closed_pipe_is_a_write_error(self, extremal3_file, verb, unbuffered):
         # The reader takes one line and closes the pipe: exit 1, one
         # "cannot write output" line, and no traceback or "Exception
-        # ignored" from the interpreter's flush at exit.  Unbuffered, the
-        # search's one large write is cut short without an error, so it
-        # runs buffered only.
+        # ignored" from the interpreter's flush at exit.  search and
+        # construct write their output at once, which the pipe takes in
+        # part.
         argv = {"sample": ["sample", "--in", extremal3_file, "--count", "1000000"],
-                "search": ["search", "--n-min", "3", "--n-max", "3000"]}[verb]
+                "search": ["search", "--n-min", "3", "--n-max", "3000"],
+                "construct": ["construct", "--family", "extremal", "--n", "200"]}[verb]
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
         proc = subprocess.Popen([sys.executable, "-m", "maxdecouple.cli", *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
