@@ -28,7 +28,6 @@ rule's floor, throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .dist import JointBernoulli, MarginalVector, _excess_terms, _summed_slack
@@ -104,14 +103,14 @@ class GFactorization(NamedTuple):
     f: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every scalar the bound battery produces for one joint.
 
-    Field names match the JSON serialization exactly.  `verdicts` maps each
-    inequality to its boolean outcome; `universal_ok` folds together the
-    verdicts that must hold for every valid joint, so a False there means a
-    malformed input or a library bug, never a legitimately failing bound.
+    `report` prints `_asdict()`, so the field names are the JSON keys and
+    the CSV header.  `verdicts` maps each inequality to its boolean
+    outcome; `universal_ok` folds together the verdicts that must hold for
+    every valid joint, so a False there means a malformed input or a
+    library bug, never a legitimately failing bound.
     """
 
     M: float
@@ -143,9 +142,6 @@ class BoundReport:
     @property
     def universal_ok(self) -> bool:
         return all(self.verdicts[name] for name in self._UNIVERSAL_VERDICTS)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def pinelis_upper_check(joint: JointBernoulli) -> InequalityCheck:
@@ -265,13 +261,13 @@ def full_report(joint: JointBernoulli) -> BoundReport:
     pz = paley_zygmund_lower(joint)
     h = summary.h
 
-    a = s * s
-    b = s + s * s
-    c = 0.5 * mtilde
-
     upper = pinelis_upper_check(joint)
     lower = main_lower_check(joint)
     eta = eta_lower_check(joint)
+
+    a = s * s
+    b = s + a
+    c = lower.rhs
 
     # F also has a direct polynomial form, 2S^2 - (S + S^2)(1 - P); agreement
     # with S*G is the factorization identity, checked as a genuine dual route.

@@ -5,7 +5,8 @@ a fixed contract: 0 success, 1 unreadable or invalid input or an --out file
 that cannot be written, 2 a universal invariant failed (library bug or
 corrupt data), 64 usage error.  All output is deterministic given the flags
 and seed; numeric CSV cells use 17 significant digits so doubles round-trip
-losslessly.
+losslessly.  `report` prints the `_asdict()` of either joint kind's named
+tuple, as JSON or as one CSV row whose bools are spelled as in JSON.
 
 Importing this module loads only what every verb needs: argparse, the
 closed-form search (`optimize`) and the error types.  The joint machinery
@@ -80,14 +81,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
-
-
 def _digit_limit_message(what: str) -> str:
     limit = sys.get_int_max_str_digits()
     return (
@@ -135,18 +128,16 @@ def _load_joint_file(path: str) -> JointBernoulli | NonnegJoint:
     )
 
 
-# The %-conversion of a cell whose type it prints as `_fmt_cell` does.
+# The %-conversion of each cell type: floats to 17 significant digits.
 CELL_TEMPLATE = {float: "%.17g", int: "%d", str: "%s"}
 
 
-def _csv(columns, rows) -> str:
-    """The header and one line per row.  Every cell is a number, a bool, a
-    word or the verdicts string, none with a comma, quote or newline, so
-    no cell is quoted.  There are at least two columns.
-
-    A row whose cells are all floats, ints and strs is printed by one
-    %-template, made once per tuple of cell types; any other row (a bool,
-    a numpy float) goes cell by cell through `_fmt_cell`."""
+def _csv(rows) -> str:
+    """The header, the first row's keys, and one line per row.  Every cell
+    is a Python float, int or str, none with a comma, quote or newline, so
+    no cell is quoted, and there are at least two columns.  Each row is
+    printed by one %-template, made once per tuple of cell types."""
+    columns = tuple(rows[0])
     cells_of = operator.itemgetter(*columns)
     templates = {}
     lines = [",".join(columns)]
@@ -155,9 +146,8 @@ def _csv(columns, rows) -> str:
         kinds = tuple(map(type, cells))
         template = templates.get(kinds)
         if template is None:
-            specs = [CELL_TEMPLATE.get(kind) for kind in kinds]
-            template = templates[kinds] = "" if None in specs else ",".join(specs)
-        lines.append(template % cells if template else ",".join(map(_fmt_cell, cells)))
+            template = templates[kinds] = ",".join(map(CELL_TEMPLATE.__getitem__, kinds))
+        lines.append(template % cells)
     return "\n".join(lines) + "\n"
 
 
@@ -196,23 +186,21 @@ def _cmd_report(args) -> int:
     from .dist import JointBernoulli
 
     if isinstance(joint, JointBernoulli):
-        from . import bounds
-
-        result = bounds.full_report(joint)
-        row = result.to_json_dict()
+        from .bounds import full_report as evaluate
     else:
-        from . import continuous
-
-        result = continuous.decoupling_check_cont(joint)
-        row = result._asdict()
+        from .continuous import decoupling_check_cont as evaluate
+    result = evaluate(joint)
+    row = result._asdict()
     if args.format == "json":
-        print(json.dumps(row, indent=2))
+        _write_stdout(json.dumps(row, indent=2) + "\n")
     else:
-        if "verdicts" in row:
-            row["verdicts"] = ";".join(
-                f"{k}={_fmt_cell(v)}" for k, v in row["verdicts"].items()
-            )
-        sys.stdout.write(_csv(tuple(row), [row]))
+        # A bool, in a cell or in the verdicts, is spelled as JSON spells it.
+        for key, value in row.items():
+            if isinstance(value, dict):
+                row[key] = ";".join(f"{k}={json.dumps(v)}" for k, v in value.items())
+            elif isinstance(value, bool):
+                row[key] = json.dumps(value)
+        _write_stdout(_csv([row]))
     return EXIT_OK if result.universal_ok else EXIT_INVARIANT
 
 
@@ -261,7 +249,7 @@ def _cmd_search(args) -> int:
     # made before any is written, so a failed certificate writes nothing.
     rows = _as_usage(optimize.conjecture_sweep, args.n_min, args.n_max,
                      reduction=args.reduction)
-    _emit(args.out, _csv(tuple(rows[0]), rows))
+    _emit(args.out, _csv(rows))
     return EXIT_OK
 
 
@@ -298,7 +286,7 @@ def _cmd_verify(args) -> int:
     from . import verification
 
     results = verification.run_battery(args.seed, args.trials)
-    sys.stdout.write(verification.format_battery(args.seed, args.trials, results))
+    _write_stdout(verification.format_battery(args.seed, args.trials, results))
     return EXIT_OK if all(r.ok for r in results) else EXIT_INVARIANT
 
 

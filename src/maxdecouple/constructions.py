@@ -35,9 +35,13 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _affine_cells(n: int, q: int) -> Iterator[tuple[int, ...]]:
-    """Check that q is prime and 1 <= n <= q at the call, then give the hash values
-    ((a + b*i) mod q for i < n) of each of the q^2 cells (a, b), a-major."""
+def _affine_cells(n: int, q: int, charge) -> Iterator[tuple[int, ...]]:
+    """Charge the q^2 cells of min(n, q) values with `charge`, then check
+    that q is prime and 1 <= n <= q, all at the call, and give the hash
+    values ((a + b*i) mod q for i < n) of each cell (a, b), a-major.  The
+    charge comes first, as trial division takes sqrt(q) steps; an n past
+    q is refused for itself, so it is charged as q."""
+    charge(min(n, q), q * q)
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if not 1 <= n <= q:
@@ -143,10 +147,9 @@ def affine_hash(n: int, q: int, m: int) -> JointBernoulli:
     the q^2 pairs (the 2x2 map is invertible mod q since i != j), so every
     pair of variables is exactly independent with marginals m/q.
     """
-    cells = _affine_cells(n, q)
+    cells = _affine_cells(n, q, _check_table)
     if not 0 <= m <= q:
         raise ValueError(f"need 0 <= m <= q, got m={m}")
-    _check_table(n, q * q)
     counts: dict[int, int] = {}
     for cell in cells:
         mask = sum(1 << i for i, h in enumerate(cell) if h < m)

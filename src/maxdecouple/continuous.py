@@ -302,8 +302,7 @@ def affine_hash_values(
     each X_i is uniform over its value table.  The q^2 cells are charged
     as atoms before any is walked.
     """
-    cells = _affine_cells(n, q)
-    _check_values(n, q * q)
+    cells = _affine_cells(n, q, _check_values)
     if len(value_maps) != n:
         raise ValueError(f"need one value table per variable ({n}), got {len(value_maps)}")
     for i, table in enumerate(value_maps):

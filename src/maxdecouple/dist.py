@@ -266,16 +266,21 @@ class JointBernoulli:
     @cached_property
     def summary(self) -> "JointSummary":
         """The one-scan summary every operation reads, built on first use
-        from the bit table `_bits` makes after the budget check, which
-        charges what `_bits` holds: the bit table, the packed table
-        (ceil(n/8) bytes an atom at most) and one block of the packing,
-        ATOM_OBJECT_BYTES a mask.  Tracemalloc put the block at about 130
-        bytes a mask, so the charge is about three times what it holds."""
+        from the bit table `_bits` makes after the budget check.  That
+        charges the larger of two figures.  One is what `_bits` holds: the
+        bit table, the packed table (ceil(n/8) bytes an atom at most) and
+        one block of the packing, ATOM_OBJECT_BYTES a mask.  Tracemalloc
+        put the block at about 130 bytes a mask, so the charge is about
+        three times what it holds.  The other is the n column keys that
+        `_summarize` makes first, which is the larger on a few atoms over
+        many variables."""
         atoms, n = len(self.masks), self.n
-        _check_budget(
-            f"the {atoms} x {n} bit table, its packed table and one block of packed masks",
-            atoms * (n + (n + 7) // 8) + min(atoms, SAMPLE_CHUNK) * ATOM_OBJECT_BYTES,
+        nbytes, what = max(
+            (atoms * (n + (n + 7) // 8) + min(atoms, SAMPLE_CHUNK) * ATOM_OBJECT_BYTES,
+             f"the {atoms} x {n} bit table, its packed table and one block of packed masks"),
+            (_key_bytes(n, atoms), f"the {n} column keys of {atoms} atoms"),
         )
+        _check_budget(what, nbytes)
         return _summarize(self._bits().view(bool), np.array(self.probs))
 
     def to_json_dict(self) -> dict:
@@ -322,12 +327,12 @@ class MarginalVector:
     def n(self) -> int:
         return len(self.p)
 
-    @property
+    @cached_property
     def total(self) -> float:
         """Sum of the marginals, accumulated left to right."""
         return sum(self.p)
 
-    @property
+    @cached_property
     def prob_none(self) -> float:
         """P(Z~ = 0) = prod_i (1 - p_i), multiplied left to right."""
         return math.prod(1.0 - p for p in self.p)
@@ -433,6 +438,13 @@ def _blocks(what: str, start: int, stop: int, nbytes: int) -> Iterator[slice]:
     return (slice(at, min(at + step, stop)) for at in range(start, stop, step))
 
 
+def _key_bytes(n: int, atoms: int) -> int:
+    """The n column keys `_summarize` makes, one bytes object a variable
+    holding its bit of every atom: 65 bytes of object and a byte per 8
+    atoms each."""
+    return n * (atoms // 8 + 65)
+
+
 def _column_classes(keys: list[bytes]) -> tuple[np.ndarray, list[int]]:
     """Classes of equal `keys`, numbered by first appearance so distinct
     columns keep their order: each column's class, each class's first column."""
@@ -466,7 +478,7 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     step = 8 * np.concatenate([[0], cells[:-1]]) + 9 * cells + 16 * hits
     _check_budget(
         f"the tables of {d} column classes over {atoms} atoms",
-        len(keys) * (atoms // 8 + 65) + atoms * (d + 48) + int(step.max()) + CAST_BUFFER
+        _key_bytes(len(keys), atoms) + atoms * (d + 48) + int(step.max()) + CAST_BUFFER
         + 48 * d * d,
     )
     k = np.bincount(classes)

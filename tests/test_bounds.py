@@ -228,8 +228,25 @@ class TestFullReport:
             report = full_report(j)
             assert report.M_tilde <= j.n * report.M + 1e-12
 
+    def test_one_sum_and_one_product_per_report(self, monkeypatch):
+        # S = sum p_i and P = prod (1 - p_i) are formed once per joint, and
+        # every check and the report read them.
+        calls = {"sum": 0, "prod": 0}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(dist, "sum", counted("sum", sum), raising=False)
+        monkeypatch.setattr(math, "prod", counted("prod", math.prod))
+        report = full_report(conjectured_extremal(12))
+        assert calls == {"sum": 1, "prod": 1}
+        assert report.C == main_lower_check(conjectured_extremal(12)).rhs
+
     def test_json_field_names(self):
-        payload = full_report(conjectured_extremal(3)).to_json_dict()
+        payload = full_report(conjectured_extremal(3))._asdict()
         assert list(payload) == [
             "M",
             "M_tilde",
@@ -456,6 +473,23 @@ class TestMemoryBudget:
             joint, f"the {n} x {n} bit table, its packed table and one block of packed masks "
                    f"needs {charge} bytes")
         assert peak < 2**20
+
+    def test_column_keys_charged_before_bit_table(self, monkeypatch):
+        # Two atoms over 10,000 variables: a 23 kB bit table, but 650 kB of
+        # column keys, one bytes object a variable.  The keys are charged
+        # with the bit table, so the table is never made.
+        joint = JointBernoulli(10_000, {0: 0.5, (1 << 10_000) - 1: 0.5})
+        assert bits_charge(2, 10_000) <= 100_000
+        monkeypatch.setattr(dist, "SUMMARY_BUDGET", 100_000)
+
+        def refuse(self):
+            raise AssertionError("_bits ran before the key charge")
+
+        monkeypatch.setattr(JointBernoulli, "_bits", refuse)
+        with pytest.raises(InvalidDistributionError, match=(
+                "^joint too large to summarize: the 10000 column keys of 2 atoms needs 650000 "
+                "bytes, over the budget of 100000 bytes$")):
+            full_report(joint)
 
     def test_bits_charge_bounds_the_peak(self, monkeypatch):
         # `_bits` packs the masks a block at a time into one table, so at

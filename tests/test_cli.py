@@ -19,12 +19,14 @@ import pytest
 
 from maxdecouple import (
     JointBernoulli, MarginalVector, NonnegJoint, affine_hash, affine_hash_values, cli, comonotone,
-    conjectured_extremal, expand_exchangeable, one_hot_uniform, product, xor_parity,
+    conjectured_extremal, decoupling_check_cont, expand_exchangeable, full_report,
+    one_hot_uniform, product, xor_parity,
 )
 from maxdecouple import dist, optimize
 from maxdecouple.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from maxdecouple.dist import SAMPLE_CHUNK
 from maxdecouple.optimize import exchangeable_optimum
+from maxdecouple.verification import random_joint, random_nonneg_joint
 from test_bounds import distinct_columns_joint, inflate_f
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,6 +52,19 @@ EXACT_SEARCH_120_SHA256 = "e50c07f566756e617312991799ee443b800e9c40e68fd35691ee9
 # left to right over the atoms in mask order.
 PRODUCT_MARGINALS = "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6"
 PRODUCT_REPORT_SHA256 = "d7a7a2c80f386bc3c4dda73517ae7f6d6f2b123f5f0755297a2ffa69c4948f7c"
+# ... and of `report --in product.json --format csv`.
+PRODUCT_REPORT_CSV_SHA256 = "83bb1b9f01c83534f7bc3a5f012425521e618df7dbd247a44578edbbea160dc0"
+
+# SHA-256 of `report --in affine.json` stdout, json and csv, for the nonneg
+# joint `affine_values_joint()` (its CSV row carries three bools).
+AFFINE_REPORT_SHA256 = {
+    "json": "69c348088bebe92218274036f78d2d3fdf07d154861e878f7da6b5d5846a0905",
+    "csv": "62ad1b0af19fccddc4b887c9a1e078d14d19051c79c1656a846524f73bebc873",
+}
+
+
+def affine_values_joint():
+    return affine_hash_values(5, 7, [[11.0 * (7 * i + j) % 37 for j in range(7)] for i in range(5)])
 
 
 def write_json(path, payload):
@@ -105,9 +120,31 @@ class TestReport:
         argv = ["construct", "--family", "product", "--p", PRODUCT_MARGINALS, "--out", path]
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        assert main(["report", "--in", path]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == PRODUCT_REPORT_SHA256
+        for fmt, digest in (("json", PRODUCT_REPORT_SHA256), ("csv", PRODUCT_REPORT_CSV_SHA256)):
+            assert main(["report", "--in", path, "--format", fmt]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+    def test_nonneg_report_matches_golden_digest(self, tmp_path, capsys):
+        path = write_json(tmp_path / "affine.json", affine_values_joint().to_json_dict())
+        for fmt, digest in AFFINE_REPORT_SHA256.items():
+            assert main(["report", "--in", path, "--format", fmt]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+    def test_report_rows_hold_no_numpy_scalar(self):
+        # `_csv` prints Python floats, ints and strs only, and `report`
+        # spells a bool as JSON does, so every value of either report is a
+        # Python float or bool, or the verdicts' dict of bools.
+        rng = np.random.default_rng(33)
+        for draw, evaluate in ((random_joint, full_report),
+                               (random_nonneg_joint, decoupling_check_cont)):
+            for _ in range(200):
+                for key, value in evaluate(draw(rng))._asdict().items():
+                    if key == "verdicts":
+                        assert {type(v) for v in value.values()} == {bool}
+                    else:
+                        assert type(value) in (float, bool), (key, type(value))
 
     def test_csv_format(self, extremal3_file, capsys):
         assert main(["report", "--in", extremal3_file, "--format", "csv"]) == EXIT_OK
@@ -406,6 +443,15 @@ class TestConstruct:
             want = f"maxdecouple: usage error: joint too large to summarize: the table of {what}"
             assert proc.stderr.startswith(f"{want} needs"), flags
 
+    def test_large_prime_q_is_refused_at_once(self):
+        # Refused by the size of its q^2 cells before q = 10^18 + 3 is tested
+        # for primality by trial division, which would take minutes.
+        argv = ["construct", "--family", "affine-hash", "--n", "2", "--q", str(10**18 + 3), "--m", "1"]
+        proc = subprocess.run([sys.executable, "-m", "maxdecouple.cli", *argv], capture_output=True,
+                              text=True, timeout=2, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert "too large" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_nan_marginal_is_usage_error(self, capsys):
         # A NaN marginal parses and the builder refuses it; an empty one
         # never parses.
@@ -507,22 +553,16 @@ class TestSearch:
         assert float(row[1]) == 1.0 / 3.0
 
     def test_csv_cell_strings(self):
-        # The float fast path gives each cell the string of the isinstance
-        # chain alone: bools as words, floats (numpy's too) to 17 digits.
-        def chain(x):
-            if isinstance(x, bool):
-                return "true" if x else "false"
-            if isinstance(x, float):
-                return format(x, ".17g")
-            return str(x)
-
-        cells = [np.float64(1 / 3), np.float64(-0.0), True, False, np.bool_(True), 3,
-                 float("inf"), float("-inf"), float("nan"), -0.0, 0.1, 1e-300, "optimal"]
-        for x in cells:
-            assert cli._fmt_cell(x) == chain(x), repr(x)
-        assert [cli._fmt_cell(x) for x in (np.float64(0.5), True, 3, float("inf"),
-                                           float("nan"), -0.0)] == [
-            "0.5", "true", "3", "inf", "nan", "-0"]
+        # One %-template per row: floats to 17 digits, ints and strs as
+        # they are, the header from the first row's keys.
+        cells = {"a": 1 / 3, "b": -0.0, "c": float("inf"), "d": float("-inf"),
+                 "e": float("nan"), "f": 0.1, "g": 1e-300, "h": 3, "i": "optimal"}
+        assert cli._csv([cells, dict(cells, h=-7)]) == (
+            "a,b,c,d,e,f,g,h,i\n"
+            "0.33333333333333331,-0,inf,-inf,nan,0.10000000000000001,1e-300,"
+            "3,optimal\n"
+            "0.33333333333333331,-0,inf,-inf,nan,0.10000000000000001,1e-300,"
+            "-7,optimal\n")
 
     def test_unwritable_out_is_a_write_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "sweep.csv"

@@ -31,7 +31,7 @@ from maxdecouple import (
     product,
     xor_parity,
 )
-from maxdecouple import dist
+from maxdecouple import constructions, dist
 from maxdecouple.cli import EXIT_USAGE, main
 
 
@@ -323,6 +323,22 @@ class TestSizeCheck:
         for builder, args, what in self.CASES:
             want = f"^joint too large to summarize: {what}, over the budget of 1000 bytes$"
             with pytest.raises(InvalidDistributionError, match=want):
+                builder(*args)
+
+    def test_large_prime_q_is_charged_before_the_primality_test(self, monkeypatch):
+        # Trial division of q = 10^18 + 3 would take 5 x 10^8 steps; the q^2
+        # cells are refused first, and is_prime never runs.
+        q = 10**18 + 3
+
+        def refuse(q):
+            raise AssertionError("is_prime ran before the charge")
+
+        monkeypatch.setattr(constructions, "is_prime", refuse)
+        for builder, args, what in (
+            (affine_hash, (2, q, 1), f"the table of {q * q} atoms over 2 variables"),
+            (affine_hash_values, (2, q, [[1.0], [1.0]]), f"the {q * q} x 2 value table"),
+        ):
+            with pytest.raises(InvalidDistributionError, match=f"^joint too large to summarize: {what} needs"):
                 builder(*args)
 
     def test_refusal_names_any_size(self):
