@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import eq, le
+from operator import eq, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -214,14 +214,18 @@ class JointBernoulli:
         if not masks:
             raise InvalidDistributionError("atom list must be nonempty")
         weights = _float_array(probs)
-        if not all(map(le, masks, masks[1:])):
+        # Strictly ascending masks, as every file `construct` writes holds
+        # them, are sorted and repeat none; only other input is sorted and
+        # then scanned for a repeat.
+        repeated = len(masks)
+        if not all(map(lt, masks, masks[1:])):
             # A stable sort: repeated masks keep their input order.
             order = sorted(range(len(masks)), key=masks.__getitem__)
             masks, weights = [masks[i] for i in order], weights[order]
+            repeated = next(compress(range(1, len(masks)), map(eq, masks[1:], masks)), repeated)
         # Sorted, a negative mask comes first and masks past n bits last.
         # The first atom at fault: a repeated mask, its range, then its weight.
         end = 0 if masks[0] < 0 else bisect.bisect_right(masks, n, key=int.bit_length)
-        repeated = next(compress(range(1, len(masks)), map(eq, masks[1:], masks)), len(masks))
         bad = min(repeated, end, _first_invalid(weights))
         if bad < len(masks):
             mask = masks[bad]
@@ -273,7 +277,8 @@ class JointBernoulli:
         put the block at about 130 bytes a mask, so the charge is about
         three times what it holds.  The other is the n column keys that
         `_summarize` makes first, which is the larger on a few atoms over
-        many variables."""
+        many variables.  `_summarize` then charges its own tables with the
+        bit table, which it holds throughout."""
         atoms, n = len(self.masks), self.n
         nbytes, what = max(
             (atoms * (n + (n + 7) // 8) + min(atoms, SAMPLE_CHUNK) * ATOM_OBJECT_BYTES,
@@ -467,7 +472,8 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     keys = [col.tobytes() for col in np.packbits(bits, axis=0).T]
     classes, first = _column_classes(keys)
     atoms, d = len(weights), len(first)
-    # The peak, in bytes: the column keys; the d x atoms boolean columns;
+    # The peak, in bytes: the atoms x n bit table, which the caller holds
+    # throughout; the column keys; the d x atoms boolean columns;
     # z, the three atom-level terms and a temporary; the pair loop's worst
     # step, which holds row block a - 1 while it builds block a (d - a
     # booleans, then floats, on each atom where class a fires, the indices
@@ -478,7 +484,7 @@ def _summarize(bits: np.ndarray, weights: np.ndarray) -> JointSummary:
     step = 8 * np.concatenate([[0], cells[:-1]]) + 9 * cells + 16 * hits
     _check_budget(
         f"the tables of {d} column classes over {atoms} atoms",
-        _key_bytes(len(keys), atoms) + atoms * (d + 48) + int(step.max()) + CAST_BUFFER
+        bits.size + _key_bytes(len(keys), atoms) + atoms * (d + 48) + int(step.max()) + CAST_BUFFER
         + 48 * d * d,
     )
     k = np.bincount(classes)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and its command line."""
 
 
 class InvalidDistributionError(ValueError):
@@ -15,3 +15,15 @@ class InvariantError(RuntimeError):
     """An internal check failed: `full_optimum`'s duality certificate or
     `expected_max`'s tail-integral cross-check.  A library bug, never a
     property of the input."""
+
+
+class UsageError(Exception):
+    """A flag's value or a combination of flags the command cannot take."""
+
+
+class InputError(Exception):
+    """The input file cannot be read, decoded as UTF-8 or parsed as JSON."""
+
+
+class OutputError(Exception):
+    """The output cannot be written, or a joint cannot be printed."""

@@ -35,8 +35,6 @@ atom-level program as an independent oracle: a floating-point HiGHS solve
 and the same certificate checked atom by atom.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import repeat
@@ -64,13 +62,13 @@ class LpSolution(namedtuple("LpSolution", ("objective", "objective_exact", "n", 
     __slots__ = ()
 
     @property
-    def weights_exact(self) -> tuple[Fraction, ...]:
+    def weights_exact(self) -> "tuple[Fraction, ...]":
         from fractions import Fraction
 
         return tuple(map(self.support.get, range(self.n + 1), repeat(Fraction(0))))
 
 
-def _check_common(n: int, p: Fraction | float | int) -> Fraction:
+def _check_common(n: int, p: "Fraction | float | int") -> "Fraction":
     from fractions import Fraction
 
     if n < 2:
@@ -104,7 +102,7 @@ def _masses(k: int, at_k: int, above_k: int, scale: int) -> dict[int, int]:
     return {z: m for z, m in masses.items() if m}
 
 
-def exchangeable_optimum(n: int, p: Fraction | float) -> LpSolution:
+def exchangeable_optimum(n: int, p: "Fraction | float") -> LpSolution:
     """Exact minimum of P(Z > 0) over laws w_k = P(Z = k), k = 0..n, with
     sum w_k = 1, first falling moment S1 = sum k w_k = n p and second
     falling moment 2 S2 = sum k(k-1) w_k = n(n-1) p^2, and over its
@@ -253,7 +251,7 @@ def _certified(n: int, a: int, b: int) -> tuple[tuple[int, int, int, int], dict[
     return closed, masses
 
 
-def full_optimum(n: int, p: Fraction | float) -> LpSolution:
+def full_optimum(n: int, p: "Fraction | float") -> LpSolution:
     """Exact minimum of P(Z > 0) over all joints on {0,1}^n: the atom-level
     program q_x >= 0, sum q = 1, marginals p, pair moments p^2, minimizing
     the mass off the zero atom, and over its relaxation, where the pair

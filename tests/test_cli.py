@@ -899,16 +899,35 @@ class TestUsageContract:
         assert [name for name, loaded in fresh_steps.items() if "numpy" in loaded] == ["report"]
 
     def test_search_loads_only_argparse_and_the_package(self, fresh_steps):
-        # json, dataclasses (with inspect), fractions (with decimal) and
-        # typing load in no step before report, which loads json; the
-        # import loads argparse and four of the package's modules.
-        unused = {"json", "dataclasses", "inspect", "fractions", "decimal", "typing"}
+        # json, dataclasses (with inspect), fractions (with decimal),
+        # typing, __future__ and the joint verbs' front end load in no step
+        # before report, which loads json and the front end; the import
+        # loads argparse and four of the package's modules.
+        unused = {"json", "dataclasses", "inspect", "fractions", "decimal", "typing",
+                  "__future__", "maxdecouple.joint_verbs"}
         early = {name: sorted(unused & set(loaded)) for name, loaded in fresh_steps.items()}
-        assert "json" in early.pop("report")
+        assert {"json", "maxdecouple.joint_verbs"} <= set(early.pop("report"))
         assert early == {"import": [], "search": [], "full": [], "help": [], "usage": []}
         assert {m for m in fresh_steps["import"] if m.startswith("maxdecouple")} == {
             "maxdecouple", "maxdecouple.cli", "maxdecouple.errors", "maxdecouple.optimize"}
         assert "argparse" in fresh_steps["import"]
+
+    def test_joint_verbs_run_the_command_line_module_once(self, tmp_path):
+        # Under `python -m maxdecouple.cli` the module runs as `__main__`.
+        # The joint verbs reach its writers without importing it a second
+        # time under its own name, which `-X importtime` would list.
+        joint = str(tmp_path / "joint.json")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for argv in (["construct", "--family", "extremal", "--n", "3", "--out", joint],
+                     ["report", "--in", joint], ["sample", "--in", joint, "--count", "5"]):
+            proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "maxdecouple.cli",
+                                   *argv], capture_output=True, text=True, env=env, timeout=60)
+            lines = proc.stderr.splitlines()
+            imported = [line.rsplit("|", 1)[1].strip() for line in lines
+                        if line.startswith("import time:")]
+            assert proc.returncode == EXIT_OK and len(imported) == len(lines), proc.stderr
+            assert "maxdecouple.joint_verbs" in imported, argv
+            assert "maxdecouple.cli" not in imported, argv
 
     @pytest.mark.parametrize("verb, unbuffered", [
         ("sample", "1"), ("sample", ""), ("search", "1"), ("search", ""),

@@ -259,6 +259,22 @@ class TestKeptFields:
             joint = JointBernoulli(joint.n, reversed(joint.atoms))
         assert sorted(vars(joint)) == ["masks", "n", "probs"]
 
+    def test_ascending_masks_are_not_sorted_or_scanned_for_a_repeat(self, monkeypatch):
+        # Strictly ascending masks, as every file `construct` writes holds
+        # them, pass one comparison scan; masks in any other order are
+        # sorted and scanned for a repeat.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted or scanned for a repeat")
+
+        joint = conjectured_extremal(12)
+        doc = joint.to_json_dict()
+        monkeypatch.setattr(dist, "eq", refuse)
+        monkeypatch.setattr(dist, "sorted", refuse, raising=False)
+        assert JointBernoulli.from_json_dict(doc).masks == joint.masks
+        monkeypatch.undo()
+        with pytest.raises(InvalidDistributionError, match="^duplicate atom mask 1$"):
+            JointBernoulli.from_json_dict(bernoulli_doc((1, 0.5), (1, 0.5)))
+
     def test_load_allocates_only_what_it_keeps(self):
         # Packed at full width, 20,000 one-bit masks would take 2,500 bytes
         # each, 50 MB; the load peaks at about 1.4 MiB (tracemalloc).
