@@ -2,24 +2,29 @@
 
 Subcommands: report, construct, search, sample, verify.  Exit codes follow
 a fixed contract: 0 success, 1 unreadable or invalid input or an --out file
-that cannot be written, 2 a universal invariant failed (library bug or
-corrupt data), 64 usage error.  All output is deterministic given the flags
-and seed; numeric CSV cells use 17 significant digits so doubles round-trip
-losslessly.  `report` prints the `_asdict()` of either joint kind's named
-tuple, as JSON or as one CSV row whose bools are spelled as in JSON.
+or stdout that cannot be written, 2 a universal invariant failed (library
+bug or corrupt data), 64 usage error.  All output is deterministic given the
+flags and seed; numeric CSV cells use 17 significant digits so doubles
+round-trip losslessly.  `report` prints the `_asdict()` of either joint
+kind's named tuple, as JSON or as one CSV row whose bools are spelled as in
+JSON.
+
+Every verb and the help write stdout through `_write_stdout` alone, so
+stdout's buffer is never left holding text; a failed write raises its
+OSError, and one branch of `main` prints it as "cannot write output".
 
 Importing this module compiles only what `search`, `--help` and a usage
 error run: this file's parser, `main`, `search` and writers, the
 closed-form search (`optimize`, which `search` runs and `verify` checks)
 and the error types (`errors`), with argparse.  The front end of the
 other four verbs, `joint_verbs`, compiles on the first call of any of
-them, and each of them imports what it uses on its first call: `report`
-imports `dist` (with numpy) and `bounds` or `continuous`, `construct`
-imports `dist` and `constructions`, `sample` imports `dist`, and
-`verify` imports the randomized battery (`verification`, which imports
-every module).  `report`, `construct` and `sample` read or write a joint
-with `json`.  So `search`, `--help` and a usage error load no numpy,
-`json`, `dataclasses`, `fractions`, `typing` or `__future__`.
+them and imports `json`, numpy and `dist`, which all four use.  Each of
+them imports the rest of what it uses on its first call: `report`
+imports `bounds` or `continuous`, `construct` imports `constructions`,
+and `verify` imports the randomized battery (`verification`, which
+imports every module).  So `search`, `--help` and argparse's usage
+errors load no numpy, `json`, `dataclasses`, `fractions`, `typing` or
+`__future__`.
 """
 
 import argparse
@@ -59,6 +64,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse would swallow a failed write; the help goes through the
+        # one stdout writer, whose failure `main` reports like any other.
+        if file is None:
+            _write_stdout(self.format_help())
+        else:
+            super().print_help(file)
 
 
 # The %-conversion of each cell type: floats to 17 significant digits.
@@ -102,14 +115,13 @@ def _write_stdout(text: str) -> None:
 
 
 def _emit(path: str | None, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout if there is none.
+    A failed write raises its OSError, which `main` reports."""
     if path is None:
         _write_stdout(text)
     else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise OutputError(exc) from exc
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _as_usage(call, *args, **kwargs):
@@ -195,39 +207,19 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _discard_stdout() -> None:
-    """Point stdout's descriptor at os.devnull, so that what is still
-    buffered goes nowhere when the interpreter flushes it at exit, instead
-    of failing there too.  A stdout that is no file (an in-process
-    caller's buffer) is left alone."""
-    try:
-        fd = sys.stdout.fileno()
-    except (OSError, ValueError):
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage or the help
-        return exc.code
-    try:
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from nonnegative integers
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-        code = args.func(args)
-        sys.stdout.flush()  # a reader gone by now fails here, not at exit
-        return code
+        return args.func(args)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return exc.code
     except UsageError as exc:
         print(f"maxdecouple: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidDistributionError as exc:
         print(f"maxdecouple: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OutputError as exc:
-        print(f"maxdecouple: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantError as exc:
         print(f"maxdecouple: invariant failed: {exc}", file=sys.stderr)
@@ -235,9 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"maxdecouple: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:  # reads raise InputError, so this is a write to stdout
+    except (OutputError, OSError) as exc:  # reads raise InputError, so an OSError is a write
         print(f"maxdecouple: cannot write output: {exc}", file=sys.stderr)
-        _discard_stdout()
         return EXIT_INPUT
 
 

@@ -171,7 +171,8 @@ class NonnegJoint:
         return {
             "kind": "nonneg-joint",
             "n": self.n,
-            "atoms": [{"values": list(v), "p": p} for v, p in self.atoms],
+            "atoms": [{"values": v, "p": p}
+                      for v, p in zip(self._values.tolist(), self._weights.tolist())],
         }
 
     @classmethod

@@ -292,7 +292,7 @@ class JointBernoulli:
         return {
             "kind": "bernoulli-joint",
             "n": self.n,
-            "atoms": [{"mask": mask, "p": prob} for mask, prob in self.atoms],
+            "atoms": [{"mask": mask, "p": prob} for mask, prob in zip(self.masks, self.probs)],
         }
 
     @classmethod

@@ -26,4 +26,5 @@ class InputError(Exception):
 
 
 class OutputError(Exception):
-    """The output cannot be written, or a joint cannot be printed."""
+    """A joint cannot be printed: `construct`'s mask is past Python's
+    limit on int-to-str digits.  A failed write raises its own OSError."""

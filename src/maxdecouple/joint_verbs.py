@@ -1,21 +1,27 @@
 """The joint verbs' front end: `report`, `construct`, `sample` and `verify`.
 
 `cli.main` imports this module on the first call of one of these verbs, so
-a process that only searches never compiles it.  The verbs write through
-`cli`'s writers and raise the error types of `errors`, which `main` maps
-to its exit codes.
+a process that only searches never compiles it.  Each of the four loads
+`json`, numpy and `dist` (`verify` through `verification`), so they are
+imported here once; `bounds`, `continuous`, `constructions` and
+`verification` are imported by the verbs that use them.  The verbs write
+through `cli`'s writers and raise the error types of `errors`, which
+`main` maps to its exit codes.
 """
 
+import json
 import math
 import sys
 
+import numpy as np
+
 from .cli import EXIT_INVARIANT, EXIT_OK, FAMILY_BY_FLAG, _as_usage, _csv, _emit, _write_stdout
+from .dist import JointBernoulli, MarginalVector, _sample_indices
 from .errors import InputError, InvalidDistributionError, OutputError, UsageError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .continuous import NonnegJoint
-    from .dist import JointBernoulli
 
 # Widest `sample` row, in bytes with its newline, that is gathered from a
 # NUL-padded bytes array; wider rows are gathered as str objects.  Padded
@@ -35,8 +41,6 @@ def _digit_limit_message(what: str) -> str:
 
 
 def _load_joint_file(path: str) -> "JointBernoulli | NonnegJoint":
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -60,8 +64,6 @@ def _load_joint_file(path: str) -> "JointBernoulli | NonnegJoint":
         raise InvalidDistributionError("joint document must be a JSON object")
     kind = obj.get("kind")
     if kind == "bernoulli-joint":
-        from .dist import JointBernoulli
-
         return JointBernoulli.from_json_dict(obj)
     if kind == "nonneg-joint":
         from .continuous import NonnegJoint
@@ -74,10 +76,6 @@ def _load_joint_file(path: str) -> "JointBernoulli | NonnegJoint":
 
 def _cmd_report(args) -> int:
     joint = _load_joint_file(args.input)
-    import json
-
-    from .dist import JointBernoulli
-
     if isinstance(joint, JointBernoulli):
         from .bounds import full_report as evaluate
     else:
@@ -98,10 +96,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    import json
-
     from . import constructions
-    from .dist import MarginalVector
 
     params = {name: getattr(args, name) for _, used in FAMILY_BY_FLAG.values() for name in used}
     if args.p is not None:
@@ -131,10 +126,6 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     joint = _load_joint_file(args.input)
-    import numpy as np
-
-    from .dist import JointBernoulli, _sample_indices
-
     if not isinstance(joint, JointBernoulli):
         raise InvalidDistributionError("sample requires a bernoulli-joint file")
     # One "<mask>\n" row per atom; a chunk of draws gathers its rows, so

@@ -953,19 +953,24 @@ class TestUsageContract:
         assert err == b"maxdecouple: cannot write output: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
-    def test_pipe_closed_before_the_first_write(self, unbuffered):
-        # Every write fails.  Buffered, this small search's rows are still
-        # in stdout's buffer when the verb returns: `main`'s flush must
-        # report it, and the interpreter's flush at exit must not fail on
-        # the same bytes again (which prints "Exception ignored" and exits
-        # 120).
+    @pytest.mark.parametrize("verb", ["report", "construct", "search", "sample", "verify",
+                                      "--help", "report --help"])
+    def test_pipe_closed_before_the_first_write(self, extremal3_file, verb, unbuffered):
+        # Every write fails, the help's too.  Every verb and the help write
+        # stdout through one writer, which leaves nothing in stdout's buffer,
+        # so each run ends in one "cannot write output" line and exit 1, and
+        # the interpreter's flush at exit has nothing to fail on.
+        argv = {"report": ["report", "--in", extremal3_file],
+                "construct": ["construct", "--family", "extremal", "--n", "3"],
+                "search": ["search", "--n-min", "3", "--n-max", "20"],
+                "sample": ["sample", "--in", extremal3_file, "--count", "5"],
+                "verify": ["verify", "--trials", "1"]}.get(verb, verb.split())
         read_end, write_end = os.pipe()
         os.close(read_end)
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "maxdecouple.cli", "search", "--n-min", "3", "--n-max", "20"],
-                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+            proc = subprocess.run([sys.executable, "-m", "maxdecouple.cli", *argv],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
         assert proc.returncode == EXIT_INPUT

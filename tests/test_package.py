@@ -28,7 +28,7 @@ REMOVED = (
     "ExtremalLp", "build_full_lp", "solve", "FamilySpec", "FAMILY_KINDS",
     "DENSE_VARIABLE_LIMIT", "CertificateError", "VERDICT_SLACK", "DEFAULT_COVARIANCE_TOL",
     "_check_tolerance", "FULL_VARIABLE_LIMIT", "CERTIFICATE_ATOM_BYTES",
-    "MODES", "_check_mode", "_closed_form_k", "MODE_BY_FLAG", "_fmt_cell",
+    "MODES", "_check_mode", "_closed_form_k", "MODE_BY_FLAG", "_fmt_cell", "_discard_stdout",
 )
 
 
