@@ -13,18 +13,19 @@ Every verb and the help write stdout through `_write_stdout` alone, so
 stdout's buffer is never left holding text; a failed write raises its
 OSError, and one branch of `main` prints it as "cannot write output".
 
-Importing this module compiles only what `search`, `--help` and a usage
-error run: this file's parser, `main`, `search` and writers, the
-closed-form search (`optimize`, which `search` runs and `verify` checks)
-and the error types (`errors`), with argparse.  The front end of the
-other four verbs, `joint_verbs`, compiles on the first call of any of
-them and imports `json`, numpy and `dist`, which all four use.  Each of
-them imports the rest of what it uses on its first call: `report`
-imports `bounds` or `continuous`, `construct` imports `constructions`,
-and `verify` imports the randomized battery (`verification`, which
-imports every module).  So `search`, `--help` and argparse's usage
-errors load no numpy, `json`, `dataclasses`, `fractions`, `typing` or
-`__future__`.
+Importing this module compiles only what `--help` and a usage error
+run: this file's parser, `main` and writers and the error types
+(`errors`), with argparse.  `search` imports the closed-form search
+(`optimize`) on its first call.  The front end of the other four verbs,
+`joint_verbs`, compiles on the first call of any of them and imports
+`json`, numpy and `dist`, which all four use; `main` refuses a bad
+`--seed`, `--count` or `--trials` before that.  Each of them imports the
+rest of what it uses on its first call: `report` imports `bounds` or
+`continuous`, `construct` imports `constructions`, and `verify` imports
+the randomized battery (`verification`, which imports every module,
+`optimize` among them, which it checks).  So `search`, `--help` and the
+usage errors load no numpy, `json`, `dataclasses`, `fractions`,
+`typing` or `__future__`.
 """
 
 import argparse
@@ -33,7 +34,6 @@ import operator
 import os
 import sys
 
-from . import optimize
 from .errors import InputError, InvalidDistributionError, InvariantError, OutputError, UsageError
 
 EXIT_OK = 0
@@ -137,6 +137,8 @@ def _as_usage(call, *args, **kwargs):
 def _cmd_search(args) -> int:
     # 'full' also certifies each row over all 2^n atoms; the rows are all
     # made before any is written, so a failed certificate writes nothing.
+    from . import optimize
+
     rows = _as_usage(optimize.conjecture_sweep, args.n_min, args.n_max,
                      reduction=args.reduction)
     _emit(args.out, _csv(rows))
@@ -212,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _shared_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from nonnegative integers
             raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        for flag in ("count", "trials"):  # checked before the verb loads numpy
+            if getattr(args, flag, 1) < 1:
+                raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.func(args)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code

@@ -23,7 +23,8 @@ test and the upper verdict take the slacks of their Bernoulli twins.
 Survival functions of finitely supported laws are piecewise constant
 between support points, so checking support thresholds only is equivalent
 to checking all t > 0.  `affine_hash_values` enumerates the hash cells of
-`constructions.affine_hash`.
+`constructions.affine_hash`; it imports `constructions` on its first call,
+so a nonneg `report` never loads that module.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import PINELIS_CONSTANT, _upper_terms, holds
-from .constructions import _affine_cells
 from .dist import JointBernoulli, _blocks, _check_number, _check_unit_mass, _check_values
 from .dist import _check_variable_count, _first, _first_invalid, _float_array, _gather
 from .dist import _column_classes, _excess_terms, _read_document, _scaled_slack, _summed_slack
@@ -303,6 +303,8 @@ def affine_hash_values(
     each X_i is uniform over its value table.  The q^2 cells are charged
     as atoms before any is walked.
     """
+    from .constructions import _affine_cells
+
     cells = _affine_cells(n, q, _check_values)
     if len(value_maps) != n:
         raise ValueError(f"need one value table per variable ({n}), got {len(value_maps)}")

@@ -123,8 +123,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
     joint = _load_joint_file(args.input)
     if not isinstance(joint, JointBernoulli):
         raise InvalidDistributionError("sample requires a bernoulli-joint file")
@@ -146,8 +144,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     from . import verification
 
     results = verification.run_battery(args.seed, args.trials)

@@ -1,6 +1,5 @@
 """Command-line behaviour: output formats, exit-code contract, round trips."""
 
-import ast
 import contextlib
 import csv
 import hashlib
@@ -854,63 +853,78 @@ class TestUsageContract:
         # an axis loads it.
         assert "numpy.ma" not in fresh_verbs["before"] + fresh_verbs["after"]
 
+    # The steps one new interpreter takes, in order: the name, the argv
+    # (None for `import maxdecouple.cli`), the exit code, the package's
+    # modules the step newly loads and whether it newly loads numpy.  The
+    # argvs read two joints, `bernoulli.json` and `nonneg.json`.
+    STEPS = (
+        ("import", None, EXIT_OK,
+         {"maxdecouple", "maxdecouple.cli", "maxdecouple.errors"}, False),
+        ("search", ["search", "--n-min", "3", "--n-max", "20"], EXIT_OK,
+         {"maxdecouple.optimize"}, False),
+        ("search full", ["search", "--n-min", "3", "--n-max", "12", "--reduction", "full"],
+         EXIT_OK, set(), False),
+        ("--help", ["--help"], EXIT_OK, set(), False),
+        ("usage error", ["search", "--n-min", "3"], EXIT_USAGE, set(), False),
+        ("sample --count 0", ["sample", "--in", "bernoulli.json", "--count", "0"], EXIT_USAGE,
+         set(), False),
+        ("verify --trials 0", ["verify", "--trials", "0"], EXIT_USAGE, set(), False),
+        ("sample", ["sample", "--in", "bernoulli.json", "--count", "5"], EXIT_OK,
+         {"maxdecouple.joint_verbs", "maxdecouple.dist"}, True),
+        ("report bernoulli", ["report", "--in", "bernoulli.json"], EXIT_OK,
+         {"maxdecouple.bounds"}, False),
+        ("report nonneg", ["report", "--in", "nonneg.json"], EXIT_OK,
+         {"maxdecouple.continuous"}, False),
+    )
+    # Standard-library modules that only the joint machinery imports: a
+    # step that loads no numpy loads none of them either.
+    WITH_NUMPY = {"json", "dataclasses", "inspect", "fractions", "decimal", "typing",
+                  "__future__"}
+
     @pytest.fixture(scope="class")
     def fresh_steps(self, tmp_path_factory):
         # In a new interpreter, since the pytest process holds every module:
-        # the import, both search routes, --help, a usage error and a
-        # report, each with its exit code and the modules it newly loaded.
-        # A diff, so that a module the interpreter's `site` loads (typing,
-        # on some installs) neither hides nor fakes a load.
+        # each step's exit code and the modules it newly loaded.  A diff,
+        # so that a module the interpreter's `site` loads (typing, on some
+        # installs) neither hides nor fakes a load.
         script = textwrap.dedent("""
-            import contextlib, io, sys
+            import contextlib, io, json, sys
 
-            def run(*argv):
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    return cli.main(list(argv))
-
-            def step(name, call):
+            def loaded_by(call):
                 before = set(sys.modules)
-                code = call()
-                steps.append((name, code, sorted(set(sys.modules) - before)))
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = call()
+                return code, sorted(set(sys.modules) - before)
 
-            before = set(sys.modules)
-            import maxdecouple.cli as cli
-            steps = [("import", 0, sorted(set(sys.modules) - before))]
-            step("search", lambda: run("search", "--n-min", "3", "--n-max", "20"))
-            step("full", lambda: run("search", "--n-min", "3", "--n-max", "12", "--reduction", "full"))
-            step("help", lambda: run("--help"))
-            step("usage", lambda: run("search", "--n-min", "3"))
-            step("report", lambda: run("report", "--in", sys.argv[1]))
-            print(repr(steps))
+            def import_cli():
+                global main
+                from maxdecouple.cli import main
+                return 0
+
+            steps = [loaded_by(import_cli)]
+            steps += [loaded_by(lambda: main(argv)) for argv in json.loads(sys.argv[1])]
+            print(json.dumps(steps))
         """)
-        joint = write_json(tmp_path_factory.mktemp("steps") / "joint.json",
-                           xor_parity(2).to_json_dict())
-        proc = subprocess.run([sys.executable, "-c", script, joint], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        tmp_path = tmp_path_factory.mktemp("steps")
+        write_json(tmp_path / "bernoulli.json", xor_parity(2).to_json_dict())
+        write_json(tmp_path / "nonneg.json", {
+            "kind": "nonneg-joint", "n": 2,
+            "atoms": [{"values": [0.0, 1.0], "p": 0.5}, {"values": [2.0, 0.5], "p": 0.5}]})
+        argvs = json.dumps([argv for _, argv, *_ in self.STEPS[1:]])
+        proc = subprocess.run([sys.executable, "-c", script, argvs], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
-        steps = ast.literal_eval(proc.stdout)
-        assert [(name, code) for name, code, _ in steps] == [
-            ("import", EXIT_OK), ("search", EXIT_OK), ("full", EXIT_OK), ("help", EXIT_OK),
-            ("usage", EXIT_USAGE), ("report", EXIT_OK)]
-        return {name: loaded for name, _, loaded in steps}
+        return dict(zip([name for name, *_ in self.STEPS], json.loads(proc.stdout)))
 
-    def test_search_loads_no_numpy(self, fresh_steps):
-        # Report is the first step that loads numpy.
-        assert [name for name, loaded in fresh_steps.items() if "numpy" in loaded] == ["report"]
-
-    def test_search_loads_only_argparse_and_the_package(self, fresh_steps):
-        # json, dataclasses (with inspect), fractions (with decimal),
-        # typing, __future__ and the joint verbs' front end load in no step
-        # before report, which loads json and the front end; the import
-        # loads argparse and four of the package's modules.
-        unused = {"json", "dataclasses", "inspect", "fractions", "decimal", "typing",
-                  "__future__", "maxdecouple.joint_verbs"}
-        early = {name: sorted(unused & set(loaded)) for name, loaded in fresh_steps.items()}
-        assert {"json", "maxdecouple.joint_verbs"} <= set(early.pop("report"))
-        assert early == {"import": [], "search": [], "full": [], "help": [], "usage": []}
-        assert {m for m in fresh_steps["import"] if m.startswith("maxdecouple")} == {
-            "maxdecouple", "maxdecouple.cli", "maxdecouple.errors", "maxdecouple.optimize"}
-        assert "argparse" in fresh_steps["import"]
+    @pytest.mark.parametrize("name, argv, code, package, numpy", STEPS,
+                             ids=[name for name, *_ in STEPS])
+    def test_step_loads(self, fresh_steps, name, argv, code, package, numpy):
+        exit_code, loaded = fresh_steps[name]
+        assert exit_code == code
+        assert {m for m in loaded if m.split(".")[0] == "maxdecouple"} == package
+        assert ("numpy" in loaded) == numpy
+        if not numpy:
+            assert not self.WITH_NUMPY & set(loaded)
 
     def test_joint_verbs_run_the_command_line_module_once(self, tmp_path):
         # Under `python -m maxdecouple.cli` the module runs as `__main__`.
